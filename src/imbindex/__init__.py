@@ -1,14 +1,13 @@
 """Confusion-matrix performance indices for imbalanced classification.
 
-The package evaluates thirteen two-class and multi-class indices, audits each
-against three robustness conditions (test-mix invariance, class-count-stable
-bounds, single-class collapse), and runs synthetic distortion experiments
-that show how the non-invariant indices drift when the test set changes while
-the classifier does not.
+The package evaluates fifteen two-class and multi-class indices, audits
+thirteen of them against three robustness conditions (test-mix invariance,
+class-count-stable bounds, single-class collapse), and runs synthetic
+distortion experiments that show how the non-invariant indices drift when the
+test set changes while the classifier does not.
 """
 
 from .confusion import (
-    ClassRatioProfile,
     ConfusionMatrix,
     DimensionMismatchError,
     EmptyRowError,
@@ -28,25 +27,25 @@ from .confusion import (
     to_fraction,
     validate,
 )
-from .multiclass import ProfileRequiredError, lambda_c, theoretical_bounds
+from .multiclass import lambda_c
 from .registry import (
     ALL_INDEX_IDS,
-    AUDITED_INDEX_IDS,
     BINARY_INDEX_IDS,
     DEFAULT_SEED,
     MULTI_INDEX_IDS,
+    ProfileRequiredError,
     UnknownIndexError,
     applicable_index_ids,
     evaluate,
     exact,
     get_index,
+    theoretical_bounds,
 )
 from .values import IndexValue
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassRatioProfile",
     "ConfusionMatrix",
     "DimensionMismatchError",
     "EmptyRowError",
@@ -63,7 +62,6 @@ __all__ = [
     "UnknownLabelError",
     "ZeroClassCountError",
     "ALL_INDEX_IDS",
-    "AUDITED_INDEX_IDS",
     "BINARY_INDEX_IDS",
     "MULTI_INDEX_IDS",
     "DEFAULT_SEED",

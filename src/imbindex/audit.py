@@ -36,17 +36,16 @@ import numpy as np
 
 from .confusion import (
     ConfusionMatrix,
-    IntegralityError,
     MatrixError,
     RowScaling,
     apply_scaling,
+    even_error_matrix,
     to_fraction,
 )
 from .exact import ExactEval
-from .multiclass import bounds_exact
 from .registry import (
-    AUDITED_INDEX_IDS,
     DEFAULT_SEED,
+    bounds_exact,
     evaluate,
     exact,
     get_index,
@@ -66,18 +65,10 @@ VERDICT_INFORMATIVE = "Informative"
 VERDICT_COLLAPSES = "Collapses"
 VERDICT_NOT_APPLICABLE = "NotApplicable"
 
-# Indices with a single-class-collapse verdict: closed-form limit where one
-# exists, otherwise a strict floor the limit provably exceeds.
-_COLLAPSE_LIMITS = {
-    "gmean_c": lambda c: Fraction(0),
-    "acsa": lambda c: Fraction(c - 1, c),
-}
-_COLLAPSE_FLOORS = {
-    "m_aurpc_ova": lambda c: Fraction(3 * (c - 1), 4 * c),
-}
-
 # Expected verdict rows (condition 1, condition 2, condition 3) for the
-# thirteen audited indices; ``--check-paper`` compares against this table.
+# thirteen audited indices, in audit order; its keys are the ids that
+# ``audit_all`` and ``audit --all`` audit, and ``--check-paper`` compares
+# against its rows.
 EXPECTED_VERDICTS: dict[str, tuple[str, str, str]] = {
     "gmean2": (VERDICT_INVARIANT, VERDICT_NOT_APPLICABLE, VERDICT_NOT_APPLICABLE),
     "auroc": (VERDICT_INVARIANT, VERDICT_NOT_APPLICABLE, VERDICT_NOT_APPLICABLE),
@@ -325,7 +316,16 @@ class ExtremalResult:
     undefined_count: int
 
 
-def _scan_extremal(index_ids: Sequence[str], row_sums: Sequence[int], budget: int):
+def _scan_extremal(
+    index_ids: Sequence[str], row_sums: Sequence[int], budget: int
+) -> dict[str, ExtremalResult]:
+    """Scan every matrix once for all indices, then confirm the extrema exactly.
+
+    The scan runs in floats for speed; the extremal matrices are re-evaluated
+    on the exact rational path, which is safe because distinct values over
+    these small denominators are separated far beyond double rounding error.
+    Ties keep the first matrix in enumeration order.
+    """
     size = enumeration_size(row_sums)
     if size > budget:
         raise BudgetExceededError(
@@ -347,7 +347,27 @@ def _scan_extremal(index_ids: Sequence[str], row_sums: Sequence[int], budget: in
                 st[0], st[1] = v, m
             if st[2] is None or v > st[2]:
                 st[2], st[3] = v, m
-    return state, count
+
+    out = {}
+    for index_id in index_ids:
+        _min_val, argmin, _max_val, argmax, undefined = state[index_id]
+        if argmin is None:
+            raise MatrixError(f"{index_id} is undefined on every matrix with rows {row_sums}")
+        exact_min = exact(index_id, argmin)
+        exact_max = exact(index_id, argmax)
+        out[index_id] = ExtremalResult(
+            index=index_id,
+            row_sums=tuple(int(s) for s in row_sums),
+            min_matrix=argmin,
+            max_matrix=argmax,
+            min_value=exact_min.value,
+            max_value=exact_max.value,
+            exact_min=exact_min.key,
+            exact_max=exact_max.key,
+            matrix_count=count,
+            undefined_count=undefined,
+        )
+    return out
 
 
 def enumerate_extremal(
@@ -355,31 +375,8 @@ def enumerate_extremal(
     row_sums: Sequence[int],
     budget: int = DEFAULT_BUDGET,
 ) -> ExtremalResult:
-    """Exact extrema of an index over all matrices with the given row sums.
-
-    The scan runs in floats for speed; the extremal matrices are re-evaluated
-    on the exact rational path, which is safe because distinct values over
-    these small denominators are separated far beyond double rounding error.
-    Ties keep the first matrix in enumeration order.
-    """
-    state, count = _scan_extremal([index_id], row_sums, budget)
-    min_val, argmin, max_val, argmax, undefined = state[index_id]
-    if argmin is None:
-        raise MatrixError(f"{index_id} is undefined on every matrix with rows {row_sums}")
-    exact_min = exact(index_id, argmin)
-    exact_max = exact(index_id, argmax)
-    return ExtremalResult(
-        index=index_id,
-        row_sums=tuple(int(s) for s in row_sums),
-        min_matrix=argmin,
-        max_matrix=argmax,
-        min_value=exact_min.value,
-        max_value=exact_max.value,
-        exact_min=exact_min.key,
-        exact_max=exact_max.key,
-        matrix_count=count,
-        undefined_count=undefined,
-    )
+    """Exact extrema of an index over all matrices with the given row sums."""
+    return _scan_extremal([index_id], row_sums, budget)[index_id]
 
 
 # ---------------------------------------------------------------------------
@@ -450,27 +447,21 @@ def audit_condition2_many(
         row_sums = rows_for[c]
         if len(row_sums) != c:
             raise MatrixError(f"row sums {row_sums} do not match class count {c}")
-        state, count = _scan_extremal(index_ids, row_sums, budget)
+        extrema = _scan_extremal(index_ids, row_sums, budget)
         for index_id in index_ids:
-            min_val, argmin, max_val, argmax, undefined = state[index_id]
-            if argmin is None:
-                raise MatrixError(
-                    f"{index_id} is undefined on every matrix with rows {row_sums}"
-                )
+            found = extrema[index_id]
             lo, hi = bounds_exact(index_id, c, profile=row_sums)
             theory[index_id].append((lo, hi))
-            exact_min = exact(index_id, argmin)
-            exact_max = exact(index_id, argmax)
             tables[index_id].append(
                 BoundRow(
                     class_count=c,
                     row_sums=row_sums,
-                    enumerated_min=exact_min.value,
-                    enumerated_max=exact_max.value,
+                    enumerated_min=found.min_value,
+                    enumerated_max=found.max_value,
                     theoretical_min=float(lo),
                     theoretical_max=float(hi),
-                    matrix_count=count,
-                    undefined_count=undefined,
+                    matrix_count=found.matrix_count,
+                    undefined_count=found.undefined_count,
                 )
             )
 
@@ -481,16 +472,6 @@ def audit_condition2_many(
         verdict = VERDICT_STABLE if stable else VERDICT_C_DEPENDENT
         out[index_id] = Condition2Result(index_id, verdict, tuple(tables[index_id]))
     return out
-
-
-def audit_condition2(
-    index_id: str,
-    c_range: Sequence[int] = DEFAULT_C_RANGE,
-    rows_by_c: dict[int, Sequence[int]] | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> Condition2Result:
-    """Bound audit for one index across a class-count range."""
-    return audit_condition2_many([index_id], c_range, rows_by_c, budget)[index_id]
 
 
 # ---------------------------------------------------------------------------
@@ -542,28 +523,13 @@ def build_collapse_family(
     if len(sums) != class_count or any(s <= 0 for s in sums):
         raise MatrixError(f"row sums {sums} invalid for {class_count} classes")
 
-    matrices = []
-    for e in eps:
-        rows = []
-        for r in range(class_count):
-            diag_rate = e if r == collapsed_class else 1 - e
-            diag = diag_rate * sums[r]
-            if diag.denominator != 1:
-                raise IntegralityError(
-                    f"epsilon {e} with row sum {sums[r]} gives non-integer diagonal {diag}"
-                )
-            diag = int(diag)
-            off = sums[r] - diag
-            others = [j for j in range(class_count) if j != r]
-            base, rem = divmod(off, class_count - 1)
-            row = [0] * class_count
-            row[r] = diag
-            for j in others:
-                row[j] = base
-            row[others[0]] += rem
-            rows.append(tuple(row))
-        matrices.append(ConfusionMatrix(tuple(rows)))
-    return CollapseFamily(class_count, collapsed_class, eps, tuple(matrices))
+    matrices = tuple(
+        even_error_matrix(
+            [e if r == collapsed_class else 1 - e for r in range(class_count)], sums
+        )
+        for e in eps
+    )
+    return CollapseFamily(class_count, collapsed_class, eps, matrices)
 
 
 @dataclass(frozen=True)
@@ -623,14 +589,13 @@ def audit_condition3(index_id: str, family: CollapseFamily) -> Condition3Result:
     profile = family.matrices[0].row_sums
     lo, _hi = bounds_exact(index_id, c, profile=profile)
 
-    limit_fn = _COLLAPSE_LIMITS.get(index_id)
-    floor_fn = _COLLAPSE_FLOORS.get(index_id)
+    limit_fn, floor_fn = spec.collapse_limit, spec.collapse_floor
     theoretical = float(limit_fn(c)) if limit_fn else None
     floor = float(floor_fn(c)) if floor_fn else None
 
-    if limit_fn is not None:
-        collapses = abs(float(limit_fn(c)) - float(lo)) <= COLLAPSE_TOL
-    elif floor_fn is not None:
+    if theoretical is not None:
+        collapses = abs(theoretical - float(lo)) <= COLLAPSE_TOL
+    elif floor is not None:
         exceeds = all(v > floor for v in values) and floor > float(lo)
         collapses = not exceeds and abs(empirical - float(lo)) <= COLLAPSE_TOL
     else:
@@ -652,9 +617,6 @@ def audit_condition3(index_id: str, family: CollapseFamily) -> Condition3Result:
 
 # ---------------------------------------------------------------------------
 # full reports
-
-
-_CONDITION3_SCOPE = frozenset(_COLLAPSE_LIMITS) | frozenset(_COLLAPSE_FLOORS)
 
 
 @dataclass(frozen=True)
@@ -683,47 +645,6 @@ class AuditReport:
         )
 
 
-def audit_index(
-    index_id: str,
-    conditions: Iterable[int] = (1, 2, 3),
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-    class_count: int | None = None,
-    c_range: Sequence[int] = DEFAULT_C_RANGE,
-    rows_by_c: dict[int, Sequence[int]] | None = None,
-    budget: int = DEFAULT_BUDGET,
-    _shared_condition2: dict[str, Condition2Result] | None = None,
-) -> AuditReport:
-    """Run the requested condition audits for one index."""
-    conditions = set(conditions)
-    if not conditions <= {1, 2, 3}:
-        raise ValueError(f"conditions must be among 1, 2, 3; got {sorted(conditions)}")
-    spec = get_index(index_id)
-
-    cond1 = None
-    if 1 in conditions:
-        cond1 = audit_condition1(index_id, trials=trials, seed=seed, class_count=class_count)
-
-    cond2 = None
-    if 2 in conditions:
-        if spec.binary_only:
-            cond2 = Condition2Result.not_applicable(index_id)
-        elif _shared_condition2 is not None:
-            cond2 = _shared_condition2[index_id]
-        else:
-            cond2 = audit_condition2(index_id, c_range=c_range, rows_by_c=rows_by_c, budget=budget)
-
-    cond3 = None
-    if 3 in conditions:
-        if spec.binary_only or index_id not in _CONDITION3_SCOPE:
-            cond3 = Condition3Result.not_applicable(index_id)
-        else:
-            family = default_collapse_family(class_count or 3)
-            cond3 = audit_condition3(index_id, family)
-
-    return AuditReport(index_id, seed, cond1, cond2, cond3)
-
-
 def audit_all(
     index_ids: Sequence[str] | None = None,
     conditions: Iterable[int] = (1, 2, 3),
@@ -734,28 +655,41 @@ def audit_all(
     rows_by_c: dict[int, Sequence[int]] | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[AuditReport]:
-    """Audit several indices, sharing the condition-2 enumeration pass."""
-    ids = tuple(index_ids) if index_ids is not None else AUDITED_INDEX_IDS
+    """Run the requested condition audits for each index (default: every audited index).
+
+    Condition 2 runs one shared enumeration pass for all multi-class indices;
+    two-class indices get a NotApplicable row.  Condition 3 runs the default
+    collapse family for the indices whose spec gives a collapse limit or floor.
+    """
     conditions = set(conditions)
-    shared = None
-    if 2 in conditions:
-        multi = [i for i in ids if not get_index(i).binary_only]
-        if multi:
-            shared = audit_condition2_many(multi, c_range=c_range, rows_by_c=rows_by_c, budget=budget)
-    return [
-        audit_index(
-            i,
-            conditions=conditions,
-            trials=trials,
-            seed=seed,
-            class_count=class_count,
-            c_range=c_range,
-            rows_by_c=rows_by_c,
-            budget=budget,
-            _shared_condition2=shared,
-        )
-        for i in ids
-    ]
+    if not conditions <= {1, 2, 3}:
+        raise ValueError(f"conditions must be among 1, 2, 3; got {sorted(conditions)}")
+    ids = tuple(index_ids) if index_ids is not None else tuple(EXPECTED_VERDICTS)
+    specs = [get_index(i) for i in ids]
+
+    shared = {}
+    multi = [s.index_id for s in specs if not s.binary_only]
+    if 2 in conditions and multi:
+        shared = audit_condition2_many(multi, c_range=c_range, rows_by_c=rows_by_c, budget=budget)
+
+    reports = []
+    for spec in specs:
+        index_id = spec.index_id
+        cond1 = cond2 = cond3 = None
+        if 1 in conditions:
+            cond1 = audit_condition1(index_id, trials=trials, seed=seed, class_count=class_count)
+        if 2 in conditions:
+            if spec.binary_only:
+                cond2 = Condition2Result.not_applicable(index_id)
+            else:
+                cond2 = shared[index_id]
+        if 3 in conditions:
+            if spec.collapse_limit is None and spec.collapse_floor is None:
+                cond3 = Condition3Result.not_applicable(index_id)
+            else:
+                cond3 = audit_condition3(index_id, default_collapse_family(class_count or 3))
+        reports.append(AuditReport(index_id, seed, cond1, cond2, cond3))
+    return reports
 
 
 def conformance_mismatches(reports: Sequence[AuditReport]) -> list[str]:

@@ -17,10 +17,9 @@ from pathlib import Path
 from . import audit as audit_mod
 from . import io as io_mod
 from . import lab as lab_mod
-from .confusion import MatrixError, ingest_labels
+from .confusion import ingest_labels
 from .registry import (
     ALL_INDEX_IDS,
-    AUDITED_INDEX_IDS,
     BINARY_INDEX_IDS,
     MULTI_INDEX_IDS,
     UnknownIndexError,
@@ -28,6 +27,7 @@ from .registry import (
     default_seed,
     evaluate,
     get_index,
+    theoretical_bounds,
 )
 
 EXIT_OK = 0
@@ -194,7 +194,7 @@ def _cmd_audit(args) -> int:
     seed = args.seed if args.seed is not None else default_seed()
     conditions = tuple(int(tok) for tok in str(args.conditions).split(",") if tok.strip())
     c_range = _parse_c_range(args.c_range)
-    index_ids = AUDITED_INDEX_IDS if args.all else _parse_indices(args.indices)
+    index_ids = None if args.all else _parse_indices(args.indices)
     reports = audit_mod.audit_all(
         index_ids,
         conditions=conditions,
@@ -220,8 +220,6 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .multiclass import theoretical_bounds
-
     profile = None
     if args.profile:
         profile = [int(tok) for tok in args.profile.split(",") if tok.strip()]
@@ -256,16 +254,13 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (MatrixError, lab_mod.SpecError, UnknownIndexError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except audit_mod.BudgetExceededError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (json.JSONDecodeError, ValueError) as err:
+    except (
+        ValueError,  # includes MatrixError, SpecError, UnknownIndexError, JSONDecodeError
+        audit_mod.BudgetExceededError,
+        FileNotFoundError,
+        IsADirectoryError,
+        PermissionError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

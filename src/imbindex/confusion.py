@@ -164,39 +164,45 @@ def validate(grid: Sequence[Sequence[int]]) -> ConfusionMatrix:
     return ConfusionMatrix(tuple(tuple(row) for row in grid))
 
 
-@dataclass(frozen=True)
-class ClassRatioProfile:
-    """Per-class counts together with all pairwise count ratios.
-
-    The same structure measures training imbalance and test-set imbalance;
-    only the source of the counts differs.
-    """
-
-    per_class_counts: tuple[int, ...]
-    ratio_set: frozenset[Fraction]
-    max_ratio: Fraction
-
-    @classmethod
-    def from_counts(cls, counts: Sequence[int]) -> "ClassRatioProfile":
-        counts = tuple(int(c) for c in counts)
-        if len(counts) < 2:
-            raise ZeroClassCountError("need at least 2 class counts")
-        for c in counts:
-            if c <= 0:
-                raise ZeroClassCountError(f"class count {c} is not positive")
-        ratios = frozenset(
-            Fraction(a, b) for i, a in enumerate(counts) for j, b in enumerate(counts) if i != j
-        )
-        return cls(counts, ratios, max(ratios))
-
-
 def max_ratio(counts: Sequence[int]) -> Fraction:
     """Largest pairwise ratio among positive per-class counts.
 
     Equals ``max(counts) / min(counts)``; this is the imbalance measure for
     whichever set (training or test) the counts came from.
     """
-    return ClassRatioProfile.from_counts(counts).max_ratio
+    counts = tuple(int(c) for c in counts)
+    if len(counts) < 2:
+        raise ZeroClassCountError("need at least 2 class counts")
+    for c in counts:
+        if c <= 0:
+            raise ZeroClassCountError(f"class count {c} is not positive")
+    return Fraction(max(counts), min(counts))
+
+
+def even_error_matrix(
+    diagonal_rates: Sequence[Fraction], row_sums: Sequence[int]
+) -> ConfusionMatrix:
+    """Matrix with ``diagonal_rates[i] * row_sums[i]`` correct points in row ``i``.
+
+    Each row's errors are split evenly over the other classes, with the
+    integer remainder going to the lowest-indexed other class.  Raises
+    :class:`IntegralityError` when a diagonal count is not an integer.
+    """
+    class_count = len(row_sums)
+    rows = []
+    for i, (rate, n_i) in enumerate(zip(diagonal_rates, row_sums)):
+        diag = rate * n_i
+        if diag.denominator != 1:
+            raise IntegralityError(
+                f"rate {rate} with row sum {n_i} gives non-integer diagonal {diag}"
+            )
+        others = [j for j in range(class_count) if j != i]
+        base, rem = divmod(n_i - int(diag), class_count - 1)
+        row = [base] * class_count
+        row[i] = int(diag)
+        row[others[0]] += rem
+        rows.append(tuple(row))
+    return ConfusionMatrix(tuple(rows))
 
 
 @dataclass(frozen=True)

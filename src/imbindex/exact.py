@@ -5,6 +5,7 @@ that differ by rounding noise must not be mistaken for a genuine violation,
 and a genuine violation must never be dismissed as noise.  Every index is
 re-derived here over :class:`fractions.Fraction` cells, separately from the
 float implementations in :mod:`imbindex.binary` and :mod:`imbindex.multiclass`.
+Each registry row names its oracle function here.
 
 The geometric-mean indices are irrational in general, so their exact record
 carries the *product* of class accuracies as the comparison key; the map
@@ -158,31 +159,3 @@ def _m_aurpc_ova(m: ConfusionMatrix) -> ExactEval | None:
         total += rates[i][i] / col_rate_sums[i] + rates[i][i]
     key = total / (2 * c)
     return ExactEval(key, float(key))
-
-
-_EXACT = {
-    "gmean2": _gmean,
-    "auroc": _auroc2,
-    "precision": _precision,
-    "recall": _recall,
-    "specificity": _specificity,
-    "aurpc": _aurpc,
-    "m_precision": _m_precision,
-    "m_aurpc": _m_aurpc,
-    "gmean_c": _gmean,
-    "acsa": _acsa,
-    "auroc_ovo": _auroc_ovo,
-    "auroc_ova": _auroc_ova,
-    "n_auroc_ova": _n_auroc_ova,
-    "aurpc_ova": _aurpc_ova,
-    "m_aurpc_ova": _m_aurpc_ova,
-}
-
-
-def evaluate_exact(index_id: str, m: ConfusionMatrix) -> ExactEval | None:
-    """Exact evaluation of ``index_id`` on ``m``; ``None`` when undefined."""
-    try:
-        fn = _EXACT[index_id]
-    except KeyError:
-        raise ValueError(f"unknown index id {index_id!r}") from None
-    return fn(m)

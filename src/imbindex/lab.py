@@ -31,6 +31,7 @@ from .confusion import (
     MatrixError,
     RowScaling,
     apply_scaling,
+    even_error_matrix,
     to_fraction,
 )
 from .registry import DEFAULT_SEED, evaluate, get_index
@@ -115,7 +116,7 @@ def threshold_classifier_confusion(
     means x < threshold.
     """
     labels = points.labels
-    distinct = sorted(set(str(v) for v in labels))
+    distinct = [str(v) for v in np.unique(labels)]
     if len(distinct) != 2:
         raise MatrixError(f"threshold classifier needs exactly 2 classes, got {distinct}")
     if positive_label not in distinct:
@@ -223,19 +224,6 @@ def rescale_matrix_to_counts(m: ConfusionMatrix, per_class_counts: Sequence[int]
     return apply_scaling(m, scaling)
 
 
-def resample_to_rrt(obj, target=None, *, majority_label=None, seed=None, counts=None):
-    """Mode dispatcher: point sets resample stochastically, matrices rescale exactly."""
-    if isinstance(obj, PointSet):
-        if majority_label is None or seed is None:
-            raise MatrixError("point-mode resampling needs majority_label and seed")
-        return resample_points_to_rrt(obj, target, majority_label, seed)
-    if isinstance(obj, ConfusionMatrix):
-        if counts is not None:
-            return rescale_matrix_to_counts(obj, counts)
-        return rescale_matrix_to_rrt(obj, target)
-    raise TypeError(f"cannot resample {type(obj).__name__}")
-
-
 def synthetic_multiclass_confusion(
     class_count: int,
     accuracy,
@@ -253,26 +241,9 @@ def synthetic_multiclass_confusion(
     profile = tuple(int(v) for v in profile)
     if len(profile) != class_count:
         raise MatrixError(f"profile has {len(profile)} counts, class_count is {class_count}")
-    rows = []
-    for i, n_i in enumerate(profile):
-        if n_i <= 0:
-            raise MatrixError("profile counts must be positive")
-        diag = accuracy * n_i
-        if diag.denominator != 1:
-            raise IntegralityError(
-                f"accuracy {accuracy} with class count {n_i} gives non-integer diagonal"
-            )
-        diag = int(diag)
-        off = n_i - diag
-        others = [j for j in range(class_count) if j != i]
-        base, rem = divmod(off, class_count - 1)
-        row = [0] * class_count
-        row[i] = diag
-        for j in others:
-            row[j] = base
-        row[others[0]] += rem
-        rows.append(tuple(row))
-    return ConfusionMatrix(tuple(rows))
+    if any(n_i <= 0 for n_i in profile):
+        raise MatrixError("profile counts must be positive")
+    return even_error_matrix([accuracy] * class_count, profile)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Multi-class performance indices and their closed-form value bounds.
+"""Multi-class performance indices.
 
 All indices consume a validated :class:`~imbindex.confusion.ConfusionMatrix`
 with ``C >= 2`` classes.  ``auroc_ovo`` decomposes the problem one-vs-one and
@@ -12,15 +12,9 @@ raw column counts by column sums of row rates.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Sequence
 
-from .confusion import ConfusionMatrix, MatrixError, ZeroClassCountError
+from .confusion import ConfusionMatrix
 from .values import IndexValue, defined, undefined
-
-
-class ProfileRequiredError(MatrixError):
-    """The requested bound depends on the per-class test counts."""
 
 
 def _accuracies(m: ConfusionMatrix) -> list[float]:
@@ -71,8 +65,9 @@ def lambda_c(class_count: int) -> float:
 def n_auroc_ova(m: ConfusionMatrix) -> IndexValue:
     """``auroc_ova`` affinely renormalized so its floor no longer grows with C.
 
-    The floor used is attained only under a degenerate test profile, so values
-    below 0 are permitted rather than clipped; audits report when they occur.
+    ``lambda_c`` is a floor for ``auroc_ova``: with ``n_max`` and ``n_2nd`` the
+    two largest class counts, ``n_max + n_2nd <= n`` puts its closed-form
+    lower bound at or above ``lambda_c``, so the value lies in [0, 1].
     """
     lam = lambda_c(m.class_count)
     base = auroc_ova(m).require()
@@ -105,75 +100,3 @@ def m_aurpc_ova(m: ConfusionMatrix) -> IndexValue:
     for i in range(c):
         total += rates[i][i] / col_rate_sums[i] + rates[i][i]
     return defined("m_aurpc_ova", total / (2 * c))
-
-
-# Index ids whose value range is [0, 1] for every class count.
-_UNIT_RANGE_IDS = frozenset(
-    {
-        "gmean2",
-        "auroc",
-        "precision",
-        "recall",
-        "specificity",
-        "aurpc",
-        "m_precision",
-        "m_aurpc",
-        "gmean_c",
-        "acsa",
-        "aurpc_ova",
-        "m_aurpc_ova",
-        "n_auroc_ova",
-    }
-)
-_BINARY_ONLY_IDS = frozenset(
-    {"gmean2", "auroc", "precision", "recall", "specificity", "aurpc", "m_precision", "m_aurpc"}
-)
-
-
-def bounds_exact(
-    index_id: str,
-    class_count: int,
-    profile: Sequence[int] | None = None,
-) -> tuple[Fraction, Fraction]:
-    """Closed-form (lower, upper) value bounds as exact rationals.
-
-    ``auroc_ova`` is the only index whose lower bound depends on the per-class
-    test counts; its ``profile`` is sorted ascending before the formula is
-    applied, so unsorted profiles are accepted.
-    """
-    if class_count < 2:
-        raise MatrixError(f"need at least 2 classes, got {class_count}")
-    if index_id in _BINARY_ONLY_IDS and class_count != 2:
-        raise MatrixError(f"{index_id} is a two-class index; got C={class_count}")
-    if index_id in _UNIT_RANGE_IDS:
-        return Fraction(0), Fraction(1)
-    if index_id == "auroc_ovo":
-        return Fraction(class_count - 2, 2 * (class_count - 1)), Fraction(1)
-    if index_id == "auroc_ova":
-        if profile is None:
-            raise ProfileRequiredError(
-                "auroc_ova bounds depend on per-class test counts; pass a profile"
-            )
-        counts = sorted(int(v) for v in profile)
-        if len(counts) != class_count:
-            raise MatrixError(
-                f"profile has {len(counts)} counts but class_count is {class_count}"
-            )
-        if counts[0] <= 0:
-            raise ZeroClassCountError("profile counts must be positive")
-        n = sum(counts)
-        lower = Fraction(1, 2 * class_count) * (
-            class_count - 1 - Fraction(counts[-1], n - counts[-2])
-        )
-        return lower, Fraction(1)
-    raise MatrixError(f"unknown index id {index_id!r}")
-
-
-def theoretical_bounds(
-    index_id: str,
-    class_count: int,
-    profile: Sequence[int] | None = None,
-) -> tuple[float, float]:
-    """Float view of :func:`bounds_exact`."""
-    lo, hi = bounds_exact(index_id, class_count, profile)
-    return float(lo), float(hi)

@@ -21,7 +21,6 @@ from imbindex.audit import (
     VERDICT_VIOLATED,
     audit_all,
     audit_condition1,
-    audit_condition2,
     audit_condition2_many,
     audit_condition3,
     build_collapse_family,
@@ -108,23 +107,23 @@ class TestCondition1:
 
 class TestCondition2:
     def test_acsa_stable_with_uniform_row_sums(self):
-        result = audit_condition2(
-            "acsa", c_range=(2, 3, 4), rows_by_c={2: (3, 3), 3: (3, 3, 3), 4: (3, 3, 3, 3)}
-        )
+        result = audit_condition2_many(
+            ["acsa"], c_range=(2, 3, 4), rows_by_c={2: (3, 3), 3: (3, 3, 3), 4: (3, 3, 3, 3)}
+        )["acsa"]
         assert result.verdict == VERDICT_STABLE
         for row in result.table:
             assert (row.enumerated_min, row.enumerated_max) == (0.0, 1.0)
             assert (row.theoretical_min, row.theoretical_max) == (0.0, 1.0)
 
     def test_auroc_ovo_floor_grows_with_class_count(self):
-        result = audit_condition2("auroc_ovo", c_range=(2, 3, 4))
+        result = audit_condition2_many(["auroc_ovo"], c_range=(2, 3, 4))["auroc_ovo"]
         assert result.verdict == VERDICT_C_DEPENDENT
         floors = [row.theoretical_min for row in result.table]
         assert floors == pytest.approx([0.0, 0.25, 1 / 3], abs=1e-12)
         assert floors == sorted(floors)
 
     def test_auroc_ova_depends_on_count_profile(self):
-        result = audit_condition2("auroc_ova", c_range=(3, 4))
+        result = audit_condition2_many(["auroc_ova"], c_range=(3, 4))["auroc_ova"]
         assert result.verdict == VERDICT_C_DEPENDENT
 
     def test_enumerated_bounds_inside_theoretical(self):
@@ -140,11 +139,13 @@ class TestCondition2:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            audit_condition2("acsa", c_range=(6,), rows_by_c={6: (6,) * 6}, budget=1000)
+            audit_condition2_many(
+                ["acsa"], c_range=(6,), rows_by_c={6: (6,) * 6}, budget=1000
+            )["acsa"]
 
     def test_binary_index_rejected(self):
         with pytest.raises(MatrixError):
-            audit_condition2("precision", c_range=(2, 3))
+            audit_condition2_many(["precision"], c_range=(2, 3))["precision"]
 
 
 class TestEnumeration:
@@ -178,7 +179,7 @@ class TestEnumeration:
         assert result.min_value == 0.0 and result.max_value == 1.0
 
     def test_three_class_extrema_equal_closed_forms_exactly(self):
-        from imbindex.multiclass import bounds_exact
+        from imbindex.registry import bounds_exact
 
         rows = (3, 3, 3)
         for index_id in ("acsa", "auroc_ovo", "auroc_ova"):

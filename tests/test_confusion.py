@@ -25,7 +25,6 @@ from imbindex import (
     to_fraction,
     validate,
 )
-from imbindex.confusion import ClassRatioProfile
 from imbindex.io import read_label_pairs, read_matrix_csv, write_matrix_csv
 
 from conftest import confusion_matrices, matrices_with_scaling, scaled_copy
@@ -85,12 +84,6 @@ class TestMaxRatio:
     def test_zero_count_rejected(self):
         with pytest.raises(ZeroClassCountError):
             max_ratio([10, 0])
-
-    def test_profile_structure(self):
-        profile = ClassRatioProfile.from_counts([4, 2])
-        assert profile.max_ratio == 2
-        assert Fraction(1, 2) in profile.ratio_set
-        assert profile.max_ratio >= 1
 
     @given(st.permutations([3000, 75, 150, 600]))
     def test_permutation_invariant(self, counts):

@@ -25,7 +25,6 @@ from imbindex.lab import (
     rescale_matrix_to_counts,
     rescale_matrix_to_rrt,
     resample_points_to_rrt,
-    resample_to_rrt,
     run_experiment,
     synthetic_multiclass_confusion,
     threshold_classifier_confusion,
@@ -160,13 +159,6 @@ class TestMatrixRescaling:
         out = rescale_matrix_to_counts(m, (20, 10, 30))
         assert out.row_sums == (20, 10, 30)
         assert out.counts[0] == (16, 2, 2)
-
-    def test_dispatcher_selects_mode(self):
-        m = validate([[8, 2], [10, 90]])
-        assert resample_to_rrt(m, 2).to_lists() == [[8, 2], [2, 18]]
-        points = generate_gaussian_dataset(small_generators(100), 7)
-        out = resample_to_rrt(points, 2, majority_label="left", seed=7)
-        assert out.class_counts()["right"] == 50
 
 
 class TestSyntheticMatrices:

@@ -13,7 +13,6 @@ from hypothesis import given
 from imbindex import evaluate, exact, validate
 from imbindex.binary import aurpc, auroc, gmean2
 from imbindex.multiclass import (
-    ProfileRequiredError,
     acsa,
     aurpc_ova,
     auroc_ova,
@@ -22,8 +21,8 @@ from imbindex.multiclass import (
     lambda_c,
     m_aurpc_ova,
     n_auroc_ova,
-    theoretical_bounds,
 )
+from imbindex.registry import ProfileRequiredError, theoretical_bounds
 
 from conftest import confusion_matrices, matrices_with_scaling, two_class_matrices
 
