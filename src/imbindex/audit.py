@@ -24,20 +24,21 @@ witness is the one with the lowest trial number.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .confusion import (
     ConfusionMatrix,
+    EmptyRowError,
     MatrixError,
     RowScaling,
+    TooFewClassesError,
     apply_scaling,
     even_error_matrix,
     to_fraction,
@@ -53,6 +54,7 @@ from .registry import (
 
 FLOAT_TOL = 1e-12
 COLLAPSE_TOL = 1e-9
+SCREEN_TOL = 1e-9
 DEFAULT_TRIALS = 500
 DEFAULT_BUDGET = 2_000_000
 DEFAULT_C_RANGE = (2, 3, 4)
@@ -88,6 +90,10 @@ EXPECTED_VERDICTS: dict[str, tuple[str, str, str]] = {
 
 class BudgetExceededError(RuntimeError):
     """Exhaustive enumeration would exceed the configured matrix budget."""
+
+
+class BoundCrossedError(MatrixError):
+    """An enumerated extremum lies outside the index's closed-form bounds."""
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +290,39 @@ def enumeration_size(row_sums: Sequence[int]) -> int:
     return math.prod(math.comb(s + bins - 1, bins - 1) for s in row_sums)
 
 
+# int64 cells per enumeration block: memory stays flat in C and in enumeration size
+_BLOCK_CELLS = 12_288
+
+
+def _iter_blocks(row_sums: Sequence[int]) -> Iterator[np.ndarray]:
+    """All matrices with the given row sums as ``(n, C, C)`` int64 blocks.
+
+    The order is lexicographic in the rows, the order of ``itertools.product``
+    over each row's compositions; a matrix's position in it identifies it.
+    """
+    bins = len(row_sums)
+    rows = [np.array(_compositions(int(s), bins), dtype=np.int64) for s in row_sums]
+    shape = tuple(len(r) for r in rows)
+    size = math.prod(shape)
+    step = max(1, _BLOCK_CELLS // (bins * bins))
+    for first in range(0, size, step):
+        picks = np.unravel_index(np.arange(first, min(first + step, size)), shape)
+        yield np.stack([r[pick] for r, pick in zip(rows, picks)], axis=1)
+
+
+def _matrix_at(row_sums: Sequence[int], position: int) -> ConfusionMatrix:
+    """The matrix at one position of the enumeration order."""
+    bins = len(row_sums)
+    rows = [_compositions(int(s), bins) for s in row_sums]
+    picks = np.unravel_index(position, tuple(len(r) for r in rows))
+    return ConfusionMatrix(tuple(r[int(pick)] for r, pick in zip(rows, picks)))
+
+
 def iter_matrices(row_sums: Sequence[int]) -> Iterator[ConfusionMatrix]:
     """All valid matrices with the given row sums, in lexicographic row order."""
-    bins = len(row_sums)
-    for rows in itertools.product(*(_compositions(s, bins) for s in row_sums)):
-        yield ConfusionMatrix(rows)
+    for block in _iter_blocks(row_sums):
+        for counts in block.tolist():
+            yield ConfusionMatrix(counts)
 
 
 def default_row_sums(class_count: int) -> tuple[int, ...]:
@@ -316,45 +350,101 @@ class ExtremalResult:
     undefined_count: int
 
 
+class _Screen:
+    """Float screen for one minimum: the candidates for exact confirmation.
+
+    Keeps, for each distinct float value within ``SCREEN_TOL`` of the running
+    minimum, the position of the first matrix in enumeration order that has it.
+    """
+
+    def __init__(self) -> None:
+        self.best = math.inf
+        self.first: dict[float, int] = {}
+
+    def add(self, values: np.ndarray, positions: np.ndarray) -> None:
+        if not len(values):
+            return
+        low = float(values.min())
+        if low > self.best + SCREEN_TOL:
+            return
+        self.best = min(self.best, low)
+        cutoff = self.best + SCREEN_TOL
+        near = values <= cutoff
+        # built back to front, so each value keeps its first position in the block
+        in_block = dict(zip(values[near][::-1].tolist(), positions[near][::-1].tolist()))
+        for value, position in in_block.items():
+            self.first.setdefault(value, position)
+        self.first = {v: p for v, p in self.first.items() if v <= cutoff}
+
+
+def _confirm(
+    index_id: str,
+    row_sums: Sequence[int],
+    screen: _Screen,
+    pick: Callable[[Iterable[Fraction]], Fraction],
+) -> tuple[ConfusionMatrix, ExactEval]:
+    """Exact extremum (``pick`` is ``min`` or ``max``) over the screen's candidates."""
+    candidates = []
+    for position in sorted(screen.first.values()):
+        m = _matrix_at(row_sums, position)
+        candidates.append((m, exact(index_id, m)))
+    best = pick(ev.key for _m, ev in candidates)
+    return next((m, ev) for m, ev in candidates if ev.key == best)
+
+
 def _scan_extremal(
     index_ids: Sequence[str], row_sums: Sequence[int], budget: int
 ) -> dict[str, ExtremalResult]:
     """Scan every matrix once for all indices, then confirm the extrema exactly.
 
-    The scan runs in floats for speed; the extremal matrices are re-evaluated
-    on the exact rational path, which is safe because distinct values over
-    these small denominators are separated far beyond double rounding error.
-    Ties keep the first matrix in enumeration order.
+    The scan walks the enumeration in fixed-size int64 blocks and evaluates
+    each index on a whole block through its spec's batched float formula.
+    Every matrix whose float value lies within ``SCREEN_TOL`` of the running
+    float minimum (or maximum) is a candidate; candidates are deduplicated by
+    float value across all blocks, keeping the first in enumeration order, so
+    a value shared by many matrices (``gmean_c = 0``) keeps one.  Each
+    surviving candidate is re-evaluated on the exact rational path, and the
+    exact extremum is the smallest (largest) exact key among them.  The
+    tolerance dwarfs float rounding, so the true extremum is always a
+    candidate.  The reported witness is the first matrix in enumeration order
+    whose exact key equals the exact extremum; exact ties are not broken by
+    float rounding.
     """
     size = enumeration_size(row_sums)
     if size > budget:
         raise BudgetExceededError(
             f"row sums {tuple(row_sums)} require {size} matrices, budget is {budget}"
         )
-    state = {i: [None, None, None, None, 0] for i in index_ids}
-    # state: [min_val, argmin, max_val, argmax, undefined_count]
-    count = 0
-    for m in iter_matrices(row_sums):
-        count += 1
-        for index_id in index_ids:
-            iv = evaluate(index_id, m)
-            st = state[index_id]
-            if not iv.defined:
-                st[4] += 1
-                continue
-            v = iv.value
-            if st[0] is None or v < st[0]:
-                st[0], st[1] = v, m
-            if st[2] is None or v > st[2]:
-                st[2], st[3] = v, m
+    if len(row_sums) < 2:
+        raise TooFewClassesError(f"need at least 2 classes, got {len(row_sums)}")
+    if min(row_sums) < 1:
+        raise EmptyRowError(f"row sums {tuple(row_sums)} include an empty class")
+    specs = [get_index(i) for i in index_ids]
+    for spec in specs:
+        if spec.batch is None:
+            raise MatrixError(
+                f"{spec.index_id} is a two-class index; enumeration covers multi-class indices"
+            )
+    lows = {i: _Screen() for i in index_ids}
+    highs = {i: _Screen() for i in index_ids}  # screens the negated values
+    undefined = dict.fromkeys(index_ids, 0)
+    first = 0
+    for block in _iter_blocks(row_sums):
+        positions = np.arange(first, first + len(block))
+        first += len(block)
+        for spec in specs:
+            values, ok = spec.batch(block)
+            values, defined_at = values[ok], positions[ok]
+            undefined[spec.index_id] += len(block) - len(values)
+            lows[spec.index_id].add(values, defined_at)
+            highs[spec.index_id].add(-values, defined_at)
 
     out = {}
     for index_id in index_ids:
-        _min_val, argmin, _max_val, argmax, undefined = state[index_id]
-        if argmin is None:
+        if not lows[index_id].first:
             raise MatrixError(f"{index_id} is undefined on every matrix with rows {row_sums}")
-        exact_min = exact(index_id, argmin)
-        exact_max = exact(index_id, argmax)
+        argmin, exact_min = _confirm(index_id, row_sums, lows[index_id], min)
+        argmax, exact_max = _confirm(index_id, row_sums, highs[index_id], max)
         out[index_id] = ExtremalResult(
             index=index_id,
             row_sums=tuple(int(s) for s in row_sums),
@@ -364,8 +454,8 @@ def _scan_extremal(
             max_value=exact_max.value,
             exact_min=exact_min.key,
             exact_max=exact_max.key,
-            matrix_count=count,
-            undefined_count=undefined,
+            matrix_count=size,
+            undefined_count=undefined[index_id],
         )
     return out
 
@@ -427,7 +517,11 @@ def audit_condition2_many(
     rows_by_c: dict[int, Sequence[int]] | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> dict[str, Condition2Result]:
-    """Bound audit for several indices sharing one enumeration pass per class count."""
+    """Bound audit for several indices sharing one enumeration pass per class count.
+
+    Raises :class:`BoundCrossedError` when an exact enumerated extremum lies
+    outside the closed-form bounds: the evidence then refutes the closed form.
+    """
     c_values = sorted(set(int(c) for c in c_range))
     if not c_values or c_values[0] < 2:
         raise MatrixError("class-count range must contain values >= 2")
@@ -451,6 +545,12 @@ def audit_condition2_many(
         for index_id in index_ids:
             found = extrema[index_id]
             lo, hi = bounds_exact(index_id, c, profile=row_sums)
+            # keys order like values; gmean_c's product key equals its value at its bounds 0 and 1
+            if found.exact_min < lo or found.exact_max > hi:
+                raise BoundCrossedError(
+                    f"{index_id} at C={c}, row sums {row_sums}: enumerated "
+                    f"[{found.exact_min}, {found.exact_max}] crosses the closed form [{lo}, {hi}]"
+                )
             theory[index_id].append((lo, hi))
             tables[index_id].append(
                 BoundRow(
@@ -657,9 +757,11 @@ def audit_all(
 ) -> list[AuditReport]:
     """Run the requested condition audits for each index (default: every audited index).
 
-    Condition 2 runs one shared enumeration pass for all multi-class indices;
-    two-class indices get a NotApplicable row.  Condition 3 runs the default
-    collapse family for the indices whose spec gives a collapse limit or floor.
+    ``class_count`` sets the class count of condition 1 for the multi-class
+    indices; two-class indices always run it at C = 2.  Condition 2 runs one
+    shared enumeration pass for all multi-class indices; two-class indices get
+    a NotApplicable row.  Condition 3 runs the default collapse family for the
+    indices whose spec gives a collapse limit or floor.
     """
     conditions = set(conditions)
     if not conditions <= {1, 2, 3}:
@@ -677,7 +779,10 @@ def audit_all(
         index_id = spec.index_id
         cond1 = cond2 = cond3 = None
         if 1 in conditions:
-            cond1 = audit_condition1(index_id, trials=trials, seed=seed, class_count=class_count)
+            cond1 = audit_condition1(
+                index_id, trials=trials, seed=seed,
+                class_count=None if spec.binary_only else class_count,
+            )
         if 2 in conditions:
             if spec.binary_only:
                 cond2 = Condition2Result.not_applicable(index_id)

@@ -1,9 +1,9 @@
 """The per-index table, evaluator dispatch, closed-form bounds, and package-wide defaults.
 
 Every fact about an index lives in its :class:`IndexSpec` row: whether it is
-two-class only, its float and exact evaluators, its closed-form lower bound
-(the upper bound is 1 for every index), and its single-class-collapse
-behaviour.
+two-class only, its float, exact and (multi-class only) batched evaluators,
+its closed-form lower bound (the upper bound is 1 for every index), and its
+single-class-collapse behaviour.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import binary, multiclass
 from . import exact as oracle
@@ -67,6 +69,8 @@ def _ova_floor(class_count: int, profile: Sequence[int] | None) -> Fraction:
 class IndexSpec:
     """One index.
 
+    ``batch(block)`` evaluates an int64 ``(n, C, C)`` block of matrices to
+    float64 values and a defined mask; every multi-class index has one.
     ``lower_bound(C, profile)`` is the closed-form lower bound at ``C``
     classes. ``collapse_limit(C)`` is the closed-form limit along a
     single-class collapse. ``collapse_floor(C)`` is a strict floor that the
@@ -78,6 +82,7 @@ class IndexSpec:
     binary_only: bool
     evaluate: Callable[[ConfusionMatrix], IndexValue]
     exact: Callable[[ConfusionMatrix], ExactEval | None]
+    batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     lower_bound: Callable[[int, Sequence[int] | None], Fraction] = _zero_floor
     collapse_limit: Callable[[int], Fraction] | None = None
     collapse_floor: Callable[[int], Fraction] | None = None
@@ -97,28 +102,35 @@ _SPECS = (
     IndexSpec("m_aurpc", "mAURPC (rate-corrected)", True, binary.m_aurpc, oracle._m_aurpc),
     IndexSpec(
         "gmean_c", "GMean (multi-class)", False, multiclass.gmean_c, oracle._gmean,
+        multiclass.gmean_c_batch,
         collapse_limit=lambda c: Fraction(0),
     ),
     IndexSpec(
         "acsa", "ACSA (mean class accuracy)", False, multiclass.acsa, oracle._acsa,
+        multiclass.acsa_batch,
         collapse_limit=lambda c: Fraction(c - 1, c),
     ),
     IndexSpec(
         "auroc_ovo", "AUROC-OVO", False, multiclass.auroc_ovo, oracle._auroc_ovo,
+        multiclass.auroc_ovo_batch,
         lower_bound=_ovo_floor,
     ),
     IndexSpec(
         "auroc_ova", "AUROC-OVA", False, multiclass.auroc_ova, oracle._auroc_ova,
+        multiclass.auroc_ova_batch,
         lower_bound=_ova_floor,
     ),
     IndexSpec(
         "n_auroc_ova", "nAUROC-OVA (floor-normalized)", False,
-        multiclass.n_auroc_ova, oracle._n_auroc_ova,
+        multiclass.n_auroc_ova, oracle._n_auroc_ova, multiclass.n_auroc_ova_batch,
     ),
-    IndexSpec("aurpc_ova", "AURPC-OVA", False, multiclass.aurpc_ova, oracle._aurpc_ova),
+    IndexSpec(
+        "aurpc_ova", "AURPC-OVA", False, multiclass.aurpc_ova, oracle._aurpc_ova,
+        multiclass.aurpc_ova_batch,
+    ),
     IndexSpec(
         "m_aurpc_ova", "mAURPC-OVA (rate-corrected)", False,
-        multiclass.m_aurpc_ova, oracle._m_aurpc_ova,
+        multiclass.m_aurpc_ova, oracle._m_aurpc_ova, multiclass.m_aurpc_ova_batch,
         collapse_floor=lambda c: Fraction(3 * (c - 1), 4 * c),
     ),
 )

@@ -10,6 +10,7 @@ import pytest
 from imbindex import MatrixError, apply_scaling, exact, validate
 from imbindex import audit
 from imbindex.audit import (
+    BoundCrossedError,
     BudgetExceededError,
     EXPECTED_VERDICTS,
     VERDICT_C_DEPENDENT,
@@ -35,6 +36,7 @@ from imbindex.audit import (
     uniform_composition,
 )
 from imbindex.confusion import IntegralityError
+from imbindex.registry import INDEX_SPECS, MULTI_INDEX_IDS
 
 FAST_TRIALS = 100
 
@@ -137,6 +139,13 @@ class TestCondition2:
                 assert row.theoretical_min - 1e-12 <= row.enumerated_min
                 assert row.enumerated_max <= row.theoretical_max + 1e-12
 
+    def test_enumeration_crossing_a_closed_form_raises(self, monkeypatch):
+        # acsa reaches 0 at every class count; a claimed floor of 1/10 is refuted
+        spec = dataclasses.replace(INDEX_SPECS["acsa"], lower_bound=lambda c, p: Fraction(1, 10))
+        monkeypatch.setitem(INDEX_SPECS, "acsa", spec)
+        with pytest.raises(BoundCrossedError, match=r"acsa at C=2, row sums \(3, 3\)"):
+            audit_condition2_many(["acsa"], c_range=(2, 3))
+
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             audit_condition2_many(
@@ -187,6 +196,36 @@ class TestEnumeration:
             lo, hi = bounds_exact(index_id, 3, profile=rows)
             assert result.exact_min == lo, index_id
             assert result.exact_max == hi, index_id
+
+
+def _brute_force_extremal(index_id, rows):
+    """Reference scan: every matrix built one at a time and evaluated exactly."""
+    found, undefined = [], 0
+    for m in iter_matrices(rows):
+        ev = exact(index_id, m)
+        if ev is None:
+            undefined += 1
+        else:
+            found.append((ev.key, m))
+    lo = min(key for key, _m in found)
+    hi = max(key for key, _m in found)
+    first = {key: m for key, m in reversed(found)}  # first matrix in order per key
+    return lo, hi, undefined, first[lo], first[hi]
+
+
+class TestBatchedScanParity:
+    @pytest.mark.parametrize("rows", [(2, 2), (2, 3, 4), (3, 3, 3), (1, 1, 1, 1)])
+    @pytest.mark.parametrize("index_id", MULTI_INDEX_IDS)
+    def test_matches_fraction_loop(self, index_id, rows, monkeypatch):
+        lo, hi, undefined, argmin, argmax = _brute_force_extremal(index_id, rows)
+        # the default block size, then blocks of a few matrices so that ties span blocks
+        for cells in (audit._BLOCK_CELLS, 4 * len(rows) ** 2):
+            monkeypatch.setattr(audit, "_BLOCK_CELLS", cells)
+            result = enumerate_extremal(index_id, rows)
+            assert (result.exact_min, result.exact_max) == (lo, hi)
+            assert result.undefined_count == undefined
+            assert result.min_matrix == argmin
+            assert result.max_matrix == argmax
 
 
 class TestCollapseFamily:

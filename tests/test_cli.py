@@ -139,6 +139,13 @@ class TestAudit:
         assert [row["class_count"] for row in table] == [2, 3, 4, 5]
         assert table[1]["theoretical_min"] == pytest.approx(0.25)
 
+    def test_class_count_applies_to_multiclass_rows_only(self, capsys):
+        code = main(["audit", "--all", "--cond", "1", "--class-count", "5", "--trials", "10"])
+        assert code == EXIT_OK
+        rows = {r["index"]: r["condition1"] for r in json.loads(capsys.readouterr().out)}
+        assert rows["gmean2"]["class_count"] == 2
+        assert rows["acsa"]["class_count"] == 5
+
     def test_usage_error_without_selection(self):
         assert main(["audit"]) == EXIT_USAGE
 

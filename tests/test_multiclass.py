@@ -7,6 +7,7 @@ column sums (11, 11, 8).
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -22,7 +23,7 @@ from imbindex.multiclass import (
     m_aurpc_ova,
     n_auroc_ova,
 )
-from imbindex.registry import ProfileRequiredError, theoretical_bounds
+from imbindex.registry import ProfileRequiredError, get_index, theoretical_bounds
 
 from conftest import confusion_matrices, matrices_with_scaling, two_class_matrices
 
@@ -221,9 +222,13 @@ class TestProperties:
 
     @given(confusion_matrices())
     def test_float_agrees_with_exact(self, m):
+        block = np.array([m.counts], dtype=np.int64)
         for index_id in MULTI_IDS:
             iv = evaluate(index_id, m)
             ev = exact(index_id, m)
-            assert iv.defined == (ev is not None)
+            values, ok = get_index(index_id).batch(block)
+            assert iv.defined == (ev is not None) == bool(ok[0])
+            assert np.isfinite(values[0])
             if iv.defined:
                 assert iv.value == pytest.approx(ev.value, abs=TOL)
+                assert values[0] == pytest.approx(ev.value, abs=TOL)
