@@ -18,10 +18,11 @@ value change from floating-point noise.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 
 class MatrixError(ValueError):
@@ -269,19 +270,21 @@ def are_equivalent(a: ConfusionMatrix, b: ConfusionMatrix) -> bool:
 
 
 def ingest_labels(
-    records: Iterable[tuple[Hashable, Hashable]],
+    records: Iterable[tuple[Hashable, Hashable]] | Mapping[tuple[Hashable, Hashable], int],
     class_list: Sequence[Hashable] | None = None,
 ) -> ConfusionMatrix:
     """Tally (true, predicted) label pairs into a confusion matrix.
 
+    ``records`` is an iterable of pairs or a mapping from each pair to its
+    count, such as the Counter :func:`imbindex.io.read_label_pairs` returns.
     Row/column order follows ``class_list``; when omitted, classes are taken
     in first-appearance order over the records (true label first, then the
     predicted label of the same pair).
     """
-    records = list(records)
+    tally = Counter(records)
     if class_list is None:
         seen: dict[Hashable, None] = {}
-        for t, p in records:
+        for t, p in tally:
             seen.setdefault(t, None)
             seen.setdefault(p, None)
         class_list = list(seen)
@@ -292,10 +295,10 @@ def ingest_labels(
         raise TooFewClassesError("need at least 2 classes to tally a confusion matrix")
     c = len(index)
     grid = [[0] * c for _ in range(c)]
-    for t, p in records:
+    for (t, p), n in tally.items():
         if t not in index:
             raise UnknownLabelError(f"true label {t!r} is not in the class list")
         if p not in index:
             raise UnknownLabelError(f"predicted label {p!r} is not in the class list")
-        grid[index[t]][index[p]] += 1
+        grid[index[t]][index[p]] += n
     return ConfusionMatrix(tuple(tuple(row) for row in grid))

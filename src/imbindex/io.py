@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -15,7 +16,7 @@ def _is_int(token: str) -> bool:
         return False
     if token[0] in "+-":
         token = token[1:]
-    return token.isdigit()
+    return token.isdecimal()
 
 
 def read_matrix_csv(path) -> tuple[ConfusionMatrix, tuple[str, ...] | None]:
@@ -26,7 +27,7 @@ def read_matrix_csv(path) -> tuple[ConfusionMatrix, tuple[str, ...] | None]:
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        raw = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+        raw = [row for row in csv.reader(fh) if not _is_blank(row)]
     if not raw:
         raise MatrixError(f"{path}: file contains no rows")
     labels: tuple[str, ...] | None = None
@@ -68,22 +69,44 @@ def write_matrix_csv(path, matrix: ConfusionMatrix, labels: Sequence[str] | None
             writer.writerow(row)
 
 
-def read_label_pairs(path) -> list[tuple[str, str]]:
-    """Read (true, predicted) string pairs from a two-column CSV.
+def _is_blank(row: Sequence[str]) -> bool:
+    return not any(cell.strip() for cell in row)
 
-    A ``true,predicted`` header row is skipped when present.
+
+def read_label_pairs(path) -> Counter[tuple[str, str]]:
+    """Count (true, predicted) string pairs in a CSV of two or more columns.
+
+    Returns a Counter from each stripped pair to its number of rows, keyed in
+    order of first appearance.  Blank rows are skipped, columns past the
+    second are ignored, and a ``true,predicted`` first row is a header.
+    Memory grows with the number of distinct rows, not with file length.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        raw = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
-    if not raw:
-        raise MatrixError(f"{path}: file contains no rows")
-    first = [cell.strip().lower() for cell in raw[0][:2]]
-    if first == ["true", "predicted"]:
-        raw = raw[1:]
-    pairs = []
-    for i, row in enumerate(raw):
+        reader = csv.reader(fh)
+        first = next((row for row in reader if not _is_blank(row)), None)
+        if first is None:
+            raise MatrixError(f"{path}: file contains no rows")
+        header = [cell.strip().lower() for cell in first[:2]] == ["true", "predicted"]
+        rows = Counter() if header else Counter([tuple(first)])
+        rows.update(map(tuple, reader))
+    pairs: Counter[tuple[str, str]] = Counter()
+    for row, n in rows.items():
+        if _is_blank(row):
+            continue
         if len(row) < 2:
-            raise MatrixError(f"{path}: row {i + 1} has fewer than 2 columns")
-        pairs.append((row[0].strip(), row[1].strip()))
+            raise MatrixError(
+                f"{path}: row {_first_short_row(path, header)} has fewer than 2 columns"
+            )
+        pairs[row[0].strip(), row[1].strip()] += n
+    if not pairs:
+        raise MatrixError(f"{path}: header row but no label rows")
     return pairs
+
+
+def _first_short_row(path: Path, header: bool) -> int:
+    """Number of the first label row with fewer than 2 columns, counting the
+    non-blank rows after the header from 1."""
+    with path.open(newline="") as fh:
+        rows = (row for row in csv.reader(fh) if not _is_blank(row))
+        return next(i for i, row in enumerate(rows, 0 if header else 1) if len(row) < 2)

@@ -1,6 +1,10 @@
 """Confusion-matrix validation, ratios, scaling, equivalence, and CSV I/O."""
 
+import csv
+import tempfile
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -167,6 +171,10 @@ class TestIngestLabels:
         # B appears first, so row 0 is class B
         assert m.counts == ((0, 1), (0, 1))
 
+    def test_counts_from_mapping(self):
+        m = ingest_labels(Counter({("B", "A"): 3, ("A", "A"): 2}))
+        assert m.counts == ((0, 3), (0, 2))
+
     def test_duplicate_class_list_rejected(self):
         with pytest.raises(MatrixError):
             ingest_labels([("A", "A"), ("B", "B")], ["A", "A"])
@@ -229,12 +237,124 @@ class TestMatrixCsv:
         with pytest.raises(MatrixError, match="row 2, column 2"):
             read_matrix_csv(path)
 
+    def test_superscript_digit_named_in_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,\u00b2\n", encoding="utf-8")
+        with pytest.raises(MatrixError, match="row 2, column 2"):
+            read_matrix_csv(path)
+
     def test_label_pairs_with_header(self, tmp_path):
         path = tmp_path / "pairs.csv"
         path.write_text("true,predicted\nA,A\nA,B\nB,B\n")
-        assert read_label_pairs(path) == [("A", "A"), ("A", "B"), ("B", "B")]
+        pairs = read_label_pairs(path)
+        assert pairs == Counter({("A", "A"): 1, ("A", "B"): 1, ("B", "B"): 1})
+        assert list(pairs) == [("A", "A"), ("A", "B"), ("B", "B")]
 
     def test_label_pairs_without_header(self, tmp_path):
         path = tmp_path / "pairs.csv"
         path.write_text("A,A\nB,B\n")
-        assert read_label_pairs(path) == [("A", "A"), ("B", "B")]
+        pairs = read_label_pairs(path)
+        assert pairs == Counter({("A", "A"): 1, ("B", "B"): 1})
+        assert list(pairs) == [("A", "A"), ("B", "B")]
+
+    def test_label_pairs_header_only(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text("true,predicted\n\n")
+        with pytest.raises(MatrixError, match="pairs.csv: header row but no label rows"):
+            read_label_pairs(path)
+
+
+# References for the parity test: a reader that lists every row, and a tally
+# that adds one per row.
+
+
+def _reference_pairs(path):
+    with open(path, newline="") as fh:
+        raw = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+    if not raw:
+        raise MatrixError(f"{path}: file contains no rows")
+    if [cell.strip().lower() for cell in raw[0][:2]] == ["true", "predicted"]:
+        raw = raw[1:]
+        if not raw:
+            raise MatrixError(f"{path}: header row but no label rows")
+    pairs = []
+    for i, row in enumerate(raw):
+        if len(row) < 2:
+            raise MatrixError(f"{path}: row {i + 1} has fewer than 2 columns")
+        pairs.append((row[0].strip(), row[1].strip()))
+    return pairs
+
+
+def _reference_ingest(pairs, class_list=None):
+    if class_list is None:
+        class_list = list(dict.fromkeys(label for pair in pairs for label in pair))
+    index = {label: i for i, label in enumerate(class_list)}
+    if len(index) != len(class_list):
+        raise MatrixError("class list contains duplicate labels")
+    if len(index) < 2:
+        raise TooFewClassesError("need at least 2 classes to tally a confusion matrix")
+    grid = [[0] * len(index) for _ in index]
+    for t, p in pairs:
+        if t not in index:
+            raise UnknownLabelError(f"true label {t!r} is not in the class list")
+        if p not in index:
+            raise UnknownLabelError(f"predicted label {p!r} is not in the class list")
+        grid[index[t]][index[p]] += 1
+    return ConfusionMatrix(tuple(tuple(row) for row in grid))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MatrixError as exc:
+        return type(exc), str(exc)
+
+
+_LABELS = ["A", "B", "x,y", "p\nq", "true", "predicted"]
+_BLANKS = ["", "   ", "\t", " , ", ","]
+_HEADERS = ["true,predicted", " True , PREDICTED ", "true,predicted,extra", '"true","predicted"']
+
+
+def _render(label, left, right, quote):
+    text = left + label + right
+    return f'"{text}"' if quote or "," in label or "\n" in label else text
+
+
+@st.composite
+def label_files(draw):
+    """CSV text over 2-3 labels: blank rows, cells padded or quoted, extra
+    columns, an optional header, a header-like data row later on, mixed line
+    ends, and sometimes one short row."""
+    classes = draw(st.lists(st.sampled_from(_LABELS), min_size=2, max_size=3, unique=True))
+    cell = st.builds(_render, st.sampled_from(classes), st.sampled_from(["", " ", "\t"]),
+                     st.sampled_from(["", " "]), st.booleans())
+    row = st.lists(cell, min_size=2, max_size=4).map(",".join)
+    lines = draw(st.lists(st.sampled_from(_BLANKS), max_size=2))
+    lines += draw(st.lists(st.sampled_from(_HEADERS), max_size=1))
+    lines += draw(st.lists(st.one_of(row, row, st.sampled_from(_BLANKS)), max_size=30))
+    for extra in (st.sampled_from(_HEADERS), cell):
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))), draw(extra))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestLabelCountParity:
+    @given(label_files())
+    def test_counter_matches_list_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labels.csv"
+            path.write_bytes(text.encode())
+            want = _outcome(_reference_pairs, path)
+            got = _outcome(read_label_pairs, path)
+        if not isinstance(want, list):
+            assert got == want
+            return
+        assert got == Counter(want)
+        assert list(got) == list(dict.fromkeys(want))
+        classes = list(dict.fromkeys(label for pair in want for label in pair))
+        for class_list in (None, classes[::-1], classes[1:], classes[:1] * 2):
+            expected = _outcome(_reference_ingest, want, class_list)
+            assert _outcome(ingest_labels, got, class_list) == expected
+            assert _outcome(ingest_labels, want, class_list) == expected
