@@ -226,7 +226,7 @@ def audit_condition1(
             raise MatrixError(f"{index_id} is a two-class index; class_count must be 2")
         class_count = 2
     else:
-        class_count = class_count or 3
+        class_count = 3 if class_count is None else class_count
         if class_count < 2:
             raise MatrixError("class_count must be at least 2")
     if trials < 1:
@@ -766,6 +766,9 @@ def audit_all(
     conditions = set(conditions)
     if not conditions <= {1, 2, 3}:
         raise ValueError(f"conditions must be among 1, 2, 3; got {sorted(conditions)}")
+    collapse_c = 3 if class_count is None else class_count
+    if collapse_c < 2:
+        raise MatrixError("class_count must be at least 2")
     ids = tuple(index_ids) if index_ids is not None else tuple(EXPECTED_VERDICTS)
     specs = [get_index(i) for i in ids]
 
@@ -792,7 +795,7 @@ def audit_all(
             if spec.collapse_limit is None and spec.collapse_floor is None:
                 cond3 = Condition3Result.not_applicable(index_id)
             else:
-                cond3 = audit_condition3(index_id, default_collapse_family(class_count or 3))
+                cond3 = audit_condition3(index_id, default_collapse_family(collapse_c))
         reports.append(AuditReport(index_id, seed, cond1, cond2, cond3))
     return reports
 

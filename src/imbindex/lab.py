@@ -369,16 +369,30 @@ def _index_list(raw, where: str) -> tuple[str, ...]:
     return ids
 
 
+def _point_sweep(raw: dict, where: str, schedule_field: str) -> dict:
+    """The fields a ``type1_sweep`` and a point dataset share, checked by one rule:
+    a non-empty schedule of positive ratios and at least one trial."""
+    schedule = tuple(to_fraction(v) for v in _need(raw, schedule_field, where))
+    if not schedule:
+        raise SpecError(f"{where}.{schedule_field}: must be non-empty")
+    if any(v <= 0 for v in schedule):
+        raise SpecError(f"{where}.{schedule_field}: entries must be positive")
+    trials = int(raw.get("trials", 1))
+    if trials < 1:
+        raise SpecError(f"{where}.trials: must be >= 1")
+    return {
+        schedule_field: schedule,
+        "trials": trials,
+        "generators": _generators(_need(raw, "generators", where), f"{where}.generators"),
+        "positive_label": str(_need(raw, "positive_label", where)),
+        "positive_side": str(raw.get("positive_side", "greater")),
+        "majority_label": str(_need(raw, "majority_label", where)),
+    }
+
+
 def load_spec(source) -> ExperimentSpec:
-    """Parse an experiment spec from a dict, JSON string, or file path."""
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if path.exists():
-            raw = json.loads(path.read_text())
-        else:
-            raw = json.loads(str(source))
-    else:
-        raw = source
+    """Parse an experiment spec from a dict or a JSON file path."""
+    raw = json.loads(Path(source).read_text()) if isinstance(source, (str, Path)) else source
     if not isinstance(raw, dict):
         raise SpecError("spec: expected a JSON object")
 
@@ -387,23 +401,16 @@ def load_spec(source) -> ExperimentSpec:
     seed = int(raw.get("seed", DEFAULT_SEED))
 
     if kind == "type1_sweep":
-        schedule = tuple(to_fraction(v) for v in _need(raw, "rrt_schedule", "spec"))
-        if any(v <= 0 for v in schedule):
-            raise SpecError("spec.rrt_schedule: entries must be positive")
-        trials = int(raw.get("trials", 1))
-        if trials < 1:
-            raise SpecError("spec.trials: must be >= 1")
+        sweep = _point_sweep(raw, "spec", "rrt_schedule")
+        thresholds = tuple(float(t) for t in _need(raw, "thresholds", "spec"))
+        if not thresholds:
+            raise SpecError("spec.thresholds: must be non-empty")
         return Type1SweepSpec(
             experiment=experiment,
-            generators=_generators(_need(raw, "generators", "spec"), "spec.generators"),
-            positive_label=str(_need(raw, "positive_label", "spec")),
-            positive_side=str(raw.get("positive_side", "greater")),
-            majority_label=str(_need(raw, "majority_label", "spec")),
-            thresholds=tuple(float(t) for t in _need(raw, "thresholds", "spec")),
-            rrt_schedule=schedule,
+            thresholds=thresholds,
             indices=_index_list(_need(raw, "indices", "spec"), "spec.indices"),
-            trials=trials,
             seed=seed,
+            **sweep,
         )
 
     if kind == "type2_growth":
@@ -435,32 +442,23 @@ def load_spec(source) -> ExperimentSpec:
             mode = str(_need(d, "mode", spot))
             dataset_id = str(_need(d, "id", spot))
             indices = _index_list(_need(d, "indices", spot), f"{spot}.indices")
-            schedule_raw = _need(d, "schedule", spot)
-            if not schedule_raw:
-                raise SpecError(f"{spot}.schedule: must be non-empty")
             if mode == "matrix":
                 matrix = ConfusionMatrix(tuple(tuple(r) for r in _need(d, "matrix", spot)))
                 schedule = tuple(
                     tuple(int(v) for v in entry) if isinstance(entry, (list, tuple))
                     else to_fraction(entry)
-                    for entry in schedule_raw
+                    for entry in _need(d, "schedule", spot)
                 )
+                if not schedule:
+                    raise SpecError(f"{spot}.schedule: must be non-empty")
                 datasets.append(MatrixStabilityDataset(dataset_id, matrix, schedule, indices))
             elif mode == "point":
-                trials = int(d.get("trials", 1))
-                if trials < 1:
-                    raise SpecError(f"{spot}.trials: must be >= 1")
                 datasets.append(
                     PointStabilityDataset(
                         dataset_id=dataset_id,
-                        generators=_generators(_need(d, "generators", spot), f"{spot}.generators"),
                         threshold=float(_need(d, "threshold", spot)),
-                        positive_label=str(_need(d, "positive_label", spot)),
-                        positive_side=str(d.get("positive_side", "greater")),
-                        majority_label=str(_need(d, "majority_label", spot)),
-                        schedule=tuple(to_fraction(v) for v in schedule_raw),
-                        trials=trials,
                         indices=indices,
+                        **_point_sweep(d, spot, "schedule"),
                     )
                 )
             else:
@@ -571,18 +569,35 @@ class ExperimentResult:
         return long_path, summary_path
 
 
-def _row(experiment, trial, setting, rrt_or_c, index_id, matrix) -> ResultRow:
-    iv = evaluate(index_id, matrix)
-    if iv.defined:
-        return ResultRow(experiment, trial, setting, rrt_or_c, index_id, iv.value, STATUS_OK)
-    return ResultRow(experiment, trial, setting, rrt_or_c, index_id, None, iv.reason)
+def _attempt(build, *args):
+    """``build(*args)``, or the ``MatrixError`` it raised."""
+    try:
+        return build(*args)
+    except MatrixError as err:
+        return err
 
 
-def _error_rows(experiment, trial, setting, rrt_or_c, indices, err) -> list[ResultRow]:
-    reason = f"{type(err).__name__}: {err}"
-    return [
-        ResultRow(experiment, trial, setting, rrt_or_c, i, None, reason) for i in indices
-    ]
+def _result_rows(experiment: str, cells, indices: Sequence[str]) -> list[ResultRow]:
+    """One row per index for each ``(trial, setting, rrt_or_c, matrix)`` cell.
+
+    A cell whose matrix is a ``MatrixError`` gives every index an undefined row
+    whose status names the error.
+    """
+    rows: list[ResultRow] = []
+    for trial, setting, rrt_or_c, matrix in cells:
+        if isinstance(matrix, MatrixError):
+            reason = f"{type(matrix).__name__}: {matrix}"
+            rows.extend(
+                ResultRow(experiment, trial, setting, rrt_or_c, i, None, reason) for i in indices
+            )
+            continue
+        for index_id in indices:
+            iv = evaluate(index_id, matrix)
+            rows.append(
+                ResultRow(experiment, trial, setting, rrt_or_c, index_id, iv.value,
+                          STATUS_OK if iv.defined else iv.reason)
+            )
+    return rows
 
 
 def _schedule_key(entry) -> str:
@@ -630,83 +645,93 @@ def _mean_and_std_summary(
                 summary.append(
                     SummaryRow(experiment, setting, index_id, sched, "mean", mean, STATUS_OK)
                 )
-            if broken is not None or len(means) != len(schedule_keys):
-                summary.append(
-                    SummaryRow(
-                        experiment, setting, index_id, "", "std", None,
-                        broken or "incomplete schedule",
-                    )
+            complete = broken is None and len(means) == len(schedule_keys)
+            summary.append(
+                SummaryRow(
+                    experiment, setting, index_id, "", "std",
+                    statistics.pstdev(means) if complete else None,
+                    STATUS_OK if complete else broken or "incomplete schedule",
                 )
-            else:
-                summary.append(
-                    SummaryRow(
-                        experiment, setting, index_id, "", "std",
-                        statistics.pstdev(means), STATUS_OK,
-                    )
-                )
+            )
     return summary
+
+
+def _point_cells(seed_prefix: tuple, sweep, schedule, classifiers):
+    """Cells of a point-mode sweep: Gaussian points, subsampled to each ratio,
+    then tallied by each ``(setting, threshold)`` classifier.
+
+    Trial ``t`` draws its points from ``seed_prefix + (t,)`` and its subsample
+    for schedule entry ``s`` from ``seed_prefix + (t, s)``.  ``sweep`` supplies
+    the generators, labels, side and trial count.
+    """
+    for trial in range(sweep.trials):
+        points = generate_gaussian_dataset(
+            sweep.generators, np.random.default_rng([*seed_prefix, trial])
+        )
+        for s_idx, ratio in enumerate(schedule):
+            resampled = _attempt(
+                resample_points_to_rrt, points, ratio, sweep.majority_label,
+                np.random.default_rng([*seed_prefix, trial, s_idx]),
+            )
+            for setting, threshold in classifiers:
+                matrix = resampled if isinstance(resampled, MatrixError) else _attempt(
+                    threshold_classifier_confusion, resampled, threshold,
+                    sweep.positive_label, sweep.positive_side,
+                )
+                yield trial, setting, str(ratio), matrix
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run a declarative experiment; per-cell failures become undefined rows."""
     if isinstance(spec, Type1SweepSpec):
-        return _run_type1(spec)
-    if isinstance(spec, Type2GrowthSpec):
-        return _run_type2(spec)
-    if isinstance(spec, RRTStabilitySpec):
-        return _run_stability(spec)
-    raise SpecError(f"unknown experiment spec type {type(spec).__name__}")
-
-
-def _run_type1(spec: Type1SweepSpec) -> ExperimentResult:
-    rows: list[ResultRow] = []
-    settings = [f"t={t:g}" for t in spec.thresholds]
-    schedule_keys = [str(r) for r in spec.rrt_schedule]
-    for trial in range(spec.trials):
-        points = generate_gaussian_dataset(spec.generators, np.random.default_rng([spec.seed, trial]))
-        for s_idx, ratio in enumerate(spec.rrt_schedule):
-            try:
-                resampled = resample_points_to_rrt(
-                    points, ratio, spec.majority_label,
-                    np.random.default_rng([spec.seed, trial, s_idx]),
+        settings = [f"t={t:g}" for t in spec.thresholds]
+        classifiers = list(zip(settings, spec.thresholds))
+        cells = _point_cells((spec.seed,), spec, spec.rrt_schedule, classifiers)
+        rows = _result_rows(spec.experiment, cells, spec.indices)
+        summary = _mean_and_std_summary(
+            spec.experiment, rows, spec.indices, settings, [str(r) for r in spec.rrt_schedule]
+        )
+    elif isinstance(spec, Type2GrowthSpec):
+        cells = (
+            (0, f"a={accuracy}", str(step.class_count),
+             _attempt(synthetic_multiclass_confusion, step.class_count, accuracy, step.profile))
+            for step in spec.steps
+            for accuracy in spec.accuracy_sweep
+        )
+        rows = _result_rows(spec.experiment, cells, spec.indices)
+        summary = _min_summary(spec, rows)
+    elif isinstance(spec, RRTStabilitySpec):
+        rows, summary = [], []
+        for d_idx, dataset in enumerate(spec.datasets):
+            schedule_keys = [_schedule_key(e) for e in dataset.schedule]
+            if isinstance(dataset, MatrixStabilityDataset):
+                cells = (
+                    (0, dataset.dataset_id, key,
+                     _attempt(rescale_matrix_to_counts, dataset.matrix, entry)
+                     if isinstance(entry, tuple)
+                     else _attempt(rescale_matrix_to_rrt, dataset.matrix, entry))
+                    for entry, key in zip(dataset.schedule, schedule_keys)
                 )
-            except MatrixError as err:
-                for setting in settings:
-                    rows.extend(
-                        _error_rows(spec.experiment, trial, setting, str(ratio), spec.indices, err)
-                    )
-                continue
-            for threshold, setting in zip(spec.thresholds, settings):
-                try:
-                    matrix = threshold_classifier_confusion(
-                        resampled, threshold, spec.positive_label, spec.positive_side
-                    )
-                except MatrixError as err:
-                    rows.extend(
-                        _error_rows(spec.experiment, trial, setting, str(ratio), spec.indices, err)
-                    )
-                    continue
-                for index_id in spec.indices:
-                    rows.append(
-                        _row(spec.experiment, trial, setting, str(ratio), index_id, matrix)
-                    )
-    summary = _mean_and_std_summary(spec.experiment, rows, spec.indices, settings, schedule_keys)
+            else:
+                cells = _point_cells(
+                    (spec.seed, d_idx), dataset, dataset.schedule,
+                    [(dataset.dataset_id, dataset.threshold)],
+                )
+            dataset_rows = _result_rows(spec.experiment, cells, dataset.indices)
+            rows.extend(dataset_rows)
+            summary.extend(
+                _mean_and_std_summary(
+                    spec.experiment, dataset_rows, dataset.indices,
+                    [dataset.dataset_id], schedule_keys,
+                )
+            )
+    else:
+        raise SpecError(f"unknown experiment spec type {type(spec).__name__}")
     return ExperimentResult(spec.experiment, tuple(rows), tuple(summary))
 
 
-def _run_type2(spec: Type2GrowthSpec) -> ExperimentResult:
-    rows: list[ResultRow] = []
-    for step in spec.steps:
-        for accuracy in spec.accuracy_sweep:
-            setting = f"a={accuracy}"
-            rrt_or_c = str(step.class_count)
-            try:
-                matrix = synthetic_multiclass_confusion(step.class_count, accuracy, step.profile)
-            except MatrixError as err:
-                rows.extend(_error_rows(spec.experiment, 0, setting, rrt_or_c, spec.indices, err))
-                continue
-            for index_id in spec.indices:
-                rows.append(_row(spec.experiment, 0, setting, rrt_or_c, index_id, matrix))
+def _min_summary(spec: Type2GrowthSpec, rows: Sequence[ResultRow]) -> list[SummaryRow]:
+    """Per (class count, index): the minimum over the accuracy sweep."""
     summary: list[SummaryRow] = []
     for step in spec.steps:
         rrt_or_c = str(step.class_count)
@@ -715,72 +740,12 @@ def _run_type2(spec: Type2GrowthSpec) -> ExperimentResult:
                 r.value for r in rows
                 if r.rrt_or_c == rrt_or_c and r.index == index_id and r.value is not None
             ]
-            if values:
-                summary.append(
-                    SummaryRow(spec.experiment, "sweep", index_id, rrt_or_c, "min",
-                               min(values), STATUS_OK)
-                )
-            else:
-                summary.append(
-                    SummaryRow(spec.experiment, "sweep", index_id, rrt_or_c, "min",
-                               None, "undefined on entire sweep")
-                )
-    return ExperimentResult(spec.experiment, tuple(rows), tuple(summary))
-
-
-def _run_stability(spec: RRTStabilitySpec) -> ExperimentResult:
-    rows: list[ResultRow] = []
-    all_summary: list[SummaryRow] = []
-    for d_idx, dataset in enumerate(spec.datasets):
-        schedule_keys = [_schedule_key(e) for e in dataset.schedule]
-        if isinstance(dataset, MatrixStabilityDataset):
-            for entry, key in zip(dataset.schedule, schedule_keys):
-                try:
-                    if isinstance(entry, tuple):
-                        matrix = rescale_matrix_to_counts(dataset.matrix, entry)
-                    else:
-                        matrix = rescale_matrix_to_rrt(dataset.matrix, entry)
-                except MatrixError as err:
-                    rows.extend(
-                        _error_rows(spec.experiment, 0, dataset.dataset_id, key, dataset.indices, err)
-                    )
-                    continue
-                for index_id in dataset.indices:
-                    rows.append(_row(spec.experiment, 0, dataset.dataset_id, key, index_id, matrix))
-        else:
-            for trial in range(dataset.trials):
-                points = generate_gaussian_dataset(
-                    dataset.generators, np.random.default_rng([spec.seed, d_idx, trial])
-                )
-                for s_idx, ratio in enumerate(dataset.schedule):
-                    key = schedule_keys[s_idx]
-                    try:
-                        resampled = resample_points_to_rrt(
-                            points, ratio, dataset.majority_label,
-                            np.random.default_rng([spec.seed, d_idx, trial, s_idx]),
-                        )
-                        matrix = threshold_classifier_confusion(
-                            resampled, dataset.threshold,
-                            dataset.positive_label, dataset.positive_side,
-                        )
-                    except MatrixError as err:
-                        rows.extend(
-                            _error_rows(spec.experiment, trial, dataset.dataset_id, key,
-                                        dataset.indices, err)
-                        )
-                        continue
-                    for index_id in dataset.indices:
-                        rows.append(
-                            _row(spec.experiment, trial, dataset.dataset_id, key, index_id, matrix)
-                        )
-        dataset_rows = [r for r in rows if r.setting == dataset.dataset_id]
-        all_summary.extend(
-            _mean_and_std_summary(
-                spec.experiment, dataset_rows, dataset.indices,
-                [dataset.dataset_id], schedule_keys,
+            summary.append(
+                SummaryRow(spec.experiment, "sweep", index_id, rrt_or_c, "min",
+                           min(values, default=None),
+                           STATUS_OK if values else "undefined on entire sweep")
             )
-        )
-    return ExperimentResult(spec.experiment, tuple(rows), tuple(all_summary))
+    return summary
 
 
 def normalized_stability(
@@ -805,18 +770,13 @@ def normalized_stability(
         for setting in settings:
             value = per_dataset.get(setting)
             if value is None:
-                out.append(
-                    SummaryRow(result.experiment, setting, index_id, "", "normalized_std",
-                               None, "std undefined")
-                )
+                ratio, status = None, "std undefined"
             elif floor == 0:
-                out.append(
-                    SummaryRow(result.experiment, setting, index_id, "", "normalized_std",
-                               None, "degenerate normalizer: minimum std is 0")
-                )
+                ratio, status = None, "degenerate normalizer: minimum std is 0"
             else:
-                out.append(
-                    SummaryRow(result.experiment, setting, index_id, "", "normalized_std",
-                               value / floor, STATUS_OK)
-                )
+                ratio, status = value / floor, STATUS_OK
+            out.append(
+                SummaryRow(result.experiment, setting, index_id, "", "normalized_std",
+                           ratio, status)
+            )
     return out

@@ -146,6 +146,16 @@ class TestAudit:
         assert rows["gmean2"]["class_count"] == 2
         assert rows["acsa"]["class_count"] == 5
 
+    @pytest.mark.parametrize("conditions", ["1,3", "3"])
+    @pytest.mark.parametrize("class_count", ["0", "1"])
+    def test_class_count_below_two_is_input_error(self, conditions, class_count, capsys):
+        code = main(["audit", "--index", "acsa", "--cond", conditions,
+                     "--class-count", class_count, "--trials", "5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert "class_count must be at least 2" in captured.err
+
     def test_usage_error_without_selection(self):
         assert main(["audit"]) == EXIT_USAGE
 
@@ -202,6 +212,13 @@ class TestSimulate:
         code = main(["simulate", str(spec_path), "--output-dir", str(tmp_path)])
         assert code == EXIT_INPUT
         assert "spec.steps" in capsys.readouterr().err
+
+    def test_missing_spec_file_is_named(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        code = main(["simulate", str(missing), "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert "No such file" in err and str(missing) in err
 
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"

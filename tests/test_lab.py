@@ -363,6 +363,93 @@ class TestSpecLoading:
             load_spec(raw)
 
 
+GENERATORS_RAW = [
+    {"label": "right", "mean": [7.5, 3.0], "variances": [0.25, 0.25], "sample_count": 10},
+    {"label": "left", "mean": [3.0, 3.0], "variances": [0.45, 0.45], "sample_count": 10},
+]
+
+
+def type1_raw(**fields):
+    raw = {
+        "kind": "type1_sweep", "experiment": "t1", "generators": GENERATORS_RAW,
+        "positive_label": "right", "majority_label": "left", "thresholds": [4],
+        "rrt_schedule": ["1", "2"], "indices": ["gmean2"], "trials": 1, "seed": 5,
+    }
+    raw.update(fields)
+    return raw
+
+
+def point_raw(**fields):
+    dataset = {
+        "id": "pts", "mode": "point", "generators": GENERATORS_RAW, "threshold": 4,
+        "positive_label": "right", "majority_label": "left",
+        "schedule": ["1", "2"], "indices": ["gmean2"], "trials": 1,
+    }
+    dataset.update(fields)
+    return {"kind": "rrt_stability", "experiment": "pt", "datasets": [dataset], "seed": 5}
+
+
+class TestPointSweepValidation:
+    """Both point-mode spec forms are checked by the same rule."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("schedule", [], "must be non-empty"),
+        ("schedule", ["1", "0"], "entries must be positive"),
+        ("schedule", ["-2"], "entries must be positive"),
+        ("trials", 0, "must be >= 1"),
+    ])
+    def test_same_rule_for_both_forms(self, field, value, message):
+        type1_field = "rrt_schedule" if field == "schedule" else field
+        with pytest.raises(SpecError, match=rf"^spec\.{type1_field}: {message}"):
+            load_spec(type1_raw(**{type1_field: value}))
+        with pytest.raises(SpecError, match=rf"^spec\.datasets\[0\]\.{field}: {message}"):
+            load_spec(point_raw(**{field: value}))
+
+    def test_type1_thresholds_non_empty(self):
+        with pytest.raises(SpecError, match=r"^spec\.thresholds: must be non-empty"):
+            load_spec(type1_raw(thresholds=[]))
+
+    def test_missing_file_is_not_read_as_json_text(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_spec(tmp_path / "nope.json")
+        with pytest.raises(FileNotFoundError):
+            load_spec('{"kind": "type2_growth"}')
+
+
+class TestPointSweepErrorCells:
+    """An unreachable ratio gives error rows and an undefined schedule std."""
+
+    INDICES = ["gmean2", "precision"]
+
+    def check(self, result, settings, trials):
+        bad = [r for r in result.rows if r.rrt_or_c == "1000"]
+        assert sorted((r.trial, r.setting, r.index) for r in bad) == sorted(
+            (t, s, i) for t in range(trials) for s in settings for i in self.INDICES
+        )
+        for r in bad:
+            assert r.value is None
+            assert r.status.startswith("UnachievableRRTError: ratio 1000 unreachable")
+        good = [r for r in result.rows if r.rrt_or_c == "1"]
+        assert len(good) == trials * len(settings) * len(self.INDICES)
+        assert all(r.status == "ok" for r in good)
+        stds = [r for r in result.summary if r.statistic == "std"]
+        assert sorted((r.setting, r.index) for r in stds) == sorted(
+            (s, i) for s in settings for i in self.INDICES
+        )
+        for r in stds:
+            assert r.value is None and r.status == "undefined at 1000"
+
+    def test_type1_sweep(self):
+        spec = load_spec(type1_raw(
+            thresholds=[4, 5], rrt_schedule=["1", "1000"], indices=self.INDICES, trials=2,
+        ))
+        self.check(run_experiment(spec), ["t=4", "t=5"], trials=2)
+
+    def test_point_dataset(self):
+        spec = load_spec(point_raw(schedule=["1", "1000"], indices=self.INDICES, trials=2))
+        self.check(run_experiment(spec), ["pts"], trials=2)
+
+
 class TestResultFiles:
     def test_csv_outputs_and_digest(self, tmp_path):
         dataset = MatrixStabilityDataset(
