@@ -10,7 +10,10 @@ Condition 2 (class-count-stable bounds): the index's closed-form value bounds
 must not depend on the number of classes.  Audited by comparing closed-form
 bounds across a class-count range, with an exhaustive enumeration of all
 matrices over fixed small row sums as the independent check that the bounds
-are attained and never crossed.
+are attained and never crossed.  The enumeration runs each index's float
+formula, the one :func:`~imbindex.registry.evaluate` runs on one matrix, over
+blocks of matrices held as numpy cell vectors; it screens for extrema in
+float and confirms them with the exact oracle.
 
 Condition 3 (single-class collapse): when one class's accuracy is driven to
 zero along a collapse family, the index limit must stay strictly above the
@@ -336,6 +339,40 @@ def default_row_sums(class_count: int) -> tuple[int, ...]:
     return (per_row,) * class_count
 
 
+class _BlockCells:
+    """A block of matrices as the cells an index formula reads, one entry per matrix.
+
+    The block is copied once into contiguous ``(C, C, n)`` int64 cells, so
+    ``counts[i][j]``, ``row_sums[i]``, ``col_sums[j]`` and ``total`` are
+    ``(n,)`` vectors; the margins are summed once and every formula reads them.
+    """
+
+    def __init__(self, block: np.ndarray) -> None:
+        cells = np.ascontiguousarray(block.transpose(1, 2, 0))
+        row_sums = cells.sum(axis=1)
+        # lists of views: a formula indexes them many times per block
+        self.counts = [list(row) for row in cells]
+        self.row_sums = list(row_sums)
+        self.col_sums = list(cells.sum(axis=0))
+        self.total = row_sums.sum(axis=0)
+        self.class_count = block.shape[1]
+        self._undefined: np.ndarray | None = None
+
+    def run(self, formula: Callable) -> tuple[np.ndarray, np.ndarray | None]:
+        """Values of ``formula`` (finite everywhere) and the mask of matrices
+        where it is undefined, ``None`` when it is defined on all."""
+        self._undefined = None
+        return formula(self), self._undefined
+
+    def guard(self, d: np.ndarray, reason: str) -> np.ndarray:
+        """:func:`~imbindex.values.nonzero` on a vector: mask the zeros, divide by 1 there."""
+        zero = d == 0
+        if not zero.any():
+            return d
+        self._undefined = zero if self._undefined is None else self._undefined | zero
+        return np.where(zero, 1, d)
+
+
 @dataclass(frozen=True)
 class ExtremalResult:
     index: str
@@ -397,8 +434,8 @@ def _scan_extremal(
 ) -> dict[str, ExtremalResult]:
     """Scan every matrix once for all indices, then confirm the extrema exactly.
 
-    The scan walks the enumeration in fixed-size int64 blocks and evaluates
-    each index on a whole block through its spec's batched float formula.
+    The scan walks the enumeration in fixed-size int64 blocks and runs each
+    index's float formula, the one :func:`evaluate` runs, on a whole block.
     Every matrix whose float value lies within ``SCREEN_TOL`` of the running
     float minimum (or maximum) is a candidate; candidates are deduplicated by
     float value across all blocks, keeping the first in enumeration order, so
@@ -421,7 +458,7 @@ def _scan_extremal(
         raise EmptyRowError(f"row sums {tuple(row_sums)} include an empty class")
     specs = [get_index(i) for i in index_ids]
     for spec in specs:
-        if spec.batch is None:
+        if spec.binary_only:
             raise MatrixError(
                 f"{spec.index_id} is a two-class index; enumeration covers multi-class indices"
             )
@@ -430,12 +467,15 @@ def _scan_extremal(
     undefined = dict.fromkeys(index_ids, 0)
     first = 0
     for block in _iter_blocks(row_sums):
+        cells = _BlockCells(block)
         positions = np.arange(first, first + len(block))
         first += len(block)
         for spec in specs:
-            values, ok = spec.batch(block)
-            values, defined_at = values[ok], positions[ok]
-            undefined[spec.index_id] += len(block) - len(values)
+            values, undefined_at = cells.run(spec.formula)
+            defined_at = positions
+            if undefined_at is not None:
+                values, defined_at = values[~undefined_at], positions[~undefined_at]
+                undefined[spec.index_id] += len(block) - len(values)
             lows[spec.index_id].add(values, defined_at)
             highs[spec.index_id].add(-values, defined_at)
 

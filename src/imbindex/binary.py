@@ -5,80 +5,71 @@ row-normalized rates and are therefore immune to changes in the test-set
 class mix.  ``precision`` and ``aurpc`` use the raw false-positive count and
 are not; ``m_precision`` and ``m_aurpc`` are their rate-corrected variants
 that restore the immunity.
+
+Each index is a formula over a two-class matrix's cells that returns a bare
+number; :func:`imbindex.registry.evaluate` checks the class count and turns
+a zero denominator, raised by :func:`~imbindex.values.nonzero`, into an
+undefined value.
 """
 
 from __future__ import annotations
 
 import math
 
-from .confusion import ConfusionMatrix, DimensionMismatchError
-from .values import IndexValue, defined, undefined
+from .values import nonzero
 
 
-def _cells(m: ConfusionMatrix) -> tuple[int, int, int, int]:
-    if m.class_count != 2:
-        raise DimensionMismatchError(
-            f"two-class index requires a 2-class matrix, got {m.class_count} classes"
-        )
-    (tp, fn), (fp, tn) = m.counts
-    return tp, fn, fp, tn
-
-
-def gmean2(m: ConfusionMatrix) -> IndexValue:
+def gmean2(cells) -> float:
     """Geometric mean of the positive- and negative-class accuracies."""
-    tp, fn, fp, tn = _cells(m)
-    return defined("gmean2", math.sqrt((tp / (tp + fn)) * (tn / (fp + tn))))
+    (tp, fn), (fp, tn) = cells.counts
+    return math.sqrt((tp / (tp + fn)) * (tn / (fp + tn)))
 
 
-def auroc(m: ConfusionMatrix) -> IndexValue:
+def auroc(cells) -> float:
     """Arithmetic mean of the two class accuracies (discrete two-class AUROC)."""
-    tp, fn, fp, tn = _cells(m)
-    return defined("auroc", 0.5 * (tp / (tp + fn) + tn / (fp + tn)))
+    (tp, fn), (fp, tn) = cells.counts
+    return 0.5 * (tp / (tp + fn) + tn / (fp + tn))
 
 
-def precision(m: ConfusionMatrix) -> IndexValue:
+def precision(cells) -> float:
     """TP / (TP + FP); undefined when nothing is predicted positive."""
-    tp, fn, fp, tn = _cells(m)
-    if tp + fp == 0:
-        return undefined("precision", "no positive predictions")
-    return defined("precision", tp / (tp + fp))
+    (tp, _fn), (fp, _tn) = cells.counts
+    return tp / nonzero(cells, tp + fp, "no positive predictions")
 
 
-def recall(m: ConfusionMatrix) -> IndexValue:
+def recall(cells) -> float:
     """Positive-class accuracy TP / (TP + FN)."""
-    tp, fn, fp, tn = _cells(m)
-    return defined("recall", tp / (tp + fn))
+    (tp, fn), _negatives = cells.counts
+    return tp / (tp + fn)
 
 
-def specificity(m: ConfusionMatrix) -> IndexValue:
+def specificity(cells) -> float:
     """Negative-class accuracy TN / (FP + TN)."""
-    tp, fn, fp, tn = _cells(m)
-    return defined("specificity", tn / (fp + tn))
+    _positives, (fp, tn) = cells.counts
+    return tn / (fp + tn)
 
 
-def aurpc(m: ConfusionMatrix) -> IndexValue:
+def aurpc(cells) -> float:
     """Mean of recall and precision; inherits precision's undefined case."""
-    tp, fn, fp, tn = _cells(m)
-    if tp + fp == 0:
-        return undefined("aurpc", "no positive predictions")
-    return defined("aurpc", 0.5 * (tp / (tp + fn) + tp / (tp + fp)))
+    (tp, fn), (fp, _tn) = cells.counts
+    return 0.5 * (tp / (tp + fn) + tp / nonzero(cells, tp + fp, "no positive predictions"))
 
 
-def m_precision(m: ConfusionMatrix) -> IndexValue:
+def _tpr_and_predicted(cells) -> tuple[float, float]:
+    """TPR, and TPR + FPR: the positive predictions in rate terms."""
+    (tp, fn), (fp, tn) = cells.counts
+    tpr = tp / (tp + fn)
+    fpr = fp / (fp + tn)
+    return tpr, nonzero(cells, tpr + fpr, "no positive predictions in rate terms")
+
+
+def m_precision(cells) -> float:
     """Rate-corrected precision: (TP/n1) / ((TP/n1) + (FP/n2))."""
-    tp, fn, fp, tn = _cells(m)
-    tpr = tp / (tp + fn)
-    fpr = fp / (fp + tn)
-    if tpr + fpr == 0:
-        return undefined("m_precision", "no positive predictions in rate terms")
-    return defined("m_precision", tpr / (tpr + fpr))
+    tpr, predicted = _tpr_and_predicted(cells)
+    return tpr / predicted
 
 
-def m_aurpc(m: ConfusionMatrix) -> IndexValue:
+def m_aurpc(cells) -> float:
     """Mean of recall and rate-corrected precision."""
-    tp, fn, fp, tn = _cells(m)
-    tpr = tp / (tp + fn)
-    fpr = fp / (fp + tn)
-    if tpr + fpr == 0:
-        return undefined("m_aurpc", "no positive predictions in rate terms")
-    return defined("m_aurpc", 0.5 * (tpr + tpr / (tpr + fpr)))
+    tpr, predicted = _tpr_and_predicted(cells)
+    return 0.5 * (tpr + tpr / predicted)

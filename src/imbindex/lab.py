@@ -340,6 +340,20 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _int(value, where: str) -> int:
+    """A JSON integer; a float or a bool is an error, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _ratio(value, where: str) -> Fraction:
+    try:
+        return to_fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise SpecError(f"{where}: {value!r} is not a ratio") from None
+
+
 def _generators(raw, where: str) -> tuple[GaussianClassSpec, ...]:
     out = []
     for g_idx, g in enumerate(raw):
@@ -350,7 +364,7 @@ def _generators(raw, where: str) -> tuple[GaussianClassSpec, ...]:
                     label=str(_need(g, "label", spot)),
                     mean=tuple(_need(g, "mean", spot)),
                     variances=tuple(_need(g, "variances", spot)),
-                    sample_count=int(_need(g, "sample_count", spot)),
+                    sample_count=_int(_need(g, "sample_count", spot), f"{spot}.sample_count"),
                 )
             )
         except (TypeError, IndexError) as err:
@@ -372,12 +386,13 @@ def _index_list(raw, where: str) -> tuple[str, ...]:
 def _point_sweep(raw: dict, where: str, schedule_field: str) -> dict:
     """The fields a ``type1_sweep`` and a point dataset share, checked by one rule:
     a non-empty schedule of positive ratios and at least one trial."""
-    schedule = tuple(to_fraction(v) for v in _need(raw, schedule_field, where))
+    field = f"{where}.{schedule_field}"
+    schedule = tuple(_ratio(v, field) for v in _need(raw, schedule_field, where))
     if not schedule:
-        raise SpecError(f"{where}.{schedule_field}: must be non-empty")
+        raise SpecError(f"{field}: must be non-empty")
     if any(v <= 0 for v in schedule):
-        raise SpecError(f"{where}.{schedule_field}: entries must be positive")
-    trials = int(raw.get("trials", 1))
+        raise SpecError(f"{field}: entries must be positive")
+    trials = _int(raw.get("trials", 1), f"{where}.trials")
     if trials < 1:
         raise SpecError(f"{where}.trials: must be >= 1")
     return {
@@ -398,7 +413,7 @@ def load_spec(source) -> ExperimentSpec:
 
     kind = _need(raw, "kind", "spec")
     experiment = str(_need(raw, "experiment", "spec"))
-    seed = int(raw.get("seed", DEFAULT_SEED))
+    seed = _int(raw.get("seed", DEFAULT_SEED), "spec.seed")
 
     if kind == "type1_sweep":
         sweep = _point_sweep(raw, "spec", "rrt_schedule")
@@ -417,14 +432,16 @@ def load_spec(source) -> ExperimentSpec:
         steps = []
         for s_idx, s in enumerate(_need(raw, "steps", "spec")):
             spot = f"spec.steps[{s_idx}]"
-            profile = tuple(int(v) for v in _need(s, "profile", spot))
-            class_count = int(s.get("class_count", len(profile)))
+            profile = tuple(_int(v, f"{spot}.profile") for v in _need(s, "profile", spot))
+            class_count = _int(s.get("class_count", len(profile)), f"{spot}.class_count")
             if class_count != len(profile):
                 raise SpecError(f"{spot}.profile: {len(profile)} counts for C={class_count}")
             steps.append(GrowthStep(class_count, profile))
         if not steps:
             raise SpecError("spec.steps: at least one step required")
-        sweep = tuple(to_fraction(a) for a in _need(raw, "accuracy_sweep", "spec"))
+        sweep = tuple(
+            _ratio(a, "spec.accuracy_sweep") for a in _need(raw, "accuracy_sweep", "spec")
+        )
         if not sweep:
             raise SpecError("spec.accuracy_sweep: at least one accuracy required")
         return Type2GrowthSpec(
@@ -444,13 +461,14 @@ def load_spec(source) -> ExperimentSpec:
             indices = _index_list(_need(d, "indices", spot), f"{spot}.indices")
             if mode == "matrix":
                 matrix = ConfusionMatrix(tuple(tuple(r) for r in _need(d, "matrix", spot)))
+                field = f"{spot}.schedule"
                 schedule = tuple(
-                    tuple(int(v) for v in entry) if isinstance(entry, (list, tuple))
-                    else to_fraction(entry)
+                    tuple(_int(v, field) for v in entry) if isinstance(entry, (list, tuple))
+                    else _ratio(entry, field)
                     for entry in _need(d, "schedule", spot)
                 )
                 if not schedule:
-                    raise SpecError(f"{spot}.schedule: must be non-empty")
+                    raise SpecError(f"{field}: must be non-empty")
                 datasets.append(MatrixStabilityDataset(dataset_id, matrix, schedule, indices))
             elif mode == "point":
                 datasets.append(

@@ -1,9 +1,11 @@
 """The per-index table, evaluator dispatch, closed-form bounds, and package-wide defaults.
 
 Every fact about an index lives in its :class:`IndexSpec` row: whether it is
-two-class only, its float, exact and (multi-class only) batched evaluators,
-its closed-form lower bound (the upper bound is 1 for every index), and its
-single-class-collapse behaviour.
+two-class only, its float formula and its exact oracle, its closed-form lower
+bound (the upper bound is 1 for every index), and its single-class-collapse
+behaviour.  :func:`evaluate` is the one place that checks a two-class index's
+class count and wraps a formula's bare number, or the reason it is
+undefined, in an :class:`~imbindex.values.IndexValue`.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import binary, multiclass
 from . import exact as oracle
@@ -24,7 +24,7 @@ from .confusion import (
     ZeroClassCountError,
 )
 from .exact import ExactEval
-from .values import IndexValue
+from .values import IndexValue, Undefined
 
 DEFAULT_SEED = 1729
 SEED_ENV_VAR = "IMBINDEX_SEED"
@@ -69,8 +69,8 @@ def _ova_floor(class_count: int, profile: Sequence[int] | None) -> Fraction:
 class IndexSpec:
     """One index.
 
-    ``batch(block)`` evaluates an int64 ``(n, C, C)`` block of matrices to
-    float64 values and a defined mask; every multi-class index has one.
+    ``formula(cells)`` is the index's float formula over a matrix's cells
+    (see :mod:`imbindex.multiclass`); call it through :func:`evaluate`.
     ``lower_bound(C, profile)`` is the closed-form lower bound at ``C``
     classes. ``collapse_limit(C)`` is the closed-form limit along a
     single-class collapse. ``collapse_floor(C)`` is a strict floor that the
@@ -80,9 +80,8 @@ class IndexSpec:
     index_id: str
     label: str
     binary_only: bool
-    evaluate: Callable[[ConfusionMatrix], IndexValue]
+    formula: Callable[..., float]
     exact: Callable[[ConfusionMatrix], ExactEval | None]
-    batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     lower_bound: Callable[[int, Sequence[int] | None], Fraction] = _zero_floor
     collapse_limit: Callable[[int], Fraction] | None = None
     collapse_floor: Callable[[int], Fraction] | None = None
@@ -102,35 +101,28 @@ _SPECS = (
     IndexSpec("m_aurpc", "mAURPC (rate-corrected)", True, binary.m_aurpc, oracle._m_aurpc),
     IndexSpec(
         "gmean_c", "GMean (multi-class)", False, multiclass.gmean_c, oracle._gmean,
-        multiclass.gmean_c_batch,
         collapse_limit=lambda c: Fraction(0),
     ),
     IndexSpec(
         "acsa", "ACSA (mean class accuracy)", False, multiclass.acsa, oracle._acsa,
-        multiclass.acsa_batch,
         collapse_limit=lambda c: Fraction(c - 1, c),
     ),
     IndexSpec(
         "auroc_ovo", "AUROC-OVO", False, multiclass.auroc_ovo, oracle._auroc_ovo,
-        multiclass.auroc_ovo_batch,
         lower_bound=_ovo_floor,
     ),
     IndexSpec(
         "auroc_ova", "AUROC-OVA", False, multiclass.auroc_ova, oracle._auroc_ova,
-        multiclass.auroc_ova_batch,
         lower_bound=_ova_floor,
     ),
     IndexSpec(
         "n_auroc_ova", "nAUROC-OVA (floor-normalized)", False,
-        multiclass.n_auroc_ova, oracle._n_auroc_ova, multiclass.n_auroc_ova_batch,
+        multiclass.n_auroc_ova, oracle._n_auroc_ova,
     ),
-    IndexSpec(
-        "aurpc_ova", "AURPC-OVA", False, multiclass.aurpc_ova, oracle._aurpc_ova,
-        multiclass.aurpc_ova_batch,
-    ),
+    IndexSpec("aurpc_ova", "AURPC-OVA", False, multiclass.aurpc_ova, oracle._aurpc_ova),
     IndexSpec(
         "m_aurpc_ova", "mAURPC-OVA (rate-corrected)", False,
-        multiclass.m_aurpc_ova, oracle._m_aurpc_ova, multiclass.m_aurpc_ova_batch,
+        multiclass.m_aurpc_ova, oracle._m_aurpc_ova,
         collapse_floor=lambda c: Fraction(3 * (c - 1), 4 * c),
     ),
 )
@@ -149,19 +141,27 @@ def get_index(index_id: str) -> IndexSpec:
         raise UnknownIndexError(f"unknown index {index_id!r}; known ids: {known}") from None
 
 
+def _spec_for(index_id: str, m: ConfusionMatrix) -> IndexSpec:
+    spec = get_index(index_id)
+    if spec.binary_only and m.class_count != 2:
+        raise DimensionMismatchError(
+            f"two-class index requires a 2-class matrix, got {m.class_count} classes"
+        )
+    return spec
+
+
 def evaluate(index_id: str, m: ConfusionMatrix) -> IndexValue:
     """Evaluate one index (float path) on a validated matrix."""
-    return get_index(index_id).evaluate(m)
+    spec = _spec_for(index_id, m)
+    try:
+        return IndexValue(index_id, float(spec.formula(m)))
+    except Undefined as err:
+        return IndexValue(index_id, None, str(err))
 
 
 def exact(index_id: str, m: ConfusionMatrix) -> ExactEval | None:
     """Evaluate one index on the exact rational path; ``None`` when undefined."""
-    spec = get_index(index_id)
-    if spec.binary_only and m.class_count != 2:
-        raise DimensionMismatchError(
-            f"{index_id} is a two-class index, got {m.class_count} classes"
-        )
-    return spec.exact(m)
+    return _spec_for(index_id, m).exact(m)
 
 
 def bounds_exact(

@@ -1,4 +1,4 @@
-"""Result type shared by all index evaluators."""
+"""Result type shared by all index evaluators, and the guard on their denominators."""
 
 from __future__ import annotations
 
@@ -27,9 +27,19 @@ class IndexValue:
         return self.value
 
 
-def defined(index: str, value: float) -> IndexValue:
-    return IndexValue(index, float(value))
+class Undefined(Exception):
+    """An index formula met a zero denominator on one matrix; the message is the reason."""
 
 
-def undefined(index: str, reason: str) -> IndexValue:
-    return IndexValue(index, None, reason)
+def nonzero(cells, d, reason: str):
+    """``d``, a denominator of an index formula over ``cells``, made safe to divide by.
+
+    On one matrix ``d`` is a number, and zero raises :class:`Undefined` with
+    ``reason``.  On a block of matrices ``d`` is a vector; ``cells.guard``
+    marks its zero entries undefined and returns a copy with those set to 1.
+    """
+    if isinstance(d, (int, float)):
+        if d == 0:
+            raise Undefined(reason)
+        return d
+    return cells.guard(d, reason)

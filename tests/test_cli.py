@@ -220,6 +220,21 @@ class TestSimulate:
         assert code == EXIT_INPUT
         assert "No such file" in err and str(missing) in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("schedule", ["1", "abc"], "spec.datasets[0].schedule: 'abc' is not a ratio"),
+        ("schedule", ["1", "1/0"], "spec.datasets[0].schedule: '1/0' is not a ratio"),
+        ("trials", 2.7, "spec.datasets[0].trials: expected an integer, got 2.7"),
+    ])
+    def test_malformed_spec_field_is_input_error(self, tmp_path, capsys, field, value, message):
+        raw = json.loads((SPEC_DIR / "rrt_stability_point.json").read_text())
+        raw["datasets"][0][field] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        code = main(["simulate", str(spec_path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text("{not json")

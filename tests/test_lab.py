@@ -1,6 +1,7 @@
 """Distortion lab: generators, classifiers, resampling, and experiment runs."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -414,6 +415,68 @@ class TestPointSweepValidation:
             load_spec(tmp_path / "nope.json")
         with pytest.raises(FileNotFoundError):
             load_spec('{"kind": "type2_growth"}')
+
+
+def type2_raw(**step):
+    return {
+        "kind": "type2_growth", "experiment": "t2", "accuracy_sweep": ["3/5"],
+        "steps": [{"class_count": 3, "profile": [10, 10, 10], **step}], "indices": ["acsa"],
+    }
+
+
+def matrix_raw(schedule):
+    dataset = {"id": "m", "mode": "matrix", "matrix": [[8, 2], [10, 90]],
+               "schedule": schedule, "indices": ["gmean2"]}
+    return {"kind": "rrt_stability", "experiment": "mt", "datasets": [dataset]}
+
+
+class TestSpecFieldTypes:
+    """Integer fields take JSON integers only, and a bad ratio names its field."""
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "2"])
+    def test_trials(self, value):
+        with pytest.raises(SpecError, match=r"^spec\.trials: expected an integer"):
+            load_spec(type1_raw(trials=value))
+        with pytest.raises(SpecError, match=r"^spec\.datasets\[0\]\.trials: expected an integer"):
+            load_spec(point_raw(trials=value))
+
+    @pytest.mark.parametrize("value", [1729.5, False])
+    def test_seed(self, value):
+        with pytest.raises(SpecError, match=r"^spec\.seed: expected an integer"):
+            load_spec(type1_raw(seed=value))
+
+    def test_sample_count(self):
+        generators = [dict(GENERATORS_RAW[0], sample_count=10.5), GENERATORS_RAW[1]]
+        with pytest.raises(
+            SpecError, match=r"^spec\.generators\[0\]\.sample_count: expected an integer"
+        ):
+            load_spec(type1_raw(generators=generators))
+
+    def test_type2_profile_and_class_count(self):
+        with pytest.raises(SpecError, match=r"^spec\.steps\[0\]\.profile: expected an integer"):
+            load_spec(type2_raw(profile=[10, 10.5, 10]))
+        with pytest.raises(
+            SpecError, match=r"^spec\.steps\[0\]\.class_count: expected an integer"
+        ):
+            load_spec(type2_raw(class_count=3.0))
+
+    def test_matrix_mode_count_vector(self):
+        with pytest.raises(
+            SpecError, match=r"^spec\.datasets\[0\]\.schedule: expected an integer"
+        ):
+            load_spec(matrix_raw([[10, 90], [20, 90.5]]))
+
+    @pytest.mark.parametrize("value", ["abc", "1/0", True, None])
+    def test_malformed_ratio_names_its_field(self, value):
+        message = rf": {re.escape(repr(value))} is not a ratio$"
+        with pytest.raises(SpecError, match=r"^spec\.rrt_schedule" + message):
+            load_spec(type1_raw(rrt_schedule=["1", value]))
+        with pytest.raises(SpecError, match=r"^spec\.datasets\[0\]\.schedule" + message):
+            load_spec(point_raw(schedule=["1", value]))
+        with pytest.raises(SpecError, match=r"^spec\.datasets\[0\]\.schedule" + message):
+            load_spec(matrix_raw(["1", value]))
+        with pytest.raises(SpecError, match=r"^spec\.accuracy_sweep" + message):
+            load_spec(dict(type2_raw(), accuracy_sweep=[value]))
 
 
 class TestPointSweepErrorCells:

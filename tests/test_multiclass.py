@@ -5,27 +5,21 @@ formulas; the 3-class reference matrix is [[8,1,1],[1,8,1],[2,2,6]] with
 column sums (11, 11, 8).
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 
-from imbindex import evaluate, exact, validate
-from imbindex.binary import aurpc, auroc, gmean2
-from imbindex.multiclass import (
-    acsa,
-    aurpc_ova,
-    auroc_ova,
-    auroc_ovo,
-    gmean_c,
-    lambda_c,
-    m_aurpc_ova,
-    n_auroc_ova,
-)
+from imbindex import IndexValue, evaluate, exact, validate
+from imbindex.audit import _BlockCells, _iter_blocks
+from imbindex.multiclass import lambda_c
 from imbindex.registry import ProfileRequiredError, get_index, theoretical_bounds
 
-from conftest import confusion_matrices, matrices_with_scaling, two_class_matrices
+from conftest import REPO_ROOT, confusion_matrices, matrices_with_scaling, two_class_matrices
 
 TRI = validate([[8, 1, 1], [1, 8, 1], [2, 2, 6]])
 TOL = 1e-12
@@ -38,26 +32,26 @@ INVARIANT_MULTI = ("gmean_c", "acsa", "auroc_ovo", "m_aurpc_ova")
 class TestFrozenValues:
     def test_gmean_c(self):
         # (0.8 * 0.8 * 0.6) ** (1/3), cube root of 48/125
-        assert gmean_c(TRI).value == pytest.approx(0.7268482371328558, abs=TOL)
+        assert evaluate("gmean_c", TRI).value == pytest.approx(0.7268482371328558, abs=TOL)
 
     def test_acsa(self):
-        assert acsa(TRI).value == pytest.approx(0.7333333333333333, abs=TOL)
+        assert evaluate("acsa", TRI).value == pytest.approx(0.7333333333333333, abs=TOL)
 
     def test_auroc_ovo(self):
-        assert auroc_ovo(TRI).value == pytest.approx(0.8, abs=TOL)
+        assert evaluate("auroc_ovo", TRI).value == pytest.approx(0.8, abs=TOL)
 
     def test_auroc_ova(self):
-        assert auroc_ova(TRI).value == pytest.approx(0.8, abs=TOL)
+        assert evaluate("auroc_ova", TRI).value == pytest.approx(0.8, abs=TOL)
 
     def test_aurpc_ova(self):
         # exact value 323/440
-        assert aurpc_ova(TRI).value == pytest.approx(0.7340909090909091, abs=TOL)
+        assert evaluate("aurpc_ova", TRI).value == pytest.approx(0.7340909090909091, abs=TOL)
         assert exact("aurpc_ova", TRI).key == Fraction(323, 440)
 
     def test_m_aurpc_ova_equals_aurpc_ova_on_equal_rows(self):
         # all row sums equal, so the rate correction cancels
-        assert m_aurpc_ova(TRI).value == pytest.approx(
-            aurpc_ova(TRI).value, abs=TOL
+        assert evaluate("m_aurpc_ova", TRI).value == pytest.approx(
+            evaluate("aurpc_ova", TRI).value, abs=TOL
         )
 
 
@@ -68,40 +62,40 @@ class TestGmeanAndAcsa:
             assert evaluate(index_id, m).value == pytest.approx(1.0, abs=TOL)
 
     def test_zero_diagonal_entry_kills_gmean(self):
-        assert gmean_c(validate([[0, 5, 5], [1, 8, 1], [2, 2, 6]])).value == 0.0
+        assert evaluate("gmean_c", validate([[0, 5, 5], [1, 8, 1], [2, 2, 6]])).value == 0.0
 
     def test_all_off_diagonal_acsa_zero(self):
-        assert acsa(validate([[0, 5, 5], [5, 0, 5], [5, 5, 0]])).value == 0.0
+        assert evaluate("acsa", validate([[0, 5, 5], [5, 0, 5], [5, 5, 0]])).value == 0.0
 
     def test_acsa_reduces_to_auroc_for_two_classes(self):
         m = validate([[8, 2], [10, 90]])
-        assert acsa(m).value == pytest.approx(auroc(m).value, abs=TOL)
+        assert evaluate("acsa", m).value == pytest.approx(evaluate("auroc", m).value, abs=TOL)
 
 
 class TestAurocOvo:
     def test_zero_diagonal_floor_three_classes(self):
         m = validate([[0, 5, 5], [5, 0, 5], [5, 5, 0]])
-        assert auroc_ovo(m).value == pytest.approx(0.25, abs=TOL)
+        assert evaluate("auroc_ovo", m).value == pytest.approx(0.25, abs=TOL)
 
     def test_perfect_is_one(self):
         m = validate([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
-        assert auroc_ovo(m).value == pytest.approx(1.0, abs=TOL)
+        assert evaluate("auroc_ovo", m).value == pytest.approx(1.0, abs=TOL)
 
     @given(confusion_matrices(max_classes=6))
     def test_affine_identity_with_acsa(self, m):
         c = m.class_count
-        expected = (c * acsa(m).value + c - 2) / (2 * (c - 1))
-        assert abs(auroc_ovo(m).value - expected) <= TOL
+        expected = (c * evaluate("acsa", m).value + c - 2) / (2 * (c - 1))
+        assert abs(evaluate("auroc_ovo", m).value - expected) <= TOL
 
 
 class TestAurocOva:
     def test_worst_case_profile_2_3_4(self):
         m = validate([[0, 0, 2], [0, 0, 3], [0, 4, 0]])
-        assert auroc_ova(m).value == pytest.approx(2 / 9, abs=TOL)
+        assert evaluate("auroc_ova", m).value == pytest.approx(2 / 9, abs=TOL)
 
     def test_balanced_sixty_percent(self):
         m = validate([[6, 2, 2], [2, 6, 2], [2, 2, 6]])
-        assert auroc_ova(m).value == pytest.approx(0.70, abs=TOL)
+        assert evaluate("auroc_ova", m).value == pytest.approx(0.70, abs=TOL)
 
 
 class TestNAurocOva:
@@ -111,33 +105,58 @@ class TestNAurocOva:
 
     def test_two_class_normalization_is_identity(self):
         m = validate([[8, 2], [10, 90]])
-        assert n_auroc_ova(m).value == pytest.approx(auroc_ova(m).value, abs=TOL)
+        assert evaluate("n_auroc_ova", m).value == pytest.approx(
+            evaluate("auroc_ova", m).value, abs=TOL
+        )
 
     def test_ten_class_at_base_value_point_six(self):
         # accuracy 0.28 over ten balanced classes of 900 gives base value 0.6
         from imbindex.lab import synthetic_multiclass_confusion
 
         m = synthetic_multiclass_confusion(10, "7/25", (900,) * 10)
-        assert auroc_ova(m).value == pytest.approx(0.6, abs=TOL)
-        assert n_auroc_ova(m).value == pytest.approx(1 / 3, abs=TOL)
+        assert evaluate("auroc_ova", m).value == pytest.approx(0.6, abs=TOL)
+        assert evaluate("n_auroc_ova", m).value == pytest.approx(1 / 3, abs=TOL)
+
+
+class TestUndefinedReasons:
+    """The full reason of every index that can be undefined, naming the first
+    zero column where there are several."""
+
+    @pytest.mark.parametrize(
+        "index_id, counts, reason",
+        [
+            ("precision", [[0, 10], [0, 100]], "no positive predictions"),
+            ("aurpc", [[0, 10], [0, 100]], "no positive predictions"),
+            ("m_precision", [[0, 10], [0, 100]], "no positive predictions in rate terms"),
+            ("m_aurpc", [[0, 10], [0, 100]], "no positive predictions in rate terms"),
+            ("aurpc_ova", [[0, 5, 5], [0, 5, 5], [0, 5, 5]], "class 1 never predicted"),
+            ("aurpc_ova", [[1, 0, 0], [2, 0, 0], [3, 0, 0]], "class 2 never predicted"),
+            ("aurpc_ova", [[1, 1, 0], [0, 2, 0], [3, 0, 0]], "class 3 never predicted"),
+            ("m_aurpc_ova", [[0, 5, 5], [0, 5, 5], [0, 5, 5]], "rate column 1 sums to zero"),
+            ("m_aurpc_ova", [[1, 0, 0], [2, 0, 0], [3, 0, 0]], "rate column 2 sums to zero"),
+            ("m_aurpc_ova", [[1, 1, 0], [0, 2, 0], [3, 0, 0]], "rate column 3 sums to zero"),
+        ],
+    )
+    def test_reason(self, index_id, counts, reason):
+        assert evaluate(index_id, validate(counts)) == IndexValue(index_id, None, reason)
 
 
 class TestAurpcOva:
     def test_undefined_when_class_never_predicted(self):
-        iv = aurpc_ova(validate([[0, 5, 5], [0, 5, 5], [0, 5, 5]]))
+        iv = evaluate("aurpc_ova", validate([[0, 5, 5], [0, 5, 5], [0, 5, 5]]))
         assert not iv.defined and "never predicted" in iv.reason
 
     def test_m_variant_undefined_reason(self):
-        iv = m_aurpc_ova(validate([[0, 5, 5], [0, 5, 5], [0, 5, 5]]))
+        iv = evaluate("m_aurpc_ova", validate([[0, 5, 5], [0, 5, 5], [0, 5, 5]]))
         assert not iv.defined and "rate column" in iv.reason
 
     def test_m_variant_invariant_under_row_doubling(self):
         doubled_row3 = validate([[8, 1, 1], [1, 8, 1], [4, 4, 12]])
-        assert m_aurpc_ova(doubled_row3).value == pytest.approx(
-            m_aurpc_ova(TRI).value, abs=TOL
+        assert evaluate("m_aurpc_ova", doubled_row3).value == pytest.approx(
+            evaluate("m_aurpc_ova", TRI).value, abs=TOL
         )
-        assert aurpc_ova(doubled_row3).value != pytest.approx(
-            aurpc_ova(TRI).value, abs=1e-6
+        assert evaluate("aurpc_ova", doubled_row3).value != pytest.approx(
+            evaluate("aurpc_ova", TRI).value, abs=1e-6
         )
 
 
@@ -205,14 +224,14 @@ class TestProperties:
 
     @given(two_class_matrices())
     def test_two_class_reductions(self, m):
-        assert acsa(m).value == pytest.approx(auroc(m).value, abs=TOL)
-        assert gmean_c(m).value == pytest.approx(gmean2(m).value, abs=TOL)
+        assert evaluate("acsa", m).value == pytest.approx(evaluate("auroc", m).value, abs=TOL)
+        assert evaluate("gmean_c", m).value == pytest.approx(evaluate("gmean2", m).value, abs=TOL)
         # one-vs-all recall/precision mean equals the average of the direct
         # two-class value and its class-swapped mirror
         (tp, fn), (fp, tn) = m.counts
         mirror = validate([[tn, fp], [fn, tp]])
-        direct, mirrored = aurpc(m), aurpc(mirror)
-        ova = aurpc_ova(m)
+        direct, mirrored = evaluate("aurpc", m), evaluate("aurpc", mirror)
+        ova = evaluate("aurpc_ova", m)
         if direct.defined and mirrored.defined:
             assert ova.value == pytest.approx(
                 (direct.value + mirrored.value) / 2, abs=TOL
@@ -222,13 +241,54 @@ class TestProperties:
 
     @given(confusion_matrices())
     def test_float_agrees_with_exact(self, m):
-        block = np.array([m.counts], dtype=np.int64)
         for index_id in MULTI_IDS:
             iv = evaluate(index_id, m)
             ev = exact(index_id, m)
-            values, ok = get_index(index_id).batch(block)
-            assert iv.defined == (ev is not None) == bool(ok[0])
-            assert np.isfinite(values[0])
+            assert iv.defined == (ev is not None)
             if iv.defined:
                 assert iv.value == pytest.approx(ev.value, abs=TOL)
-                assert values[0] == pytest.approx(ev.value, abs=TOL)
+
+
+class TestBlockParity:
+    """The enumeration runs each formula over a block of matrices at once; the
+    values must be the ones :func:`evaluate` gives matrix by matrix."""
+
+    @pytest.mark.parametrize(
+        "row_sums", [(3, 3, 3), (2, 2, 2, 2), (1, 2, 3, 4), (1,) * 5], ids=str
+    )
+    def test_block_values_equal_evaluate(self, row_sums):
+        checked = 0
+        for block in _iter_blocks(row_sums):
+            cells = _BlockCells(block)
+            matrices = [validate(counts) for counts in block.tolist()]
+            # guarded indices first: a mask leaking into the next index would show
+            for index_id in reversed(MULTI_IDS):
+                values, undefined_at = cells.run(get_index(index_id).formula)
+                assert values.shape == (len(block),) and np.isfinite(values).all()
+                for k, m in enumerate(matrices):
+                    iv = evaluate(index_id, m)
+                    assert iv.defined == (undefined_at is None or not undefined_at[k])
+                    if not iv.defined:
+                        continue
+                    if index_id == "gmean_c":
+                        # numpy's ** may round the C-th root one ulp away from Python's
+                        assert abs(values[k] - iv.value) <= np.spacing(iv.value)
+                    else:
+                        assert values[k] == iv.value
+                    checked += 1
+        assert checked > 0
+
+
+def test_import_loads_no_numpy():
+    # evaluating one matrix needs no numpy; only the enumeration and the lab load it
+    code = (
+        "import sys, imbindex; "
+        "imbindex.evaluate('acsa', imbindex.validate([[1, 0], [0, 1]])); "
+        "print('numpy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
+
