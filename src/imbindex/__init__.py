@@ -16,14 +16,11 @@ from .confusion import (
     NegativeEntryError,
     NonIntegerScalingError,
     NonSquareError,
-    RowScaling,
     TooFewClassesError,
     UnknownLabelError,
     ZeroClassCountError,
     apply_scaling,
-    are_equivalent,
     ingest_labels,
-    max_ratio,
     to_fraction,
     validate,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "NonIntegerScalingError",
     "NonSquareError",
     "ProfileRequiredError",
-    "RowScaling",
     "TooFewClassesError",
     "UnknownIndexError",
     "UnknownLabelError",
@@ -67,13 +63,11 @@ __all__ = [
     "DEFAULT_SEED",
     "apply_scaling",
     "applicable_index_ids",
-    "are_equivalent",
     "evaluate",
     "exact",
     "get_index",
     "ingest_labels",
     "lambda_c",
-    "max_ratio",
     "theoretical_bounds",
     "to_fraction",
     "validate",

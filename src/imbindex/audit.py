@@ -40,7 +40,6 @@ from .confusion import (
     ConfusionMatrix,
     EmptyRowError,
     MatrixError,
-    RowScaling,
     TooFewClassesError,
     apply_scaling,
     even_error_matrix,
@@ -131,7 +130,7 @@ _SCALING_CANDIDATES = tuple(Fraction(1, d) for d in (5, 4, 3, 2)) + tuple(
 _INTEGER_CANDIDATES = tuple(Fraction(k) for k in (1, 2, 3, 4, 5))
 
 
-def sample_scaling(rng: np.random.Generator, m: ConfusionMatrix) -> RowScaling:
+def sample_scaling(rng: np.random.Generator, m: ConfusionMatrix) -> tuple[Fraction, ...]:
     """Random integrality-preserving row scaling with at least two distinct factors."""
     factors = []
     for row in m.counts:
@@ -144,7 +143,7 @@ def sample_scaling(rng: np.random.Generator, m: ConfusionMatrix) -> RowScaling:
         row_idx = int(rng.integers(m.class_count))
         alternatives = [b for b in _INTEGER_CANDIDATES if b != factors[row_idx]]
         factors[row_idx] = alternatives[int(rng.integers(len(alternatives)))]
-    return RowScaling.for_matrix(m, tuple(factors))
+    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +241,8 @@ def audit_condition1(
         rng = np.random.default_rng([seed, trial])
         m, exact_before, resampled = _sample_defined(rng, index_id, class_count)
         resampled_total += resampled
-        scaling = sample_scaling(rng, m)
-        scaled = apply_scaling(m, scaling)
+        factors = sample_scaling(rng, m)
+        scaled = apply_scaling(m, factors)
         exact_after = exact(index_id, scaled)
         value_before = evaluate(index_id, m).require()
         value_after = evaluate(index_id, scaled).require()
@@ -252,7 +251,7 @@ def audit_condition1(
             witness = Condition1Witness(
                 trial=trial,
                 matrix=m,
-                factors=scaling.factors,
+                factors=factors,
                 value_before=value_before,
                 value_after=value_after,
                 exact_before=exact_before.key,

@@ -155,6 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
+    if args.digits < 0:
+        raise ValueError(f"--digits must be non-negative, got {args.digits}")
     labels = None
     if args.matrix:
         matrix, labels = io_mod.read_matrix_csv(args.matrix)
@@ -192,6 +194,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_audit(args) -> int:
     seed = args.seed if args.seed is not None else default_seed()
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
     conditions = tuple(int(tok) for tok in str(args.conditions).split(",") if tok.strip())
     c_range = _parse_c_range(args.c_range)
     index_ids = None if args.all else _parse_indices(args.indices)
@@ -223,7 +227,6 @@ def _cmd_bounds(args) -> int:
     profile = None
     if args.profile:
         profile = [int(tok) for tok in args.profile.split(",") if tok.strip()]
-    get_index(args.index)
     lo, hi = theoretical_bounds(args.index, args.class_count, profile)
     print(f"{lo:.6g} {hi:.6g}")
     return EXIT_OK

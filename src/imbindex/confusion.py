@@ -1,4 +1,4 @@
-"""Confusion matrices, class-ratio measures, and the row-scaling equivalence relation.
+"""Confusion matrices, exact ratios, and the row scaling.
 
 Layout convention used throughout the package: ``counts[i][j]`` is the number
 of test points whose true class is ``i`` and predicted class is ``j``.  For
@@ -11,9 +11,10 @@ two classes, row 0 is the positive (minority) class and row 1 the negative
 Two matrices are *equivalent* when their row-normalized profiles agree, i.e.
 ``counts[i][j] / row_sum(i)`` is identical for every cell.  Equivalence is the
 formal statement that the same classifier produced both matrices on test sets
-with different class mixes.  Equivalence checks and row scalings are done in
-exact rational arithmetic so that invariance audits can distinguish a true
-value change from floating-point noise.
+with different class mixes; :func:`apply_scaling` builds an equivalent matrix
+by scaling each row by a positive rational factor.  Scalings are checked in
+integer arithmetic so that invariance audits can distinguish a true value
+change from floating-point noise.
 """
 
 from __future__ import annotations
@@ -149,13 +150,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return sum(self.row_sums)
 
-    def row_profile(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact row-normalized rates ``counts[i][j] / row_sum(i)``."""
-        return tuple(
-            tuple(Fraction(v, n) for v in row)
-            for row, n in zip(self.counts, self.row_sums)
-        )
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.counts]
 
@@ -163,21 +157,6 @@ class ConfusionMatrix:
 def validate(grid: Sequence[Sequence[int]]) -> ConfusionMatrix:
     """Validate a count grid and return it as a :class:`ConfusionMatrix`."""
     return ConfusionMatrix(tuple(tuple(row) for row in grid))
-
-
-def max_ratio(counts: Sequence[int]) -> Fraction:
-    """Largest pairwise ratio among positive per-class counts.
-
-    Equals ``max(counts) / min(counts)``; this is the imbalance measure for
-    whichever set (training or test) the counts came from.
-    """
-    counts = tuple(int(c) for c in counts)
-    if len(counts) < 2:
-        raise ZeroClassCountError("need at least 2 class counts")
-    for c in counts:
-        if c <= 0:
-            raise ZeroClassCountError(f"class count {c} is not positive")
-    return Fraction(max(counts), min(counts))
 
 
 def even_error_matrix(
@@ -206,67 +185,33 @@ def even_error_matrix(
     return ConfusionMatrix(tuple(rows))
 
 
-@dataclass(frozen=True)
-class RowScaling:
-    """Per-row positive rational factors witnessing the equivalence relation.
+def apply_scaling(matrix: ConfusionMatrix, factors: Sequence) -> ConfusionMatrix:
+    """Multiply row ``i`` by ``factors[i]``: the same classifier on another test mix.
 
-    Only rational factors can keep scaled counts integral, so witnesses are
-    restricted to ``Fraction`` values.  Use :meth:`for_matrix` to construct a
-    scaling checked against a target matrix.
+    Factors are anything :func:`to_fraction` accepts.  Raises
+    :class:`DimensionMismatchError` on a wrong factor count, then
+    :class:`MatrixError` on a factor that is not positive, then
+    :class:`NonIntegerScalingError` on the first cell that would stop being an
+    integer.  The cell check runs in integers: ``v * p % q`` for a factor ``p/q``.
     """
-
-    factors: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        factors = tuple(to_fraction(f) for f in self.factors)
-        if not factors:
-            raise MatrixError("scaling needs at least one factor")
-        for f in factors:
-            if f <= 0:
-                raise MatrixError(f"scaling factor {f} is not positive")
-        object.__setattr__(self, "factors", factors)
-
-    @classmethod
-    def for_matrix(cls, matrix: ConfusionMatrix, factors: Sequence) -> "RowScaling":
-        """Build a scaling and verify it keeps every cell of ``matrix`` integral."""
-        scaling = cls(tuple(to_fraction(f) for f in factors))
-        if len(scaling.factors) != matrix.class_count:
-            raise DimensionMismatchError(
-                f"{len(scaling.factors)} factors for a {matrix.class_count}-class matrix"
-            )
-        scaling.check(matrix)
-        return scaling
-
-    def check(self, matrix: ConfusionMatrix) -> None:
-        if len(self.factors) != matrix.class_count:
-            raise DimensionMismatchError(
-                f"{len(self.factors)} factors for a {matrix.class_count}-class matrix"
-            )
-        for i, (factor, row) in enumerate(zip(self.factors, matrix.counts)):
-            for j, v in enumerate(row):
-                if (factor * v).denominator != 1:
-                    raise NonIntegerScalingError(
-                        f"row {i + 1}, column {j + 1}: {factor} * {v} is not an integer"
-                    )
-
-
-def apply_scaling(matrix: ConfusionMatrix, scaling: RowScaling) -> ConfusionMatrix:
-    """Multiply each row by its factor, returning a matrix equivalent to the input."""
-    scaling.check(matrix)
-    scaled = tuple(
-        tuple(int(factor * v) for v in row)
-        for factor, row in zip(scaling.factors, matrix.counts)
-    )
-    return ConfusionMatrix(scaled)
-
-
-def are_equivalent(a: ConfusionMatrix, b: ConfusionMatrix) -> bool:
-    """Exact test of ``a ~ b``: identical row-normalized profiles."""
-    if a.class_count != b.class_count:
+    factors = tuple(to_fraction(f) for f in factors)
+    if len(factors) != matrix.class_count:
         raise DimensionMismatchError(
-            f"cannot compare a {a.class_count}-class with a {b.class_count}-class matrix"
+            f"{len(factors)} factors for a {matrix.class_count}-class matrix"
         )
-    return a.row_profile() == b.row_profile()
+    for f in factors:
+        if f <= 0:
+            raise MatrixError(f"scaling factor {f} is not positive")
+    rows = []
+    for i, (f, row) in enumerate(zip(factors, matrix.counts)):
+        p, q = f.numerator, f.denominator
+        for j, v in enumerate(row):
+            if v * p % q:
+                raise NonIntegerScalingError(
+                    f"row {i + 1}, column {j + 1}: {f} * {v} is not an integer"
+                )
+        rows.append(tuple(v * p // q for v in row))
+    return ConfusionMatrix(tuple(rows))
 
 
 def ingest_labels(

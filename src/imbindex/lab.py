@@ -29,7 +29,6 @@ from .confusion import (
     EmptyRowError,
     IntegralityError,
     MatrixError,
-    RowScaling,
     apply_scaling,
     even_error_matrix,
     to_fraction,
@@ -204,8 +203,7 @@ def rescale_matrix_to_rrt(m: ConfusionMatrix, target) -> ConfusionMatrix:
             f"target {target} with minority row sum {m.row_sums[0]} is not an integer count"
         )
     factor = Fraction(int(new_majority), m.row_sums[1])
-    scaling = RowScaling.for_matrix(m, (Fraction(1), factor))
-    return apply_scaling(m, scaling)
+    return apply_scaling(m, (1, factor))
 
 
 def rescale_matrix_to_counts(m: ConfusionMatrix, per_class_counts: Sequence[int]) -> ConfusionMatrix:
@@ -220,8 +218,7 @@ def rescale_matrix_to_counts(m: ConfusionMatrix, per_class_counts: Sequence[int]
         if target <= 0:
             raise MatrixError("target counts must be positive")
         factors.append(Fraction(target, current))
-    scaling = RowScaling.for_matrix(m, tuple(factors))
-    return apply_scaling(m, scaling)
+    return apply_scaling(m, factors)
 
 
 def synthetic_multiclass_confusion(
@@ -414,6 +411,8 @@ def load_spec(source) -> ExperimentSpec:
     kind = _need(raw, "kind", "spec")
     experiment = str(_need(raw, "experiment", "spec"))
     seed = _int(raw.get("seed", DEFAULT_SEED), "spec.seed")
+    if seed < 0:
+        raise SpecError("spec.seed: must be >= 0")
 
     if kind == "type1_sweep":
         sweep = _point_sweep(raw, "spec", "rrt_schedule")
@@ -764,37 +763,3 @@ def _min_summary(spec: Type2GrowthSpec, rows: Sequence[ResultRow]) -> list[Summa
                            STATUS_OK if values else "undefined on entire sweep")
             )
     return summary
-
-
-def normalized_stability(
-    result: ExperimentResult, index_ids: Sequence[str]
-) -> list[SummaryRow]:
-    """Per (dataset, index): schedule std divided by the index's minimum std.
-
-    A zero minimum cannot normalize anything; those indices are reported with
-    an undefined ratio rather than a division blowup.
-    """
-    stds = result.stds()
-    settings = sorted({setting for setting, _ in stds})
-    if len(settings) < 2:
-        raise SpecError("normalized stability needs results from at least 2 datasets")
-    out: list[SummaryRow] = []
-    for index_id in index_ids:
-        per_dataset = {s: stds.get((s, index_id)) for s in settings}
-        present = {s: v for s, v in per_dataset.items() if v is not None}
-        if len(present) < 2:
-            raise SpecError(f"index {index_id}: standard deviations available for < 2 datasets")
-        floor = min(present.values())
-        for setting in settings:
-            value = per_dataset.get(setting)
-            if value is None:
-                ratio, status = None, "std undefined"
-            elif floor == 0:
-                ratio, status = None, "degenerate normalizer: minimum std is 0"
-            else:
-                ratio, status = value / floor, STATUS_OK
-            out.append(
-                SummaryRow(result.experiment, setting, index_id, "", "normalized_std",
-                           ratio, status)
-            )
-    return out

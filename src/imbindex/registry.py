@@ -174,11 +174,9 @@ def bounds_exact(
     ``auroc_ova`` is the only index whose lower bound depends on the per-class
     test counts; it raises :class:`ProfileRequiredError` without a profile.
     """
+    spec = get_index(index_id)
     if class_count < 2:
         raise MatrixError(f"need at least 2 classes, got {class_count}")
-    spec = INDEX_SPECS.get(index_id)
-    if spec is None:
-        raise MatrixError(f"unknown index id {index_id!r}")
     if spec.binary_only and class_count != 2:
         raise MatrixError(f"{index_id} is a two-class index; got C={class_count}")
     return spec.lower_bound(class_count, profile), Fraction(1)
@@ -207,6 +205,9 @@ def default_seed() -> int:
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ValueError(f"{SEED_ENV_VAR} must be non-negative, got {seed}")
+    return seed

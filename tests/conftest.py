@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from imbindex import ConfusionMatrix, RowScaling, apply_scaling
+from imbindex import ConfusionMatrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SPEC_DIR = REPO_ROOT / "specs"
@@ -43,16 +43,12 @@ def two_class_matrices(draw, max_cell=30):
 
 @st.composite
 def matrices_with_scaling(draw, min_classes=2, max_classes=5):
-    """A matrix together with an integer row scaling (always integrality-safe)."""
+    """A matrix together with integer row-scaling factors (always integrality-safe)."""
     m = draw(confusion_matrices(min_classes, max_classes))
     factors = draw(
         st.lists(st.integers(1, 4), min_size=m.class_count, max_size=m.class_count)
     )
-    return m, RowScaling.for_matrix(m, factors)
-
-
-def scaled_copy(m: ConfusionMatrix, factors) -> ConfusionMatrix:
-    return apply_scaling(m, RowScaling.for_matrix(m, factors))
+    return m, tuple(factors)
 
 
 # --- acceptance summary -----------------------------------------------------

@@ -61,9 +61,9 @@ class TestSampling:
         rng = np.random.default_rng(4)
         for _ in range(30):
             m = sample_matrix(rng, 3)
-            scaling = sample_scaling(rng, m)
-            assert len(set(scaling.factors)) > 1
-            apply_scaling(m, scaling)  # must not raise
+            factors = sample_scaling(rng, m)
+            assert len(set(factors)) > 1
+            apply_scaling(m, factors)  # must not raise
 
 
 class TestCondition1:
@@ -76,11 +76,14 @@ class TestCondition1:
         result = audit_condition1("precision", trials=FAST_TRIALS)
         w = result.witness
         assert w is not None
-        scaled = apply_scaling(
-            w.matrix, audit.RowScaling.for_matrix(w.matrix, w.factors)
-        )
+        scaled = apply_scaling(w.matrix, w.factors)
         assert exact("precision", w.matrix).key != exact("precision", scaled).key
         assert w.exact_before != w.exact_after
+
+    def test_witness_factors_are_fractions_written_as_strings(self):
+        w = audit_condition1("precision", trials=FAST_TRIALS).witness
+        assert all(type(f) is Fraction for f in w.factors)
+        assert w.to_dict()["factors"] == [str(f) for f in w.factors]
 
     def test_invariant_indices_have_zero_drift(self):
         result = audit_condition1("gmean_c", trials=FAST_TRIALS, class_count=4)

@@ -101,10 +101,10 @@ class TestMixInvariance:
 
     @given(matrices_with_scaling(min_classes=2, max_classes=2))
     def test_rate_based_indices_invariant(self, pair):
-        m, scaling = pair
+        m, factors = pair
         from imbindex import apply_scaling
 
-        scaled = apply_scaling(m, scaling)
+        scaled = apply_scaling(m, factors)
         for index_id in INVARIANT_BINARY:
             before = evaluate(index_id, m)
             after = evaluate(index_id, scaled)

@@ -99,6 +99,12 @@ class TestEval:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["eval", "--matrix", "does_not_exist.csv"]) == EXIT_INPUT
 
+    def test_negative_digits_is_input_error(self, base_matrix_csv, capsys):
+        code = main(["eval", "--matrix", str(base_matrix_csv), "--digits", "-1"])
+        assert code == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: --digits must be non-negative, got -1\n")
+
 
 class TestAudit:
     def test_single_index_violation_with_witness(self, capsys):
@@ -156,6 +162,11 @@ class TestAudit:
         assert captured.out == ""
         assert "class_count must be at least 2" in captured.err
 
+    def test_negative_seed_is_input_error(self, capsys):
+        assert main(["audit", "--index", "acsa", "--cond", "1", "--seed", "-1"]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: --seed must be non-negative, got -1\n")
+
     def test_usage_error_without_selection(self):
         assert main(["audit"]) == EXIT_USAGE
 
@@ -172,6 +183,10 @@ class TestBounds:
     def test_ova_with_profile(self, capsys):
         assert main(["bounds", "auroc_ova", "3", "--profile", "2,3,4"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "0.222222 1"
+
+    def test_unknown_index_is_input_error(self, capsys):
+        assert main(["bounds", "nope", "3"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: unknown index 'nope'; known ids: ")
 
     def test_ova_without_profile_is_input_error(self, capsys):
         assert main(["bounds", "auroc_ova", "3"]) == EXIT_INPUT
@@ -256,6 +271,13 @@ class TestUsageAndSeed:
         assert default_seed() == 42
         monkeypatch.delenv("IMBINDEX_SEED")
         assert default_seed() == DEFAULT_SEED
+
+    def test_negative_seed_env_rejected(self, monkeypatch, capsys):
+        monkeypatch.setenv("IMBINDEX_SEED", "-5")
+        with pytest.raises(ValueError, match="^IMBINDEX_SEED must be non-negative, got -5$"):
+            default_seed()
+        assert main(["audit", "--index", "acsa", "--cond", "1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: IMBINDEX_SEED must be non-negative, got -5\n"
 
     def test_bad_seed_env_rejected(self, monkeypatch):
         monkeypatch.setenv("IMBINDEX_SEED", "not_a_number")

@@ -22,7 +22,6 @@ from imbindex.lab import (
     UnachievableRRTError,
     generate_gaussian_dataset,
     load_spec,
-    normalized_stability,
     rescale_matrix_to_counts,
     rescale_matrix_to_rrt,
     resample_points_to_rrt,
@@ -161,6 +160,15 @@ class TestMatrixRescaling:
         assert out.row_sums == (20, 10, 30)
         assert out.counts[0] == (16, 2, 2)
 
+    def test_counts_rescale_rejects_non_integral(self):
+        from imbindex import NonIntegerScalingError
+
+        m = validate([[8, 1, 1], [1, 8, 1], [2, 2, 6]])
+        with pytest.raises(
+            NonIntegerScalingError, match=r"^row 1, column 2: 3/2 \* 1 is not an integer$"
+        ):
+            rescale_matrix_to_counts(m, (15, 10, 30))
+
 
 class TestSyntheticMatrices:
     def test_uniform_three_class(self):
@@ -288,42 +296,6 @@ class TestStability:
         assert statuses["gmean2"] == "ok"
 
 
-class TestNormalizedStability:
-    def build_result(self):
-        datasets = (
-            MatrixStabilityDataset(
-                "d1", validate([[8, 2], [10, 90]]),
-                (Fraction(1), Fraction(2), Fraction(4)), ("precision", "gmean2"),
-            ),
-            MatrixStabilityDataset(
-                "d2", validate([[6, 4], [10, 90]]),
-                (Fraction(1), Fraction(5), Fraction(10)), ("precision", "gmean2"),
-            ),
-        )
-        return run_experiment(RRTStabilitySpec("norm", datasets, 0))
-
-    def test_ratios_normalized_by_per_index_minimum(self):
-        result = self.build_result()
-        rows = normalized_stability(result, ["precision"])
-        ratios = {r.setting: r.value for r in rows}
-        assert min(ratios.values()) == pytest.approx(1.0, abs=1e-12)
-        assert max(ratios.values()) > 1.0
-
-    def test_zero_minimum_reported_not_divided(self):
-        result = self.build_result()
-        rows = normalized_stability(result, ["gmean2"])
-        assert all(r.value is None for r in rows)
-        assert all("degenerate normalizer" in r.status for r in rows)
-
-    def test_needs_two_datasets(self):
-        dataset = MatrixStabilityDataset(
-            "only", validate([[8, 2], [10, 90]]), (Fraction(1), Fraction(2)), ("precision",)
-        )
-        result = run_experiment(RRTStabilitySpec("norm1", (dataset,), 0))
-        with pytest.raises(SpecError):
-            normalized_stability(result, ["precision"])
-
-
 class TestSpecLoading:
     def test_bundled_specs_parse(self):
         for name in (
@@ -444,6 +416,14 @@ class TestSpecFieldTypes:
     def test_seed(self, value):
         with pytest.raises(SpecError, match=r"^spec\.seed: expected an integer"):
             load_spec(type1_raw(seed=value))
+
+    @pytest.mark.parametrize("raw", [
+        type1_raw(), point_raw(), type2_raw(), matrix_raw(["1", "2"]),
+    ], ids=["type1_sweep", "point", "type2_growth", "matrix"])
+    def test_negative_seed(self, raw):
+        with pytest.raises(SpecError, match=r"^spec\.seed: must be >= 0$"):
+            load_spec({**raw, "seed": -1})
+        assert load_spec({**raw, "seed": 0}).seed == 0
 
     def test_sample_count(self):
         generators = [dict(GENERATORS_RAW[0], sample_count=10.5), GENERATORS_RAW[1]]

@@ -17,7 +17,13 @@ from hypothesis import given
 from imbindex import IndexValue, evaluate, exact, validate
 from imbindex.audit import _BlockCells, _iter_blocks
 from imbindex.multiclass import lambda_c
-from imbindex.registry import ProfileRequiredError, get_index, theoretical_bounds
+from imbindex.registry import (
+    ProfileRequiredError,
+    UnknownIndexError,
+    bounds_exact,
+    get_index,
+    theoretical_bounds,
+)
 
 from conftest import REPO_ROOT, confusion_matrices, matrices_with_scaling, two_class_matrices
 
@@ -191,14 +197,20 @@ class TestTheoreticalBounds:
         with pytest.raises(Exception):
             theoretical_bounds("precision", 3)
 
+    def test_unknown_id_is_unknown_index_error(self):
+        # the id is looked up before the class count is checked
+        for class_count in (3, 1):
+            with pytest.raises(UnknownIndexError, match="^unknown index 'nope'; known ids: "):
+                bounds_exact("nope", class_count)
+
 
 class TestProperties:
     @given(matrices_with_scaling(min_classes=3, max_classes=5))
     def test_invariant_indices_under_row_scaling(self, pair):
         from imbindex import apply_scaling
 
-        m, scaling = pair
-        scaled = apply_scaling(m, scaling)
+        m, factors = pair
+        scaled = apply_scaling(m, factors)
         for index_id in INVARIANT_MULTI:
             before, after = evaluate(index_id, m), evaluate(index_id, scaled)
             assert before.defined == after.defined
