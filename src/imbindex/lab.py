@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -72,34 +73,27 @@ class GaussianClassSpec:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Labeled 2-D points; ``xy`` is (N, 2) float64, ``labels`` is (N,) strings."""
+    """Labeled 2-D points: each label maps to its (n, 2) float64 points in
+    generation order."""
 
-    xy: np.ndarray
-    labels: np.ndarray
+    classes: dict[str, np.ndarray]
 
     def class_counts(self) -> dict[str, int]:
-        unique, counts = np.unique(self.labels, return_counts=True)
-        return {str(u): int(c) for u, c in zip(unique, counts)}
-
-    def __len__(self) -> int:
-        return len(self.labels)
+        return {label: len(xy) for label, xy in self.classes.items()}
 
 
 def generate_gaussian_dataset(
     specs: Sequence[GaussianClassSpec], seed: int | np.random.Generator
 ) -> PointSet:
-    """Sample every class spec in order from one seeded stream."""
-    if len(specs) < 2:
-        raise SpecError("need at least 2 class specs")
+    """Sample every class spec in order from one seeded stream; specs that
+    share a label are stacked under it."""
     rng = np.random.default_rng(seed)
-    blocks = []
-    labels = []
+    blocks: dict[str, list[np.ndarray]] = {}
     for spec in specs:
         std = np.sqrt(np.asarray(spec.variances))
         block = np.asarray(spec.mean) + rng.standard_normal((spec.sample_count, 2)) * std
-        blocks.append(block)
-        labels.extend([spec.label] * spec.sample_count)
-    return PointSet(np.vstack(blocks), np.asarray(labels))
+        blocks.setdefault(spec.label, []).append(block)
+    return PointSet({label: np.vstack(b) for label, b in blocks.items()})
 
 
 def threshold_classifier_confusion(
@@ -114,24 +108,21 @@ def threshold_classifier_confusion(
     is predicted positive: ``"greater"`` means x > threshold, ``"less"``
     means x < threshold.
     """
-    labels = points.labels
-    distinct = [str(v) for v in np.unique(labels)]
-    if len(distinct) != 2:
-        raise MatrixError(f"threshold classifier needs exactly 2 classes, got {distinct}")
-    if positive_label not in distinct:
-        raise MatrixError(f"positive label {positive_label!r} not present in {distinct}")
+    classes = points.classes
+    if len(classes) != 2:
+        raise MatrixError(f"threshold classifier needs exactly 2 classes, got {sorted(classes)}")
+    if positive_label not in classes:
+        raise MatrixError(f"positive label {positive_label!r} not present in {sorted(classes)}")
     if positive_side not in ("greater", "less"):
         raise MatrixError(f"positive_side must be 'greater' or 'less', got {positive_side!r}")
-    x = points.xy[:, 0]
-    pred_pos = x > threshold if positive_side == "greater" else x < threshold
-    is_pos = labels == positive_label
-    tp = int(np.sum(is_pos & pred_pos))
-    fn = int(np.sum(is_pos & ~pred_pos))
-    fp = int(np.sum(~is_pos & pred_pos))
-    tn = int(np.sum(~is_pos & ~pred_pos))
-    if tp + fn == 0 or fp + tn == 0:
+    (negative_label,) = [k for k in classes if k != positive_label]
+    pos, neg = classes[positive_label][:, 0], classes[negative_label][:, 0]
+    if len(pos) == 0 or len(neg) == 0:
         raise EmptyRowError("a class has no points")
-    return ConfusionMatrix(((tp, fn), (fp, tn)))
+    predicts_pos = np.greater if positive_side == "greater" else np.less
+    tp = int(np.count_nonzero(predicts_pos(pos, threshold)))
+    fp = int(np.count_nonzero(predicts_pos(neg, threshold)))
+    return ConfusionMatrix(((tp, len(pos) - tp), (fp, len(neg) - fp)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +139,8 @@ def resample_points_to_rrt(
 
     The ratio is counted as ``n(majority_label) / n(other)``.  When the target
     is reachable by shrinking the minority class the majority is kept intact;
-    otherwise the majority is shrunk.  Points are never duplicated.
+    otherwise the majority is shrunk.  Points are never duplicated, and each
+    class keeps its generation order.
     """
     target = to_fraction(target)
     if target <= 0:
@@ -174,15 +166,13 @@ def resample_points_to_rrt(
         keep = {majority_label: want_maj, minority_label: n_min}
 
     rng = np.random.default_rng(seed)
-    kept_indices = []
-    for label in (majority_label, minority_label):
-        idx = np.flatnonzero(points.labels == label)
-        k = keep[label]
-        if k < len(idx):
-            idx = np.sort(rng.choice(idx, size=k, replace=False))
-        kept_indices.append(idx)
-    order = np.sort(np.concatenate(kept_indices))
-    return PointSet(points.xy[order], points.labels[order])
+    kept = {}
+    for label, k in keep.items():
+        xy = points.classes[label]
+        if k < len(xy):
+            xy = xy[np.sort(rng.choice(len(xy), size=k, replace=False))]
+        kept[label] = xy
+    return PointSet(kept)
 
 
 def rescale_matrix_to_rrt(m: ConfusionMatrix, target) -> ConfusionMatrix:
@@ -344,6 +334,16 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _number(value, where: str) -> float:
+    """A finite JSON number; a bool, a string or a non-finite value is an error."""
+    # NaN fails the comparison; an int past the float range fails it exactly
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        raise SpecError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _ratio(value, where: str) -> Fraction:
     try:
         return to_fraction(value)
@@ -359,15 +359,15 @@ def _generators(raw, where: str) -> tuple[GaussianClassSpec, ...]:
             out.append(
                 GaussianClassSpec(
                     label=str(_need(g, "label", spot)),
-                    mean=tuple(_need(g, "mean", spot)),
-                    variances=tuple(_need(g, "variances", spot)),
+                    mean=tuple(_number(v, f"{spot}.mean") for v in _need(g, "mean", spot)),
+                    variances=tuple(
+                        _number(v, f"{spot}.variances") for v in _need(g, "variances", spot)
+                    ),
                     sample_count=_int(_need(g, "sample_count", spot), f"{spot}.sample_count"),
                 )
             )
         except (TypeError, IndexError) as err:
             raise SpecError(f"{spot}: {err}") from None
-    if len(out) < 2:
-        raise SpecError(f"{where}: need at least 2 generators")
     return tuple(out)
 
 
@@ -382,7 +382,9 @@ def _index_list(raw, where: str) -> tuple[str, ...]:
 
 def _point_sweep(raw: dict, where: str, schedule_field: str) -> dict:
     """The fields a ``type1_sweep`` and a point dataset share, checked by one rule:
-    a non-empty schedule of positive ratios and at least one trial."""
+    a non-empty schedule of positive ratios, at least one trial, generators
+    giving exactly two distinct labels, a positive and a majority label among
+    them, and a positive side of ``greater`` or ``less``."""
     field = f"{where}.{schedule_field}"
     schedule = tuple(_ratio(v, field) for v in _need(raw, schedule_field, where))
     if not schedule:
@@ -392,14 +394,19 @@ def _point_sweep(raw: dict, where: str, schedule_field: str) -> dict:
     trials = _int(raw.get("trials", 1), f"{where}.trials")
     if trials < 1:
         raise SpecError(f"{where}.trials: must be >= 1")
-    return {
-        schedule_field: schedule,
-        "trials": trials,
-        "generators": _generators(_need(raw, "generators", where), f"{where}.generators"),
-        "positive_label": str(_need(raw, "positive_label", where)),
-        "positive_side": str(raw.get("positive_side", "greater")),
-        "majority_label": str(_need(raw, "majority_label", where)),
-    }
+    generators = _generators(_need(raw, "generators", where), f"{where}.generators")
+    labels = sorted({g.label for g in generators})
+    if len(labels) != 2:
+        raise SpecError(f"{where}.generators: need exactly 2 distinct labels, got {labels}")
+    named = {key: str(_need(raw, key, where)) for key in ("positive_label", "majority_label")}
+    for key, label in named.items():
+        if label not in labels:
+            raise SpecError(f"{where}.{key}: {label!r} is not a generator label {labels}")
+    side = str(raw.get("positive_side", "greater"))
+    if side not in ("greater", "less"):
+        raise SpecError(f"{where}.positive_side: expected 'greater' or 'less', got {side!r}")
+    return dict(named, generators=generators, positive_side=side, trials=trials,
+                **{schedule_field: schedule})
 
 
 def load_spec(source) -> ExperimentSpec:
@@ -416,7 +423,7 @@ def load_spec(source) -> ExperimentSpec:
 
     if kind == "type1_sweep":
         sweep = _point_sweep(raw, "spec", "rrt_schedule")
-        thresholds = tuple(float(t) for t in _need(raw, "thresholds", "spec"))
+        thresholds = tuple(_number(t, "spec.thresholds") for t in _need(raw, "thresholds", "spec"))
         if not thresholds:
             raise SpecError("spec.thresholds: must be non-empty")
         return Type1SweepSpec(
@@ -473,7 +480,7 @@ def load_spec(source) -> ExperimentSpec:
                 datasets.append(
                     PointStabilityDataset(
                         dataset_id=dataset_id,
-                        threshold=float(_need(d, "threshold", spot)),
+                        threshold=_number(_need(d, "threshold", spot), f"{spot}.threshold"),
                         indices=indices,
                         **_point_sweep(d, spot, "schedule"),
                     )

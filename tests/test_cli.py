@@ -239,6 +239,9 @@ class TestSimulate:
         ("schedule", ["1", "abc"], "spec.datasets[0].schedule: 'abc' is not a ratio"),
         ("schedule", ["1", "1/0"], "spec.datasets[0].schedule: '1/0' is not a ratio"),
         ("trials", 2.7, "spec.datasets[0].trials: expected an integer, got 2.7"),
+        ("threshold", True, "spec.datasets[0].threshold: expected a finite number, got True"),
+        ("positive_side", "up",
+         "spec.datasets[0].positive_side: expected 'greater' or 'less', got 'up'"),
     ])
     def test_malformed_spec_field_is_input_error(self, tmp_path, capsys, field, value, message):
         raw = json.loads((SPEC_DIR / "rrt_stability_point.json").read_text())
@@ -248,6 +251,18 @@ class TestSimulate:
         code = main(["simulate", str(spec_path), "--output-dir", str(tmp_path)])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_non_numeric_threshold_is_input_error(self, tmp_path, capsys):
+        raw = json.loads((SPEC_DIR / "example1_type1.json").read_text())
+        raw["thresholds"] = [3, "abc"]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        code = main(["simulate", str(spec_path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: spec.thresholds: expected a finite number, got 'abc'\n"
+        )
         assert not list(tmp_path.glob("*.csv"))
 
     def test_invalid_json_is_input_error(self, tmp_path, capsys):

@@ -46,18 +46,21 @@ def small_generators(n=600):
 class TestGaussianDataset:
     def test_counts_and_labels(self):
         points = generate_gaussian_dataset(TYPE1_GENERATORS, 7)
-        assert len(points) == 10000
+        assert {k: xy.shape for k, xy in points.classes.items()} == {
+            "right": (5000, 2), "left": (5000, 2),
+        }
         assert points.class_counts() == {"left": 5000, "right": 5000}
 
     def test_deterministic_under_seed(self):
         a = generate_gaussian_dataset(TYPE1_GENERATORS, 7)
         b = generate_gaussian_dataset(TYPE1_GENERATORS, 7)
-        assert np.array_equal(a.xy, b.xy) and np.array_equal(a.labels, b.labels)
+        assert list(a.classes) == list(b.classes)
+        assert all(np.array_equal(a.classes[k], b.classes[k]) for k in a.classes)
 
     def test_empirical_means_close_to_spec(self):
         points = generate_gaussian_dataset(TYPE1_GENERATORS, 11)
         for spec in TYPE1_GENERATORS:
-            block = points.xy[points.labels == spec.label]
+            block = points.classes[spec.label]
             for axis in (0, 1):
                 sigma = math.sqrt(spec.variances[axis])
                 margin = 3 * sigma / math.sqrt(spec.sample_count)
@@ -68,7 +71,23 @@ class TestGaussianDataset:
             GaussianClassSpec("a", (0, 0), (1, 1), 1),
             GaussianClassSpec("b", (5, 5), (1, 1), 1),
         )
-        assert len(generate_gaussian_dataset(tiny, 3)) == 2
+        assert generate_gaussian_dataset(tiny, 3).class_counts() == {"a": 1, "b": 1}
+
+    def test_shared_label_stacks_blocks_in_spec_order(self):
+        specs = (
+            GaussianClassSpec("a", (0, 0), (1, 1), 2),
+            GaussianClassSpec("b", (5, 5), (1, 1), 3),
+            GaussianClassSpec("a", (9, 9), (4, 4), 4),
+        )
+        points = generate_gaussian_dataset(specs, 3)
+        rng = np.random.default_rng(3)
+        blocks = [
+            np.asarray(s.mean) + rng.standard_normal((s.sample_count, 2)) * np.sqrt(s.variances)
+            for s in specs
+        ]
+        assert list(points.classes) == ["a", "b"]
+        assert np.array_equal(points.classes["a"], np.vstack([blocks[0], blocks[2]]))
+        assert np.array_equal(points.classes["b"], blocks[1])
 
     def test_validation(self):
         with pytest.raises(SpecError):
@@ -81,12 +100,11 @@ class TestThresholdClassifier:
     def test_against_manual_tally(self):
         points = generate_gaussian_dataset(small_generators(), 13)
         m = threshold_classifier_confusion(points, 5.0, "right", "greater")
-        x = points.xy[:, 0]
-        is_right = points.labels == "right"
-        assert m.counts[0][0] == int(np.sum(is_right & (x > 5.0)))
-        assert m.counts[0][1] == int(np.sum(is_right & (x <= 5.0)))
-        assert m.counts[1][0] == int(np.sum(~is_right & (x > 5.0)))
-        assert m.counts[1][1] == int(np.sum(~is_right & (x <= 5.0)))
+        right, left = points.classes["right"][:, 0], points.classes["left"][:, 0]
+        assert m.counts[0][0] == int(np.sum(right > 5.0))
+        assert m.counts[0][1] == int(np.sum(right <= 5.0))
+        assert m.counts[1][0] == int(np.sum(left > 5.0))
+        assert m.counts[1][1] == int(np.sum(left <= 5.0))
 
     def test_degenerate_threshold_predicts_everything_positive(self):
         points = generate_gaussian_dataset(small_generators(), 13)
@@ -98,10 +116,35 @@ class TestThresholdClassifier:
         m = threshold_classifier_confusion(points, 5.0, "left", "less")
         assert m.counts[0][0] > m.counts[0][1]
 
+    def test_point_on_the_threshold_is_predicted_negative(self):
+        points = PointSet({
+            "p": np.array([[1.0, 0.0], [2.0, 0.0]]), "n": np.array([[2.0, 0.0], [3.0, 0.0]]),
+        })
+        assert threshold_classifier_confusion(points, 2.0, "p", "greater").to_lists() == [
+            [0, 2], [1, 1],
+        ]
+        assert threshold_classifier_confusion(points, 2.0, "p", "less").to_lists() == [
+            [1, 1], [0, 2],
+        ]
+
     def test_rejects_unknown_label(self):
         points = generate_gaussian_dataset(small_generators(), 13)
         with pytest.raises(MatrixError):
             threshold_classifier_confusion(points, 5.0, "middle")
+
+    def test_checks_name_the_sorted_labels(self):
+        points = generate_gaussian_dataset(small_generators(), 13)
+        with pytest.raises(MatrixError, match=re.escape(
+            "positive label 'middle' not present in ['left', 'right']"
+        )):
+            threshold_classifier_confusion(points, 5.0, "middle")
+        with pytest.raises(MatrixError, match="got 'up'$"):
+            threshold_classifier_confusion(points, 5.0, "right", "up")
+        three = PointSet({**points.classes, "middle": points.classes["left"]})
+        with pytest.raises(MatrixError, match=re.escape(
+            "needs exactly 2 classes, got ['left', 'middle', 'right']"
+        )):
+            threshold_classifier_confusion(three, 5.0, "right")
 
 
 class TestPointResampling:
@@ -118,7 +161,7 @@ class TestPointResampling:
     def test_ratio_one_keeps_balanced_set(self):
         points = generate_gaussian_dataset(small_generators(100), 7)
         out = resample_points_to_rrt(points, 1, "left", 7)
-        assert len(out) == 200
+        assert out.class_counts() == {"left": 100, "right": 100}
 
     def test_unachievable_ratio(self):
         points = generate_gaussian_dataset(small_generators(10), 7)
@@ -129,9 +172,30 @@ class TestPointResampling:
         points = generate_gaussian_dataset(small_generators(200), 9)
         a = resample_points_to_rrt(points, 4, "left", 21)
         b = resample_points_to_rrt(points, 4, "left", 21)
-        assert np.array_equal(a.xy, b.xy)
-        original = {tuple(row) for row in points.xy}
-        assert all(tuple(row) in original for row in a.xy)
+        for label in ("left", "right"):
+            assert np.array_equal(a.classes[label], b.classes[label])
+            original = {tuple(row) for row in points.classes[label]}
+            assert all(tuple(row) in original for row in a.classes[label])
+
+    def test_draws_match_global_index_reference(self):
+        # the same draws as a subsample by global point position: one label
+        # per point in generation order, majority class drawn first
+        points = generate_gaussian_dataset(small_generators(200), 9)
+        xy = np.vstack([points.classes["right"], points.classes["left"]])
+        labels = np.array(["right"] * 200 + ["left"] * 200)
+        for ratio in (4, "1/2", 1):  # shrinks the minority, the majority, neither
+            out = resample_points_to_rrt(points, ratio, "left", 21)
+            rng = np.random.default_rng(21)
+            kept = []
+            for label in ("left", "right"):
+                idx = np.flatnonzero(labels == label)
+                k = out.class_counts()[label]
+                if k < len(idx):
+                    idx = np.sort(rng.choice(idx, size=k, replace=False))
+                kept.append(idx)
+            order = np.sort(np.concatenate(kept))
+            for label in ("left", "right"):
+                assert np.array_equal(out.classes[label], xy[order][labels[order] == label])
 
 
 class TestMatrixRescaling:
@@ -370,6 +434,30 @@ class TestPointSweepValidation:
         ("schedule", ["1", "0"], "entries must be positive"),
         ("schedule", ["-2"], "entries must be positive"),
         ("trials", 0, "must be >= 1"),
+        pytest.param(
+            "generators", [GENERATORS_RAW[0], GENERATORS_RAW[0]],
+            re.escape("need exactly 2 distinct labels, got ['right']"), id="duplicate-label",
+        ),
+        pytest.param(
+            "generators", [*GENERATORS_RAW, dict(GENERATORS_RAW[0], label="middle")],
+            re.escape("need exactly 2 distinct labels, got ['left', 'middle', 'right']"),
+            id="third-label",
+        ),
+        pytest.param(
+            "generators", [], re.escape("need exactly 2 distinct labels, got []"),
+            id="no-generators",
+        ),
+        pytest.param(
+            "positive_label", "nope",
+            re.escape("'nope' is not a generator label ['left', 'right']"), id="positive-label",
+        ),
+        pytest.param(
+            "majority_label", "nope",
+            re.escape("'nope' is not a generator label ['left', 'right']"), id="majority-label",
+        ),
+        pytest.param(
+            "positive_side", "up", "expected 'greater' or 'less', got 'up'", id="positive-side",
+        ),
     ])
     def test_same_rule_for_both_forms(self, field, value, message):
         type1_field = "rrt_schedule" if field == "schedule" else field
@@ -377,6 +465,12 @@ class TestPointSweepValidation:
             load_spec(type1_raw(**{type1_field: value}))
         with pytest.raises(SpecError, match=rf"^spec\.datasets\[0\]\.{field}: {message}"):
             load_spec(point_raw(**{field: value}))
+
+    def test_generators_sharing_a_label_are_stacked(self):
+        generators = [*GENERATORS_RAW, dict(GENERATORS_RAW[1], mean=[2.0, 3.0])]
+        for raw in (type1_raw(generators=generators), point_raw(generators=generators)):
+            result = run_experiment(load_spec(raw))
+            assert {r.status for r in result.rows} == {"ok"}
 
     def test_type1_thresholds_non_empty(self):
         with pytest.raises(SpecError, match=r"^spec\.thresholds: must be non-empty"):
@@ -424,6 +518,27 @@ class TestSpecFieldTypes:
         with pytest.raises(SpecError, match=r"^spec\.seed: must be >= 0$"):
             load_spec({**raw, "seed": -1})
         assert load_spec({**raw, "seed": 0}).seed == 0
+
+    @pytest.mark.parametrize(
+        "value", ["abc", True, None, math.nan, -math.inf, 10**400],
+        ids=["str", "bool", "null", "nan", "-inf", "huge-int"],
+    )
+    def test_numbers(self, value):
+        rest = rf": expected a finite number, got {re.escape(repr(value))}$"
+        with pytest.raises(SpecError, match=r"^spec\.thresholds" + rest):
+            load_spec(type1_raw(thresholds=[3, value]))
+        with pytest.raises(SpecError, match=r"^spec\.datasets\[0\]\.threshold" + rest):
+            load_spec(point_raw(threshold=value))
+        for field in ("mean", "variances"):
+            generators = [GENERATORS_RAW[0], dict(GENERATORS_RAW[1], **{field: [1.0, value]})]
+            with pytest.raises(SpecError, match=rf"^spec\.generators\[1\]\.{field}" + rest):
+                load_spec(type1_raw(generators=generators))
+
+    def test_numbers_accept_ints_and_floats(self):
+        spec = load_spec(type1_raw(thresholds=[3, 4.5]))
+        assert spec.thresholds == (3.0, 4.5)
+        assert spec.generators[0].mean == (7.5, 3.0)
+        assert load_spec(point_raw(threshold=4)).datasets[0].threshold == 4.0
 
     def test_sample_count(self):
         generators = [dict(GENERATORS_RAW[0], sample_count=10.5), GENERATORS_RAW[1]]
