@@ -27,7 +27,6 @@ witness is the one with the lowest trial number.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +45,7 @@ from .confusion import (
     to_fraction,
 )
 from .exact import ExactEval
+from .io import to_json
 from .registry import (
     DEFAULT_SEED,
     bounds_exact,
@@ -159,21 +159,9 @@ class Condition1Witness:
     exact_before: Fraction
     exact_after: Fraction
 
-    def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "matrix": self.matrix.to_lists(),
-            "factors": [str(f) for f in self.factors],
-            "value_before": self.value_before,
-            "value_after": self.value_after,
-            "exact_before": str(self.exact_before),
-            "exact_after": str(self.exact_after),
-        }
-
 
 @dataclass(frozen=True)
 class Condition1Result:
-    index: str
     verdict: str
     trials: int
     class_count: int
@@ -181,17 +169,6 @@ class Condition1Result:
     resampled_undefined: int
     max_float_drift: float
     witness: Condition1Witness | None
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "trials": self.trials,
-            "class_count": self.class_count,
-            "seed": self.seed,
-            "resampled_undefined": self.resampled_undefined,
-            "max_float_drift": self.max_float_drift,
-            "witness": self.witness.to_dict() if self.witness else None,
-        }
 
 
 def _sample_defined(
@@ -246,7 +223,7 @@ def audit_condition1(
         value_before = evaluate(index_id, m).require()
         value_after = evaluate(index_id, scaled).require()
         max_drift = max(max_drift, abs(value_after - value_before))
-        if exact_after is None or exact_before.key != exact_after.key:
+        if exact_before.key != exact_after.key:
             witness = Condition1Witness(
                 trial=trial,
                 matrix=m,
@@ -254,12 +231,11 @@ def audit_condition1(
                 value_before=value_before,
                 value_after=value_after,
                 exact_before=exact_before.key,
-                exact_after=exact_after.key if exact_after else Fraction(-1),
+                exact_after=exact_after.key,
             )
             break
     verdict = VERDICT_VIOLATED if witness else VERDICT_INVARIANT
     return Condition1Result(
-        index=index_id,
         verdict=verdict,
         trials=trials,
         class_count=class_count,
@@ -522,31 +498,15 @@ class BoundRow:
     matrix_count: int
     undefined_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "class_count": self.class_count,
-            "row_sums": list(self.row_sums),
-            "enumerated_min": self.enumerated_min,
-            "enumerated_max": self.enumerated_max,
-            "theoretical_min": self.theoretical_min,
-            "theoretical_max": self.theoretical_max,
-            "matrix_count": self.matrix_count,
-            "undefined_count": self.undefined_count,
-        }
-
 
 @dataclass(frozen=True)
 class Condition2Result:
-    index: str
     verdict: str
     table: tuple[BoundRow, ...]
 
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict, "table": [row.to_dict() for row in self.table]}
-
     @classmethod
-    def not_applicable(cls, index_id: str) -> "Condition2Result":
-        return cls(index_id, VERDICT_NOT_APPLICABLE, ())
+    def not_applicable(cls) -> "Condition2Result":
+        return cls(VERDICT_NOT_APPLICABLE, ())
 
 
 def audit_condition2_many(
@@ -608,7 +568,7 @@ def audit_condition2_many(
         pairs = theory[index_id]
         stable = all(p == pairs[0] for p in pairs)
         verdict = VERDICT_STABLE if stable else VERDICT_C_DEPENDENT
-        out[index_id] = Condition2Result(index_id, verdict, tuple(tables[index_id]))
+        out[index_id] = Condition2Result(verdict, tuple(tables[index_id]))
     return out
 
 
@@ -672,7 +632,6 @@ def build_collapse_family(
 
 @dataclass(frozen=True)
 class Condition3Result:
-    index: str
     verdict: str
     class_count: int
     collapsed_class: int
@@ -683,22 +642,9 @@ class Condition3Result:
     lower_bound: float | None
     strict_floor: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "class_count": self.class_count,
-            "collapsed_class": self.collapsed_class,
-            "epsilons": [str(e) for e in self.epsilons],
-            "values": list(self.values),
-            "empirical_limit": self.empirical_limit,
-            "theoretical_limit": self.theoretical_limit,
-            "lower_bound": self.lower_bound,
-            "strict_floor": self.strict_floor,
-        }
-
     @classmethod
-    def not_applicable(cls, index_id: str) -> "Condition3Result":
-        return cls(index_id, VERDICT_NOT_APPLICABLE, 0, 0, (), (), None, None, None, None)
+    def not_applicable(cls) -> "Condition3Result":
+        return cls(VERDICT_NOT_APPLICABLE, 0, 0, (), (), None, None, None, None)
 
 
 def default_collapse_family(class_count: int, collapsed_class: int = 0) -> CollapseFamily:
@@ -740,7 +686,6 @@ def audit_condition3(index_id: str, family: CollapseFamily) -> Condition3Result:
         collapses = abs(empirical - float(lo)) <= COLLAPSE_TOL
     verdict = VERDICT_COLLAPSES if collapses else VERDICT_INFORMATIVE
     return Condition3Result(
-        index=index_id,
         verdict=verdict,
         class_count=c,
         collapsed_class=family.collapsed_class,
@@ -766,13 +711,11 @@ class AuditReport:
     condition3: Condition3Result | None
 
     def to_dict(self) -> dict:
+        """``index``, ``seed``, then each audited condition; an unaudited one is omitted."""
         out: dict = {"index": self.index, "seed": self.seed}
-        if self.condition1 is not None:
-            out["condition1"] = self.condition1.to_dict()
-        if self.condition2 is not None:
-            out["condition2"] = self.condition2.to_dict()
-        if self.condition3 is not None:
-            out["condition3"] = self.condition3.to_dict()
+        for key in ("condition1", "condition2", "condition3"):
+            if (result := getattr(self, key)) is not None:
+                out[key] = result
         return out
 
 
@@ -818,12 +761,12 @@ def audit_all(
             )
         if 2 in conditions:
             if spec.binary_only:
-                cond2 = Condition2Result.not_applicable(index_id)
+                cond2 = Condition2Result.not_applicable()
             else:
                 cond2 = shared[index_id]
         if 3 in conditions:
             if spec.collapse_limit is None and spec.collapse_floor is None:
-                cond3 = Condition3Result.not_applicable(index_id)
+                cond3 = Condition3Result.not_applicable()
             else:
                 cond3 = audit_condition3(index_id, default_collapse_family(collapse_c))
         reports.append(AuditReport(index_id, seed, cond1, cond2, cond3))
@@ -853,4 +796,4 @@ def conformance_mismatches(reports: Sequence[AuditReport]) -> list[str]:
 
 
 def reports_to_json(reports: Sequence[AuditReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)
+    return to_json([r.to_dict() for r in reports])

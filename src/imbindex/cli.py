@@ -10,7 +10,6 @@ spec).  Exit codes: 0 success, 1 usage error, 2 input or validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -175,10 +174,7 @@ def _cmd_eval(args) -> int:
     digits = None if args.full_precision else args.digits
 
     if args.format == "json":
-        payload = [
-            {"index": r.index, "value": r.value, "reason": r.reason} for r in results
-        ]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = io_mod.to_json(results) + "\n"
     else:
         lines = ["index,value,reason"]
         for r in results:

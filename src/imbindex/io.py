@@ -1,9 +1,13 @@
-"""CSV interfaces: confusion-matrix files and (true, predicted) label files."""
+"""File formats: confusion-matrix and (true, predicted) label-pair CSVs, and
+the JSON form of results."""
 
 from __future__ import annotations
 
 import csv
+import json
 from collections import Counter
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -110,3 +114,21 @@ def _first_short_row(path: Path, header: bool) -> int:
     with path.open(newline="") as fh:
         rows = (row for row in csv.reader(fh) if not _is_blank(row))
         return next(i for i, row in enumerate(rows, 0 if header else 1) if len(row) < 2)
+
+
+def _json_default(obj):
+    if isinstance(obj, Fraction):
+        return str(obj)
+    # before the dataclass rule, which would write {"counts": rows}
+    if isinstance(obj, ConfusionMatrix):
+        return obj.to_lists()
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def to_json(obj) -> str:
+    """``obj`` as indented JSON.  A dataclass is an object of its fields in
+    declaration order, a ``Fraction`` its ``"p/q"`` string, and a
+    :class:`ConfusionMatrix` its list of rows."""
+    return json.dumps(obj, indent=2, default=_json_default)

@@ -18,7 +18,7 @@ import csv
 import json
 import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -327,6 +327,21 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _list(obj: dict, key: str, where: str, entries: type | None = None) -> list:
+    """The JSON array at ``obj[key]``; with ``entries`` (``dict`` or ``list``)
+    every entry must be a JSON object or array."""
+    field = f"{where}.{key}"
+    value = _need(obj, key, where)
+    if not isinstance(value, list):
+        raise SpecError(f"{field}: expected a JSON array, got {value!r}")
+    if entries is not None:
+        kind = "object" if entries is dict else "array"
+        for k, entry in enumerate(value):
+            if not isinstance(entry, entries):
+                raise SpecError(f"{field}[{k}]: expected a JSON {kind}, got {entry!r}")
+    return value
+
+
 def _int(value, where: str) -> int:
     """A JSON integer; a float or a bool is an error, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -351,30 +366,32 @@ def _ratio(value, where: str) -> Fraction:
         raise SpecError(f"{where}: {value!r} is not a ratio") from None
 
 
-def _generators(raw, where: str) -> tuple[GaussianClassSpec, ...]:
+def _pair(obj: dict, key: str, where: str) -> tuple[float, float]:
+    values = _list(obj, key, where)
+    if len(values) != 2:
+        raise SpecError(f"{where}.{key}: expected 2 numbers, got {len(values)}")
+    return tuple(_number(v, f"{where}.{key}") for v in values)
+
+
+def _generators(obj: dict, where: str) -> tuple[GaussianClassSpec, ...]:
     out = []
-    for g_idx, g in enumerate(raw):
-        spot = f"{where}[{g_idx}]"
-        try:
-            out.append(
-                GaussianClassSpec(
-                    label=str(_need(g, "label", spot)),
-                    mean=tuple(_number(v, f"{spot}.mean") for v in _need(g, "mean", spot)),
-                    variances=tuple(
-                        _number(v, f"{spot}.variances") for v in _need(g, "variances", spot)
-                    ),
-                    sample_count=_int(_need(g, "sample_count", spot), f"{spot}.sample_count"),
-                )
+    for g_idx, g in enumerate(_list(obj, "generators", where, dict)):
+        spot = f"{where}.generators[{g_idx}]"
+        out.append(
+            GaussianClassSpec(
+                label=str(_need(g, "label", spot)),
+                mean=_pair(g, "mean", spot),
+                variances=_pair(g, "variances", spot),
+                sample_count=_int(_need(g, "sample_count", spot), f"{spot}.sample_count"),
             )
-        except (TypeError, IndexError) as err:
-            raise SpecError(f"{spot}: {err}") from None
+        )
     return tuple(out)
 
 
-def _index_list(raw, where: str) -> tuple[str, ...]:
-    ids = tuple(str(i) for i in raw)
+def _index_list(obj: dict, where: str) -> tuple[str, ...]:
+    ids = tuple(str(i) for i in _list(obj, "indices", where))
     if not ids:
-        raise SpecError(f"{where}: at least one index required")
+        raise SpecError(f"{where}.indices: at least one index required")
     for i in ids:
         get_index(i)
     return ids
@@ -386,7 +403,7 @@ def _point_sweep(raw: dict, where: str, schedule_field: str) -> dict:
     giving exactly two distinct labels, a positive and a majority label among
     them, and a positive side of ``greater`` or ``less``."""
     field = f"{where}.{schedule_field}"
-    schedule = tuple(_ratio(v, field) for v in _need(raw, schedule_field, where))
+    schedule = tuple(_ratio(v, field) for v in _list(raw, schedule_field, where))
     if not schedule:
         raise SpecError(f"{field}: must be non-empty")
     if any(v <= 0 for v in schedule):
@@ -394,7 +411,7 @@ def _point_sweep(raw: dict, where: str, schedule_field: str) -> dict:
     trials = _int(raw.get("trials", 1), f"{where}.trials")
     if trials < 1:
         raise SpecError(f"{where}.trials: must be >= 1")
-    generators = _generators(_need(raw, "generators", where), f"{where}.generators")
+    generators = _generators(raw, where)
     labels = sorted({g.label for g in generators})
     if len(labels) != 2:
         raise SpecError(f"{where}.generators: need exactly 2 distinct labels, got {labels}")
@@ -416,29 +433,36 @@ def load_spec(source) -> ExperimentSpec:
         raise SpecError("spec: expected a JSON object")
 
     kind = _need(raw, "kind", "spec")
-    experiment = str(_need(raw, "experiment", "spec"))
+    experiment = _need(raw, "experiment", "spec")
+    # the name prefixes the output file names, so it must stay in the output directory
+    bad_name = not isinstance(experiment, str) or experiment in ("", ".", "..")
+    if bad_name or "/" in experiment or "\\" in experiment:
+        raise SpecError(
+            f"spec.experiment: {experiment!r} is not a file name (it must be a "
+            "non-empty string, not '.' or '..', and contain no '/' or '\\')"
+        )
     seed = _int(raw.get("seed", DEFAULT_SEED), "spec.seed")
     if seed < 0:
         raise SpecError("spec.seed: must be >= 0")
 
     if kind == "type1_sweep":
         sweep = _point_sweep(raw, "spec", "rrt_schedule")
-        thresholds = tuple(_number(t, "spec.thresholds") for t in _need(raw, "thresholds", "spec"))
+        thresholds = tuple(_number(t, "spec.thresholds") for t in _list(raw, "thresholds", "spec"))
         if not thresholds:
             raise SpecError("spec.thresholds: must be non-empty")
         return Type1SweepSpec(
             experiment=experiment,
             thresholds=thresholds,
-            indices=_index_list(_need(raw, "indices", "spec"), "spec.indices"),
+            indices=_index_list(raw, "spec"),
             seed=seed,
             **sweep,
         )
 
     if kind == "type2_growth":
         steps = []
-        for s_idx, s in enumerate(_need(raw, "steps", "spec")):
+        for s_idx, s in enumerate(_list(raw, "steps", "spec", dict)):
             spot = f"spec.steps[{s_idx}]"
-            profile = tuple(_int(v, f"{spot}.profile") for v in _need(s, "profile", spot))
+            profile = tuple(_int(v, f"{spot}.profile") for v in _list(s, "profile", spot))
             class_count = _int(s.get("class_count", len(profile)), f"{spot}.class_count")
             if class_count != len(profile):
                 raise SpecError(f"{spot}.profile: {len(profile)} counts for C={class_count}")
@@ -446,7 +470,7 @@ def load_spec(source) -> ExperimentSpec:
         if not steps:
             raise SpecError("spec.steps: at least one step required")
         sweep = tuple(
-            _ratio(a, "spec.accuracy_sweep") for a in _need(raw, "accuracy_sweep", "spec")
+            _ratio(a, "spec.accuracy_sweep") for a in _list(raw, "accuracy_sweep", "spec")
         )
         if not sweep:
             raise SpecError("spec.accuracy_sweep: at least one accuracy required")
@@ -454,24 +478,24 @@ def load_spec(source) -> ExperimentSpec:
             experiment=experiment,
             steps=tuple(steps),
             accuracy_sweep=sweep,
-            indices=_index_list(_need(raw, "indices", "spec"), "spec.indices"),
+            indices=_index_list(raw, "spec"),
             seed=seed,
         )
 
     if kind == "rrt_stability":
         datasets = []
-        for d_idx, d in enumerate(_need(raw, "datasets", "spec")):
+        for d_idx, d in enumerate(_list(raw, "datasets", "spec", dict)):
             spot = f"spec.datasets[{d_idx}]"
             mode = str(_need(d, "mode", spot))
             dataset_id = str(_need(d, "id", spot))
-            indices = _index_list(_need(d, "indices", spot), f"{spot}.indices")
+            indices = _index_list(d, spot)
             if mode == "matrix":
-                matrix = ConfusionMatrix(tuple(tuple(r) for r in _need(d, "matrix", spot)))
+                matrix = ConfusionMatrix(tuple(tuple(r) for r in _list(d, "matrix", spot, list)))
                 field = f"{spot}.schedule"
                 schedule = tuple(
                     tuple(_int(v, field) for v in entry) if isinstance(entry, (list, tuple))
                     else _ratio(entry, field)
-                    for entry in _need(d, "schedule", spot)
+                    for entry in _list(d, "schedule", spot)
                 )
                 if not schedule:
                     raise SpecError(f"{field}: must be non-empty")
@@ -569,28 +593,25 @@ class ExperimentResult:
         }
 
     def write_csv(self, output_dir) -> tuple[Path, Path]:
-        """Write ``<experiment>_long.csv`` and ``<experiment>_summary.csv``."""
+        """Write ``<experiment>_long.csv`` and ``<experiment>_summary.csv``: one
+        column per row field, in declaration order, with ``None`` as ``UNDEFINED``."""
         output_dir = Path(output_dir)
         output_dir.mkdir(parents=True, exist_ok=True)
-        long_path = output_dir / f"{self.experiment}_long.csv"
-        summary_path = output_dir / f"{self.experiment}_summary.csv"
-        with long_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["experiment", "trial", "setting", "rrt_or_c", "index", "value", "status"])
-            for r in self.rows:
-                writer.writerow(
-                    [r.experiment, r.trial, r.setting, r.rrt_or_c, r.index,
-                     "UNDEFINED" if r.value is None else repr(r.value), r.status]
-                )
-        with summary_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["experiment", "setting", "index", "rrt_or_c", "statistic", "value", "status"])
-            for r in self.summary:
-                writer.writerow(
-                    [r.experiment, r.setting, r.index, r.rrt_or_c, r.statistic,
-                     "UNDEFINED" if r.value is None else repr(r.value), r.status]
-                )
-        return long_path, summary_path
+        paths = []
+        for suffix, rows, row_type in (
+            ("long", self.rows, ResultRow), ("summary", self.summary, SummaryRow)
+        ):
+            names = [f.name for f in fields(row_type)]
+            path = output_dir / f"{self.experiment}_{suffix}.csv"
+            with path.open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(names)
+                for r in rows:
+                    writer.writerow(
+                        "UNDEFINED" if (v := getattr(r, n)) is None else v for n in names
+                    )
+            paths.append(path)
+        return tuple(paths)
 
 
 def _attempt(build, *args):

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
 
-from imbindex import MatrixError, apply_scaling, exact, validate
+from imbindex import MatrixError, apply_scaling, evaluate, exact, validate
 from imbindex import audit
 from imbindex.audit import (
     BoundCrossedError,
@@ -36,7 +37,9 @@ from imbindex.audit import (
     uniform_composition,
 )
 from imbindex.confusion import IntegralityError
-from imbindex.registry import INDEX_SPECS, MULTI_INDEX_IDS
+from imbindex.io import to_json
+from imbindex.registry import INDEX_SPECS, MULTI_INDEX_IDS, applicable_index_ids
+from conftest import matrices_with_scaling
 
 FAST_TRIALS = 100
 
@@ -83,7 +86,7 @@ class TestCondition1:
     def test_witness_factors_are_fractions_written_as_strings(self):
         w = audit_condition1("precision", trials=FAST_TRIALS).witness
         assert all(type(f) is Fraction for f in w.factors)
-        assert w.to_dict()["factors"] == [str(f) for f in w.factors]
+        assert json.loads(to_json(w))["factors"] == [str(f) for f in w.factors]
 
     def test_invariant_indices_have_zero_drift(self):
         result = audit_condition1("gmean_c", trials=FAST_TRIALS, class_count=4)
@@ -93,7 +96,7 @@ class TestCondition1:
     def test_deterministic_under_seed(self):
         a = audit_condition1("aurpc_ova", trials=40, seed=99)
         b = audit_condition1("aurpc_ova", trials=40, seed=99)
-        assert a.to_dict() == b.to_dict()
+        assert a == b
 
     def test_m_aurpc_ova_invariant_at_five_classes(self):
         result = audit_condition1("m_aurpc_ova", trials=FAST_TRIALS, class_count=5)
@@ -102,6 +105,16 @@ class TestCondition1:
     def test_binary_index_rejects_other_class_counts(self):
         with pytest.raises(MatrixError):
             audit_condition1("gmean2", trials=5, class_count=3)
+
+    @given(matrices_with_scaling())
+    def test_scaling_keeps_definedness(self, pair):
+        # a positive row scaling keeps every guarded denominator zero or
+        # nonzero, so a trial's scaled matrix is defined whenever its sample is
+        m, factors = pair
+        scaled = apply_scaling(m, factors)
+        for index_id in applicable_index_ids(m.class_count):
+            assert (exact(index_id, m) is None) == (exact(index_id, scaled) is None)
+            assert evaluate(index_id, m).defined == evaluate(index_id, scaled).defined
 
     def test_undefined_samples_counted(self):
         # precision is sometimes undefined on random matrices with empty

@@ -1,13 +1,23 @@
 """End-to-end CLI behavior: subcommands, formats, diagnostics, exit codes."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from imbindex import validate
+from imbindex.audit import (
+    BoundRow,
+    Condition1Result,
+    Condition1Witness,
+    Condition2Result,
+    Condition3Result,
+)
 from imbindex.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from imbindex.io import read_matrix_csv, write_matrix_csv
+from imbindex.lab import ResultRow, SummaryRow
 from imbindex.registry import DEFAULT_SEED, default_seed
+from imbindex.values import IndexValue
 
 from conftest import SPEC_DIR
 
@@ -242,6 +252,7 @@ class TestSimulate:
         ("threshold", True, "spec.datasets[0].threshold: expected a finite number, got True"),
         ("positive_side", "up",
          "spec.datasets[0].positive_side: expected 'greater' or 'less', got 'up'"),
+        ("indices", "gmean2", "spec.datasets[0].indices: expected a JSON array, got 'gmean2'"),
     ])
     def test_malformed_spec_field_is_input_error(self, tmp_path, capsys, field, value, message):
         raw = json.loads((SPEC_DIR / "rrt_stability_point.json").read_text())
@@ -265,10 +276,62 @@ class TestSimulate:
         )
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("name", ["../escape", "", ".", "..", "a/b", "a\\b", None])
+    def test_unsafe_experiment_name_is_input_error(self, tmp_path, capsys, name):
+        raw = json.loads((SPEC_DIR / "rrt_stability_point.json").read_text())
+        raw["experiment"] = name
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        code = main(["simulate", str(spec_path), "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"error: spec.experiment: {name!r} is not a file name"
+        )
+        assert [p.name for p in tmp_path.rglob("*")] == ["spec.json"]
+
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text("{not json")
         assert main(["simulate", str(spec_path)]) == EXIT_INPUT
+
+
+def names(row_type) -> list[str]:
+    return [f.name for f in fields(row_type)]
+
+
+class TestOutputSchema:
+    """JSON keys and CSV columns are the result fields in declaration order."""
+
+    def test_keys_and_columns_are_the_fields(self, tmp_path, base_matrix_csv, capsys):
+        assert main(["audit", "--all", "--trials", "20"]) == EXIT_OK
+        reports = json.loads(capsys.readouterr().out)
+        assert len(reports) == 13
+        witnesses = bound_rows = 0
+        for report in reports:
+            assert list(report) == ["index", "seed", "condition1", "condition2", "condition3"]
+            assert list(report["condition1"]) == names(Condition1Result)
+            assert list(report["condition2"]) == names(Condition2Result)
+            assert list(report["condition3"]) == names(Condition3Result)
+            if (witness := report["condition1"]["witness"]) is not None:
+                witnesses += 1
+                assert list(witness) == names(Condition1Witness)
+                validate(witness["matrix"])  # a matrix is written as its rows
+            for row in report["condition2"]["table"]:
+                bound_rows += 1
+                assert list(row) == names(BoundRow)
+        assert witnesses and bound_rows
+
+        assert main(["eval", "--matrix", str(base_matrix_csv), "--format", "json"]) == EXIT_OK
+        values = json.loads(capsys.readouterr().out)
+        assert values and all(list(v) == names(IndexValue) for v in values)
+
+        code = main(["simulate", str(SPEC_DIR / "rrt_stability_matrix.json"),
+                     "--output-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        for suffix, row_type in (("long", ResultRow), ("summary", SummaryRow)):
+            path = tmp_path / f"rrt_stability_matrix_{suffix}.csv"
+            header = path.read_text().splitlines()[0]
+            assert header.split(",") == names(row_type)
 
 
 class TestUsageAndSeed:

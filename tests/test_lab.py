@@ -490,14 +490,63 @@ def type2_raw(**step):
     }
 
 
-def matrix_raw(schedule):
+def matrix_raw(schedule, **fields):
     dataset = {"id": "m", "mode": "matrix", "matrix": [[8, 2], [10, 90]],
-               "schedule": schedule, "indices": ["gmean2"]}
+               "schedule": schedule, "indices": ["gmean2"], **fields}
     return {"kind": "rrt_stability", "experiment": "mt", "datasets": [dataset]}
 
 
 class TestSpecFieldTypes:
-    """Integer fields take JSON integers only, and a bad ratio names its field."""
+    """Integer fields take JSON integers only, list fields JSON arrays, and a
+    bad value names its field."""
+
+    @pytest.mark.parametrize("raw, field", [
+        pytest.param(type1_raw(generators=3), "spec.generators", id="type1-generators"),
+        pytest.param(type1_raw(thresholds=3), "spec.thresholds", id="type1-thresholds"),
+        pytest.param(type1_raw(rrt_schedule=3), "spec.rrt_schedule", id="type1-rrt_schedule"),
+        pytest.param(type1_raw(indices="gmean2"), "spec.indices", id="type1-indices"),
+        pytest.param(point_raw(generators={}), "spec.datasets[0].generators",
+                     id="point-generators"),
+        pytest.param(point_raw(schedule="12"), "spec.datasets[0].schedule", id="point-schedule"),
+        pytest.param(point_raw(indices="gmean2"), "spec.datasets[0].indices", id="point-indices"),
+        pytest.param({**type2_raw(), "steps": 3}, "spec.steps", id="type2-steps"),
+        pytest.param(type2_raw(profile=10), "spec.steps[0].profile", id="type2-profile"),
+        pytest.param({**type2_raw(), "accuracy_sweep": "3/5"}, "spec.accuracy_sweep",
+                     id="type2-accuracy_sweep"),
+        pytest.param({**point_raw(), "datasets": 3}, "spec.datasets", id="datasets"),
+        pytest.param(matrix_raw("1"), "spec.datasets[0].schedule", id="matrix-schedule"),
+        pytest.param(matrix_raw(["1"], matrix=3), "spec.datasets[0].matrix", id="matrix-matrix"),
+    ])
+    def test_list_fields(self, raw, field):
+        with pytest.raises(SpecError, match=rf"^{re.escape(field)}: expected a JSON array, got "):
+            load_spec(raw)
+
+    @pytest.mark.parametrize("raw, entry, kind", [
+        pytest.param(type1_raw(generators=[GENERATORS_RAW[0], 3]), "spec.generators[1]",
+                     "object", id="type1-generator"),
+        pytest.param(point_raw(generators=[["right"], GENERATORS_RAW[1]]),
+                     "spec.datasets[0].generators[0]", "object", id="point-generator"),
+        pytest.param({**type2_raw(), "steps": [[10, 10]]}, "spec.steps[0]", "object",
+                     id="type2-step"),
+        pytest.param({**point_raw(), "datasets": ["pts"]}, "spec.datasets[0]", "object",
+                     id="dataset"),
+        pytest.param(matrix_raw(["1"], matrix=[[8, 2], 100]), "spec.datasets[0].matrix[1]",
+                     "array", id="matrix-row"),
+    ])
+    def test_list_entries(self, raw, entry, kind):
+        with pytest.raises(SpecError, match=rf"^{re.escape(entry)}: expected a JSON {kind}, got "):
+            load_spec(raw)
+
+    @pytest.mark.parametrize("value, message", [
+        pytest.param([1.0], "expected 2 numbers, got 1", id="one"),
+        pytest.param([7.5, 3.0, 99], "expected 2 numbers, got 3", id="three"),
+        pytest.param(7.5, "expected a JSON array, got 7.5", id="scalar"),
+    ])
+    def test_mean_and_variances_take_two_numbers(self, value, message):
+        for field in ("mean", "variances"):
+            generators = [GENERATORS_RAW[0], dict(GENERATORS_RAW[1], **{field: value})]
+            with pytest.raises(SpecError, match=rf"^spec\.generators\[1\]\.{field}: {message}$"):
+                load_spec(type1_raw(generators=generators))
 
     @pytest.mark.parametrize("value", [2.7, 2.0, True, "2"])
     def test_trials(self, value):
