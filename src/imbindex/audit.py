@@ -21,8 +21,10 @@ index's global lower bound, otherwise the index forgets every other class.
 
 Determinism contract: every audit derives the randomness of trial ``t`` from
 ``(seed, t)`` alone, so trials are order-independent and a report is exactly
-reproducible from its recorded seed.  When a violation exists the stored
-witness is the one with the lowest trial number.
+reproducible from its recorded seed.  In condition 1, trial ``t``'s draws
+depend only on ``(seed, t, C)`` and are shared by every index audited at
+class count ``C``.  When a violation exists the stored witness is the one
+with the lowest trial number.
 """
 
 from __future__ import annotations
@@ -129,14 +131,20 @@ _SCALING_CANDIDATES = tuple(Fraction(1, d) for d in (5, 4, 3, 2)) + tuple(
 _INTEGER_CANDIDATES = tuple(Fraction(k) for k in (1, 2, 3, 4, 5))
 
 
+def _scaling_candidates(row: Sequence[int]) -> list[Fraction]:
+    """The candidates that keep every cell of ``row`` an integer, in candidate order.
+
+    ``1/d`` keeps every cell integral exactly when ``d`` divides the row's gcd.
+    """
+    g = math.gcd(*row)
+    return [b for b in _SCALING_CANDIDATES if g % b.denominator == 0]
+
+
 def sample_scaling(rng: np.random.Generator, m: ConfusionMatrix) -> tuple[Fraction, ...]:
     """Random integrality-preserving row scaling with at least two distinct factors."""
     factors = []
     for row in m.counts:
-        valid = [
-            b for b in _SCALING_CANDIDATES
-            if all(v % b.denominator == 0 for v in row)
-        ]
+        valid = _scaling_candidates(row)
         factors.append(valid[int(rng.integers(len(valid)))])
     if len(set(factors)) == 1:
         row_idx = int(rng.integers(m.class_count))
@@ -171,18 +179,109 @@ class Condition1Result:
     witness: Condition1Witness | None
 
 
-def _sample_defined(
-    rng: np.random.Generator, index_id: str, class_count: int
-) -> tuple[ConfusionMatrix, ExactEval, int]:
-    """Sample until the index is defined on the matrix (bounded retries)."""
-    resampled = 0
-    for _ in range(200):
-        m = sample_matrix(rng, class_count)
-        ev = exact(index_id, m)
+_MAX_DRAWS = 200  # draws per trial before an index counts as never defined
+
+
+def _draw_defined(
+    rng: np.random.Generator,
+    drawn: list[ConfusionMatrix],
+    index_id: str,
+    class_count: int,
+) -> tuple[int, ExactEval]:
+    """First position ``j`` of the trial's draws ``m_0, m_1, ...`` where the index is defined.
+
+    ``drawn`` holds the matrices already drawn from ``rng`` in this trial; it
+    grows only when every drawn matrix is undefined for the index.
+    """
+    for j in range(_MAX_DRAWS):
+        if j == len(drawn):
+            drawn.append(sample_matrix(rng, class_count))
+        ev = exact(index_id, drawn[j])
         if ev is not None:
-            return m, ev, resampled
-        resampled += 1
-    raise RuntimeError(f"{index_id} undefined on 200 consecutive sampled matrices")
+            return j, ev
+    raise RuntimeError(f"{index_id} undefined on {_MAX_DRAWS} consecutive sampled matrices")
+
+
+def audit_condition1_many(
+    index_ids: Sequence[str],
+    trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
+    class_count: int | None = None,
+) -> dict[str, Condition1Result]:
+    """Randomized row-scaling invariance audit with exact-rational confirmation.
+
+    Two-class indices run at C = 2, the others at ``class_count`` (default 3).
+    Trial ``t`` at class count C draws from a stream seeded by ``(seed, t)``,
+    and every index audited at C shares those draws: each still-active index
+    takes the first draw ``m_j`` on which it is defined, and each distinct
+    ``j`` gets one scaling, drawn from the stream state right after ``m_j``.
+    So every index sees exactly the matrix and scaling a trial run for it
+    alone would draw.  The exact oracle is the only arbiter: Violated on the
+    first exact disagreement (lowest trial index), after which the index
+    draws no more trials; Invariant when every trial agrees exactly.  The
+    largest float drift is reported, never judged.
+    """
+    class_of: dict[str, int] = {}
+    for index_id in index_ids:
+        if get_index(index_id).binary_only:
+            class_of[index_id] = 2
+        else:
+            class_of[index_id] = 3 if class_count is None else class_count
+            if class_of[index_id] < 2:
+                raise MatrixError("class_count must be at least 2")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+    resampled = dict.fromkeys(class_of, 0)
+    drift = dict.fromkeys(class_of, 0.0)
+    witnesses: dict[str, Condition1Witness] = {}
+    for c in set(class_of.values()):
+        group = [i for i in class_of if class_of[i] == c]
+        for trial in range(trials):
+            active = [i for i in group if i not in witnesses]
+            if not active:
+                break
+            rng = np.random.default_rng([seed, trial])
+            drawn: list[ConfusionMatrix] = []
+            picks = {i: _draw_defined(rng, drawn, i, c) for i in active}
+            scalings = {}
+            for j in {j for j, _ev in picks.values()}:
+                stream = rng
+                if j < len(drawn) - 1:  # rare: replay the trial's stream through m_j
+                    stream = np.random.default_rng([seed, trial])
+                    for _ in range(j + 1):
+                        sample_matrix(stream, c)
+                factors = sample_scaling(stream, drawn[j])
+                scalings[j] = factors, apply_scaling(drawn[j], factors)
+            for index_id, (j, exact_before) in picks.items():
+                m, (factors, scaled) = drawn[j], scalings[j]
+                resampled[index_id] += j
+                exact_after = exact(index_id, scaled)
+                value_before = evaluate(index_id, m).require()
+                value_after = evaluate(index_id, scaled).require()
+                drift[index_id] = max(drift[index_id], abs(value_after - value_before))
+                if exact_before.key != exact_after.key:
+                    witnesses[index_id] = Condition1Witness(
+                        trial=trial,
+                        matrix=m,
+                        factors=factors,
+                        value_before=value_before,
+                        value_after=value_after,
+                        exact_before=exact_before.key,
+                        exact_after=exact_after.key,
+                    )
+    return {
+        index_id: Condition1Result(
+            verdict=VERDICT_VIOLATED if index_id in witnesses else VERDICT_INVARIANT,
+            trials=trials,
+            class_count=class_of[index_id],
+            seed=seed,
+            resampled_undefined=resampled[index_id],
+            max_float_drift=drift[index_id],
+            witness=witnesses.get(index_id),
+        )
+        for index_id in index_ids
+    }
 
 
 def audit_condition1(
@@ -191,59 +290,10 @@ def audit_condition1(
     seed: int = DEFAULT_SEED,
     class_count: int | None = None,
 ) -> Condition1Result:
-    """Randomized row-scaling invariance audit with exact-rational confirmation.
-
-    Trial ``t`` draws its matrix and scaling from a stream seeded by
-    ``(seed, t)``.  The exact oracle is the only arbiter: Violated on the
-    first exact disagreement (lowest trial index), Invariant when every trial
-    agrees exactly.  The largest float drift is reported, never judged.
-    """
-    spec = get_index(index_id)
-    if spec.binary_only:
-        if class_count not in (None, 2):
-            raise MatrixError(f"{index_id} is a two-class index; class_count must be 2")
-        class_count = 2
-    else:
-        class_count = 3 if class_count is None else class_count
-        if class_count < 2:
-            raise MatrixError("class_count must be at least 2")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-
-    resampled_total = 0
-    max_drift = 0.0
-    witness = None
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        m, exact_before, resampled = _sample_defined(rng, index_id, class_count)
-        resampled_total += resampled
-        factors = sample_scaling(rng, m)
-        scaled = apply_scaling(m, factors)
-        exact_after = exact(index_id, scaled)
-        value_before = evaluate(index_id, m).require()
-        value_after = evaluate(index_id, scaled).require()
-        max_drift = max(max_drift, abs(value_after - value_before))
-        if exact_before.key != exact_after.key:
-            witness = Condition1Witness(
-                trial=trial,
-                matrix=m,
-                factors=factors,
-                value_before=value_before,
-                value_after=value_after,
-                exact_before=exact_before.key,
-                exact_after=exact_after.key,
-            )
-            break
-    verdict = VERDICT_VIOLATED if witness else VERDICT_INVARIANT
-    return Condition1Result(
-        verdict=verdict,
-        trials=trials,
-        class_count=class_count,
-        seed=seed,
-        resampled_undefined=resampled_total,
-        max_float_drift=max_drift,
-        witness=witness,
-    )
+    """Condition 1 for one index; a two-class index accepts only C = 2."""
+    if get_index(index_id).binary_only and class_count not in (None, 2):
+        raise MatrixError(f"{index_id} is a two-class index; class_count must be 2")
+    return audit_condition1_many([index_id], trials, seed, class_count)[index_id]
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +781,8 @@ def audit_all(
     """Run the requested condition audits for each index (default: every audited index).
 
     ``class_count`` sets the class count of condition 1 for the multi-class
-    indices; two-class indices always run it at C = 2.  Condition 2 runs one
+    indices; two-class indices always run it at C = 2.  Condition 1 draws each
+    trial once per class count for all the indices there.  Condition 2 runs one
     shared enumeration pass for all multi-class indices; two-class indices get
     a NotApplicable row.  Condition 3 runs the default collapse family for the
     indices whose spec gives a collapse limit or floor.
@@ -750,15 +801,14 @@ def audit_all(
     if 2 in conditions and multi:
         shared = audit_condition2_many(multi, c_range=c_range, budget=budget)
 
+    shared1 = {}
+    if 1 in conditions:
+        shared1 = audit_condition1_many(ids, trials=trials, seed=seed, class_count=class_count)
+
     reports = []
     for spec in specs:
         index_id = spec.index_id
-        cond1 = cond2 = cond3 = None
-        if 1 in conditions:
-            cond1 = audit_condition1(
-                index_id, trials=trials, seed=seed,
-                class_count=None if spec.binary_only else class_count,
-            )
+        cond1, cond2, cond3 = shared1.get(index_id), None, None
         if 2 in conditions:
             if spec.binary_only:
                 cond2 = Condition2Result.not_applicable()

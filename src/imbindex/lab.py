@@ -490,7 +490,11 @@ def load_spec(source) -> ExperimentSpec:
             dataset_id = str(_need(d, "id", spot))
             indices = _index_list(d, spot)
             if mode == "matrix":
-                matrix = ConfusionMatrix(tuple(tuple(r) for r in _list(d, "matrix", spot, list)))
+                rows = tuple(tuple(r) for r in _list(d, "matrix", spot, list))
+                try:
+                    matrix = ConfusionMatrix(rows)
+                except MatrixError as exc:
+                    raise SpecError(f"{spot}.matrix: {exc}") from None
                 field = f"{spot}.schedule"
                 schedule = tuple(
                     tuple(_int(v, field) for v in entry) if isinstance(entry, (list, tuple))

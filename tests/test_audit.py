@@ -68,6 +68,21 @@ class TestSampling:
             assert len(set(factors)) > 1
             apply_scaling(m, factors)  # must not raise
 
+    def test_scaling_candidates_by_row_gcd(self):
+        # 1/d keeps a row integral iff d divides the row's gcd; rows with
+        # zeros (gcd of the rest, or 0 for an all-zero row) included
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            k = int(rng.integers(2, 7))
+            row = [int(v) for v in rng.integers(0, 13, size=k) * rng.integers(1, 61)]
+            row[int(rng.integers(k))] = 0
+            per_cell = [
+                b for b in audit._SCALING_CANDIDATES
+                if all(v % b.denominator == 0 for v in row)
+            ]
+            assert audit._scaling_candidates(row) == per_cell
+        assert audit._scaling_candidates([0, 0, 0]) == list(audit._SCALING_CANDIDATES)
+
 
 class TestCondition1:
     @pytest.mark.parametrize("index_id", sorted(EXPECTED_VERDICTS))
@@ -117,10 +132,39 @@ class TestCondition1:
             assert evaluate(index_id, m).defined == evaluate(index_id, scaled).defined
 
     def test_undefined_samples_counted(self):
-        # precision is sometimes undefined on random matrices with empty
-        # first columns; the audit resamples and reports how often
-        result = audit_condition1("precision", trials=FAST_TRIALS)
-        assert result.resampled_undefined >= 0
+        # m_precision is undefined on a random matrix with an empty first
+        # column; the audit resamples and reports how often (trials 112, 143)
+        result = audit_condition1("m_precision", trials=500, seed=7)
+        assert result.resampled_undefined == 2
+
+    @pytest.mark.parametrize("seed", [1729, 7, 99])
+    @pytest.mark.parametrize("class_count", [None, 4])
+    def test_shared_trials_match_separate_audits(self, seed, class_count, monkeypatch):
+        # every index audited at one class count shares each trial's draws;
+        # its result, and every matrix it is evaluated on (each trial's sample
+        # and its scaled image, in order), must equal an audit of it alone
+        seen = []
+        def recording(index_id, m):
+            seen.append((index_id, m.counts))
+            return evaluate(index_id, m)
+        monkeypatch.setattr(audit, "evaluate", recording)
+        reports = audit_all(conditions=(1,), trials=150, seed=seed, class_count=class_count)
+        results = {r.index: r.condition1 for r in reports}
+        shared = list(seen)
+        for index_id, result in results.items():
+            seen.clear()
+            assert result == audit_condition1(
+                index_id, trials=150, seed=seed,
+                class_count=None if INDEX_SPECS[index_id].binary_only else class_count,
+            )
+            assert seen == [s for s in shared if s[0] == index_id]
+        # precision stops at trial 0 while the rest of its group runs on
+        assert results["precision"].witness.trial == 0
+        assert results["m_precision"].verdict == VERDICT_INVARIANT
+        if seed == 7:
+            # a resampled trial: the other indices' scaling replays the stream
+            assert results["m_precision"].resampled_undefined == 2
+            assert results["gmean2"].resampled_undefined == 0
 
 
 class TestCondition2:

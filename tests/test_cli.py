@@ -264,6 +264,18 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_invalid_matrix_names_its_field(self, tmp_path, capsys):
+        raw = json.loads((SPEC_DIR / "rrt_stability_matrix.json").read_text())
+        raw["datasets"][0]["matrix"] = [[0, 0], [1, 1]]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        code = main(["simulate", str(spec_path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: spec.datasets[0].matrix: row 1 sums to zero (class has no test points)\n"
+        )
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_non_numeric_threshold_is_input_error(self, tmp_path, capsys):
         raw = json.loads((SPEC_DIR / "example1_type1.json").read_text())
         raw["thresholds"] = [3, "abc"]
