@@ -46,10 +46,10 @@ from .confusion import (
     even_error_matrix,
     to_fraction,
 )
-from .exact import ExactEval
 from .io import to_json
 from .registry import (
     DEFAULT_SEED,
+    ExactEval,
     bounds_exact,
     evaluate,
     exact,

@@ -20,7 +20,7 @@ change from floating-point noise.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -113,6 +113,7 @@ class ConfusionMatrix:
     """Validated square grid of non-negative integer counts with positive row sums."""
 
     counts: tuple[tuple[int, ...], ...]
+    row_sums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = [tuple(row) for row in self.counts]
@@ -128,23 +129,20 @@ class ConfusionMatrix:
             tuple(_check_cell(v, i, j) for j, v in enumerate(row))
             for i, row in enumerate(rows)
         )
-        for i, row in enumerate(rows):
-            if sum(row) == 0:
+        row_sums = tuple(map(sum, rows))
+        for i, row_sum in enumerate(row_sums):
+            if row_sum == 0:
                 raise EmptyRowError(f"row {i + 1} sums to zero (class has no test points)")
         object.__setattr__(self, "counts", rows)
+        object.__setattr__(self, "row_sums", row_sums)
 
     @property
     def class_count(self) -> int:
         return len(self.counts)
 
     @cached_property
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.counts)
-
-    @cached_property
     def col_sums(self) -> tuple[int, ...]:
-        c = self.class_count
-        return tuple(sum(self.counts[i][j] for i in range(c)) for j in range(c))
+        return tuple(map(sum, zip(*self.counts)))
 
     @cached_property
     def total(self) -> int:

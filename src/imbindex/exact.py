@@ -3,159 +3,166 @@
 This is the independent oracle behind the invariance audits: two float values
 that differ by rounding noise must not be mistaken for a genuine violation,
 and a genuine violation must never be dismissed as noise.  Every index is
-re-derived here over :class:`fractions.Fraction` cells, separately from the
-float implementations in :mod:`imbindex.binary` and :mod:`imbindex.multiclass`.
-Each registry row names its oracle function here.
+re-derived here in integer numerator/denominator arithmetic, one normalised
+:class:`fractions.Fraction` per call, separately from the float
+implementations in :mod:`imbindex.binary` and :mod:`imbindex.multiclass`.
+Each registry row names its oracle function here; it returns the index's
+key, or ``None`` when the index is undefined on the matrix.
 
-The geometric-mean indices are irrational in general, so their exact record
-carries the *product* of class accuracies as the comparison key; the map
-``x -> x**(1/C)`` is strictly increasing, so equality and ordering of keys
-match equality and ordering of the index values.
+Each oracle cross-multiplies over the cells and the margins with ``+``, ``-``
+and ``*`` only, and tests a denominator for an exact zero before it divides;
+only the final ``Fraction(num, den)`` divides out the common factor.
+
+The geometric-mean indices are irrational in general, so their key is the
+*product* of class accuracies; the map ``x -> x**(1/C)`` is strictly
+increasing, so equality and ordering of keys match equality and ordering of
+the index values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import mul
+from typing import Sequence
 
 from .confusion import ConfusionMatrix
 
 
-@dataclass(frozen=True)
-class ExactEval:
-    """Exact value of an index on one matrix.
-
-    ``key`` is an order-preserving rational: the index value itself for every
-    index except the geometric means, where it is the product of accuracies.
-    ``value`` is the float index value derived from the exact computation.
-    """
-
-    key: Fraction
-    value: float
+def _sum_ratios(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
+    """``sum(nums[k] / dens[k])`` as ``(num, den)``, with ``den`` the product of ``dens``."""
+    num, den = 0, 1
+    for n, d in zip(nums, dens):
+        num, den = num * d + n * den, den * d
+    return num, den
 
 
-def _rates(m: ConfusionMatrix) -> list[list[Fraction]]:
-    return [
-        [Fraction(v, n) for v in row] for row, n in zip(m.counts, m.row_sums)
-    ]
+def _diagonal(m: ConfusionMatrix) -> list[int]:
+    return [row[i] for i, row in enumerate(m.counts)]
 
 
-def _gmean(m: ConfusionMatrix) -> ExactEval:
-    product = Fraction(1)
-    for i in range(m.class_count):
-        product *= Fraction(m.counts[i][i], m.row_sums[i])
-    return ExactEval(product, float(product) ** (1.0 / m.class_count))
+def _gmean(m: ConfusionMatrix) -> Fraction:
+    return Fraction(prod(_diagonal(m)), prod(m.row_sums))
 
 
-def _acsa(m: ConfusionMatrix) -> ExactEval:
-    total = sum(Fraction(m.counts[i][i], m.row_sums[i]) for i in range(m.class_count))
-    key = total / m.class_count
-    return ExactEval(key, float(key))
+def _acsa(m: ConfusionMatrix) -> Fraction:
+    num, den = _sum_ratios(_diagonal(m), m.row_sums)
+    return Fraction(num, len(m.counts) * den)
 
 
-def _auroc2(m: ConfusionMatrix) -> ExactEval:
-    return _acsa(m)
-
-
-def _precision(m: ConfusionMatrix) -> ExactEval | None:
-    tp = m.counts[0][0]
-    fp = m.counts[1][0]
+def _precision(m: ConfusionMatrix) -> Fraction | None:
+    tp, fp = m.counts[0][0], m.counts[1][0]
     if tp + fp == 0:
         return None
-    key = Fraction(tp, tp + fp)
-    return ExactEval(key, float(key))
+    return Fraction(tp, tp + fp)
 
 
-def _recall(m: ConfusionMatrix) -> ExactEval:
-    key = Fraction(m.counts[0][0], m.row_sums[0])
-    return ExactEval(key, float(key))
+def _recall(m: ConfusionMatrix) -> Fraction:
+    return Fraction(m.counts[0][0], m.row_sums[0])
 
 
-def _specificity(m: ConfusionMatrix) -> ExactEval:
-    key = Fraction(m.counts[1][1], m.row_sums[1])
-    return ExactEval(key, float(key))
+def _specificity(m: ConfusionMatrix) -> Fraction:
+    return Fraction(m.counts[1][1], m.row_sums[1])
 
 
-def _aurpc(m: ConfusionMatrix) -> ExactEval | None:
-    prec = _precision(m)
-    if prec is None:
+def _aurpc(m: ConfusionMatrix) -> Fraction | None:
+    """Mean of recall ``tp / R0`` and precision ``tp / (tp + fp)``."""
+    tp, fp, r0 = m.counts[0][0], m.counts[1][0], m.row_sums[0]
+    if tp + fp == 0:
         return None
-    key = (_recall(m).key + prec.key) / 2
-    return ExactEval(key, float(key))
+    return Fraction(tp * (tp + fp) + tp * r0, 2 * r0 * (tp + fp))
 
 
-def _m_precision(m: ConfusionMatrix) -> ExactEval | None:
-    tpr = Fraction(m.counts[0][0], m.row_sums[0])
-    fpr = Fraction(m.counts[1][0], m.row_sums[1])
-    if tpr + fpr == 0:
+def _m_precision_terms(m: ConfusionMatrix) -> tuple[int, int] | None:
+    """``tpr / (tpr + fpr)`` as ``(num, den)``, multiplied through by ``R0 * R1``."""
+    tp, fp = m.counts[0][0], m.counts[1][0]
+    r0, r1 = m.row_sums
+    den = tp * r1 + fp * r0
+    if den == 0:
         return None
-    key = tpr / (tpr + fpr)
-    return ExactEval(key, float(key))
+    return tp * r1, den
 
 
-def _m_aurpc(m: ConfusionMatrix) -> ExactEval | None:
-    mp = _m_precision(m)
-    if mp is None:
+def _m_precision(m: ConfusionMatrix) -> Fraction | None:
+    terms = _m_precision_terms(m)
+    return None if terms is None else Fraction(*terms)
+
+
+def _m_aurpc(m: ConfusionMatrix) -> Fraction | None:
+    """Mean of recall ``tp / R0`` and the rate-corrected precision."""
+    terms = _m_precision_terms(m)
+    if terms is None:
         return None
-    key = (_recall(m).key + mp.key) / 2
-    return ExactEval(key, float(key))
+    mp_num, mp_den = terms
+    tp, r0 = m.counts[0][0], m.row_sums[0]
+    return Fraction(tp * mp_den + mp_num * r0, 2 * r0 * mp_den)
 
 
-def _auroc_ovo(m: ConfusionMatrix) -> ExactEval:
-    c = m.class_count
-    total = Fraction(0)
-    for i in range(c):
-        term = 1 + Fraction(m.counts[i][i], m.row_sums[i])
-        for j in range(c):
-            if j != i:
-                term -= Fraction(m.counts[j][i], (c - 1) * m.row_sums[j])
-        total += term
-    key = total / (2 * c)
-    return ExactEval(key, float(key))
+def _auroc_ovo(m: ConfusionMatrix) -> Fraction:
+    """``(1/2C) sum_i [1 + a_ii/R_i - sum_{j != i} a_ji / ((C-1) R_j)]``.
+
+    The terms are grouped by denominator: row ``j`` contributes its diagonal
+    ``C - 1`` times and its off-diagonal cells, which sum to ``R_j - a_jj``,
+    once, negated.
+    """
+    c = len(m.counts)
+    nums = [c * d - r for d, r in zip(_diagonal(m), m.row_sums)]
+    num, den = _sum_ratios(nums, m.row_sums)
+    return Fraction(c * (c - 1) * den + num, 2 * c * (c - 1) * den)
 
 
-def _auroc_ova(m: ConfusionMatrix) -> ExactEval:
-    c = m.class_count
-    n = m.total
-    total = Fraction(0)
-    for i in range(c):
-        total += (
-            1
-            + Fraction(m.counts[i][i], m.row_sums[i])
-            - Fraction(m.col_sums[i] - m.counts[i][i], n - m.row_sums[i])
-        )
-    key = total / (2 * c)
-    return ExactEval(key, float(key))
+def _auroc_ova_terms(m: ConfusionMatrix) -> tuple[int, int]:
+    """``(1/2C) sum_i [1 + a_ii/R_i - (K_i - a_ii)/(n - R_i)]`` as ``(num, den)``."""
+    c, n = len(m.counts), m.total
+    nums, dens = [], []
+    for d, r, k in zip(_diagonal(m), m.row_sums, m.col_sums):
+        nums.append(d * (n - r) - (k - d) * r)
+        dens.append(r * (n - r))
+    num, den = _sum_ratios(nums, dens)
+    return c * den + num, 2 * c * den
 
 
-def _n_auroc_ova(m: ConfusionMatrix) -> ExactEval:
-    c = m.class_count
-    lam = Fraction(c - 2, 2 * c)
-    key = (_auroc_ova(m).key - lam) / (1 - lam)
-    return ExactEval(key, float(key))
+def _auroc_ova(m: ConfusionMatrix) -> Fraction:
+    return Fraction(*_auroc_ova_terms(m))
 
 
-def _aurpc_ova(m: ConfusionMatrix) -> ExactEval | None:
-    c = m.class_count
-    if any(k == 0 for k in m.col_sums):
+def _n_auroc_ova(m: ConfusionMatrix) -> Fraction:
+    """``(ova - lam) / (1 - lam)`` with ``lam = (C-2)/(2C)``, multiplied through by ``2C``."""
+    c = len(m.counts)
+    num, den = _auroc_ova_terms(m)
+    return Fraction(2 * c * num - (c - 2) * den, (c + 2) * den)
+
+
+def _aurpc_ova(m: ConfusionMatrix) -> Fraction | None:
+    """``(1/2C) sum_i [a_ii/K_i + a_ii/R_i]``; undefined when a column is empty."""
+    if 0 in m.col_sums:
         return None
-    total = Fraction(0)
-    for i in range(c):
-        total += Fraction(m.counts[i][i], m.col_sums[i]) + Fraction(
-            m.counts[i][i], m.row_sums[i]
-        )
-    key = total / (2 * c)
-    return ExactEval(key, float(key))
+    nums = [d * (k + r) for d, k, r in zip(_diagonal(m), m.col_sums, m.row_sums)]
+    num, den = _sum_ratios(nums, [k * r for k, r in zip(m.col_sums, m.row_sums)])
+    return Fraction(num, 2 * len(m.counts) * den)
 
 
-def _m_aurpc_ova(m: ConfusionMatrix) -> ExactEval | None:
-    c = m.class_count
-    rates = _rates(m)
-    col_rate_sums = [sum(rates[i][j] for i in range(c)) for j in range(c)]
-    if any(s == 0 for s in col_rate_sums):
+def _m_aurpc_ova(m: ConfusionMatrix) -> Fraction | None:
+    """``(1/2C) sum_i [r_ii/s_i + r_ii]`` over rates ``r_ij = a_ij/R_i``, ``s_j = sum_i r_ij``.
+
+    With ``P`` the product of the row sums and ``w_i = P / R_i``, taken as the
+    product of the other row sums, ``s_j = S_j / P`` for
+    ``S_j = sum_i a_ij w_i``, so ``r_ii / s_i + r_ii = a_ii w_i (P + S_i) / (S_i P)``.
+    Undefined when some ``S_j`` is zero.
+    """
+    rows = m.row_sums
+    w, suffix = [], 1  # w[i]: the product of the row sums after R_i, then of those before
+    for r in reversed(rows):
+        w.append(suffix)
+        suffix *= r
+    w.reverse()
+    p = 1
+    for i, r in enumerate(rows):
+        w[i] *= p
+        p *= r
+    col_rate_sums = [sum(map(mul, column, w)) for column in zip(*m.counts)]
+    if 0 in col_rate_sums:
         return None
-    total = Fraction(0)
-    for i in range(c):
-        total += rates[i][i] / col_rate_sums[i] + rates[i][i]
-    key = total / (2 * c)
-    return ExactEval(key, float(key))
+    nums = [d * wi * (p + s) for d, wi, s in zip(_diagonal(m), w, col_rate_sums)]
+    num, den = _sum_ratios(nums, col_rate_sums)
+    return Fraction(num, 2 * len(rows) * p * den)

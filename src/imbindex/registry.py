@@ -5,7 +5,8 @@ two-class only, its float formula and its exact oracle, its closed-form lower
 bound (the upper bound is 1 for every index), and its single-class-collapse
 behaviour.  :func:`evaluate` is the one place that checks a two-class index's
 class count and wraps a formula's bare number, or the reason it is
-undefined, in an :class:`~imbindex.values.IndexValue`.
+undefined, in an :class:`~imbindex.values.IndexValue`; :func:`exact` is the
+one place that wraps an oracle's key in an :class:`ExactEval`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .confusion import (
     MatrixError,
     ZeroClassCountError,
 )
-from .exact import ExactEval
 from .values import IndexValue, Undefined
 
 DEFAULT_SEED = 1729
@@ -36,6 +36,30 @@ class UnknownIndexError(ValueError):
 
 class ProfileRequiredError(MatrixError):
     """The requested bound depends on the per-class test counts."""
+
+
+@dataclass(frozen=True)
+class ExactEval:
+    """Exact value of an index on one matrix.
+
+    ``key`` is an order-preserving rational: the index value itself for every
+    index except the geometric means, where it is the product of accuracies.
+    ``value`` is the float index value derived from the key.
+    """
+
+    key: Fraction
+    value: float
+
+
+def _key_value(key: Fraction, class_count: int) -> float:
+    """``float(key)``: the same correctly rounded integer division, without the
+    detour through ``numbers.Rational.__float__`` that Python 3.11 takes."""
+    return key.numerator / key.denominator
+
+
+def _root_value(key: Fraction, class_count: int) -> float:
+    """A geometric mean's value from its key, the product of the class accuracies."""
+    return _key_value(key, class_count) ** (1.0 / class_count)
 
 
 def _zero_floor(class_count: int, profile: Sequence[int] | None) -> Fraction:
@@ -52,13 +76,7 @@ def _ova_floor(class_count: int, profile: Sequence[int] | None) -> Fraction:
         raise ProfileRequiredError(
             "auroc_ova bounds depend on per-class test counts; pass a profile"
         )
-    counts = sorted(int(v) for v in profile)
-    if len(counts) != class_count:
-        raise MatrixError(
-            f"profile has {len(counts)} counts but class_count is {class_count}"
-        )
-    if counts[0] <= 0:
-        raise ZeroClassCountError("profile counts must be positive")
+    counts = sorted(profile)
     n = sum(counts)
     return Fraction(1, 2 * class_count) * (
         class_count - 1 - Fraction(counts[-1], n - counts[-2])
@@ -71,6 +89,9 @@ class IndexSpec:
 
     ``formula(cells)`` is the index's float formula over a matrix's cells
     (see :mod:`imbindex.multiclass`); call it through :func:`evaluate`.
+    ``exact(m)`` is its oracle in :mod:`imbindex.exact`, which returns the
+    exact key or ``None``; ``key_value(key, C)`` turns a key into the float
+    value.  Call both through :func:`exact`.
     ``lower_bound(C, profile)`` is the closed-form lower bound at ``C``
     classes. ``collapse_limit(C)`` is the closed-form limit along a
     single-class collapse. ``collapse_floor(C)`` is a strict floor that the
@@ -81,15 +102,19 @@ class IndexSpec:
     label: str
     binary_only: bool
     formula: Callable[..., float]
-    exact: Callable[[ConfusionMatrix], ExactEval | None]
+    exact: Callable[[ConfusionMatrix], Fraction | None]
     lower_bound: Callable[[int, Sequence[int] | None], Fraction] = _zero_floor
     collapse_limit: Callable[[int], Fraction] | None = None
     collapse_floor: Callable[[int], Fraction] | None = None
+    key_value: Callable[[Fraction, int], float] = _key_value
 
 
 _SPECS = (
-    IndexSpec("gmean2", "GMean (two-class)", True, binary.gmean2, oracle._gmean),
-    IndexSpec("auroc", "AUROC (two-class, discrete)", True, binary.auroc, oracle._auroc2),
+    IndexSpec(
+        "gmean2", "GMean (two-class)", True, binary.gmean2, oracle._gmean,
+        key_value=_root_value,
+    ),
+    IndexSpec("auroc", "AUROC (two-class, discrete)", True, binary.auroc, oracle._acsa),
     IndexSpec("precision", "Precision", True, binary.precision, oracle._precision),
     IndexSpec("recall", "Recall", True, binary.recall, oracle._recall),
     IndexSpec("specificity", "Specificity", True, binary.specificity, oracle._specificity),
@@ -101,7 +126,7 @@ _SPECS = (
     IndexSpec("m_aurpc", "mAURPC (rate-corrected)", True, binary.m_aurpc, oracle._m_aurpc),
     IndexSpec(
         "gmean_c", "GMean (multi-class)", False, multiclass.gmean_c, oracle._gmean,
-        collapse_limit=lambda c: Fraction(0),
+        collapse_limit=lambda c: Fraction(0), key_value=_root_value,
     ),
     IndexSpec(
         "acsa", "ACSA (mean class accuracy)", False, multiclass.acsa, oracle._acsa,
@@ -161,7 +186,11 @@ def evaluate(index_id: str, m: ConfusionMatrix) -> IndexValue:
 
 def exact(index_id: str, m: ConfusionMatrix) -> ExactEval | None:
     """Evaluate one index on the exact rational path; ``None`` when undefined."""
-    return _spec_for(index_id, m).exact(m)
+    spec = _spec_for(index_id, m)
+    key = spec.exact(m)
+    if key is None:
+        return None
+    return ExactEval(key, spec.key_value(key, len(m.counts)))
 
 
 def bounds_exact(
@@ -173,12 +202,21 @@ def bounds_exact(
 
     ``auroc_ova`` is the only index whose lower bound depends on the per-class
     test counts; it raises :class:`ProfileRequiredError` without a profile.
+    A profile given for any index must hold ``class_count`` positive counts.
     """
     spec = get_index(index_id)
     if class_count < 2:
         raise MatrixError(f"need at least 2 classes, got {class_count}")
     if spec.binary_only and class_count != 2:
         raise MatrixError(f"{index_id} is a two-class index; got C={class_count}")
+    if profile is not None:
+        profile = tuple(int(v) for v in profile)
+        if len(profile) != class_count:
+            raise MatrixError(
+                f"profile has {len(profile)} counts but class_count is {class_count}"
+            )
+        if min(profile) <= 0:
+            raise ZeroClassCountError("profile counts must be positive")
     return spec.lower_bound(class_count, profile), Fraction(1)
 
 

@@ -202,6 +202,18 @@ class TestBounds:
         assert main(["bounds", "auroc_ova", "3"]) == EXIT_INPUT
         assert "profile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            ("1,2", "error: profile has 2 counts but class_count is 3\n"),
+            ("1,0,2", "error: profile counts must be positive\n"),
+        ],
+    )
+    @pytest.mark.parametrize("index_id", ["acsa", "auroc_ovo", "n_auroc_ova", "auroc_ova"])
+    def test_bad_profile_is_input_error(self, index_id, profile, message, capsys):
+        assert main(["bounds", index_id, "3", "--profile", profile]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", message)
+
 
 class TestSimulate:
     def test_small_spec_writes_outputs(self, tmp_path, capsys):

@@ -1,0 +1,207 @@
+"""The exact oracle against a pure-Fraction reference of every index's defining formula.
+
+The oracles in :mod:`imbindex.exact` work in integer numerator/denominator
+arithmetic.  The reference below builds a ``Fraction`` for every rate and
+every partial sum instead, straight from the defining formulas, and serves
+the oracle as the block scan's brute-force loop serves the block scan.
+"""
+
+import ast
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from imbindex import ALL_INDEX_IDS, applicable_index_ids, exact, get_index, validate
+from imbindex.confusion import ConfusionMatrix
+
+EXACT_SOURCE = Path(__file__).resolve().parent.parent / "src" / "imbindex" / "exact.py"
+
+
+def _rates(m):
+    return [[Fraction(v, n) for v in row] for row, n in zip(m.counts, m.row_sums)]
+
+
+def _accuracy(m, i):
+    return Fraction(m.counts[i][i], m.row_sums[i])
+
+
+def ref_gmean(m):
+    product = Fraction(1)
+    for i in range(m.class_count):
+        product *= _accuracy(m, i)
+    return product
+
+
+def ref_acsa(m):
+    return sum(_accuracy(m, i) for i in range(m.class_count)) / m.class_count
+
+
+def ref_precision(m):
+    tp, fp = m.counts[0][0], m.counts[1][0]
+    return None if tp + fp == 0 else Fraction(tp, tp + fp)
+
+
+def ref_recall(m):
+    return _accuracy(m, 0)
+
+
+def ref_specificity(m):
+    return _accuracy(m, 1)
+
+
+def ref_aurpc(m):
+    prec = ref_precision(m)
+    return None if prec is None else (ref_recall(m) + prec) / 2
+
+
+def ref_m_precision(m):
+    tpr = _accuracy(m, 0)
+    fpr = Fraction(m.counts[1][0], m.row_sums[1])
+    return None if tpr + fpr == 0 else tpr / (tpr + fpr)
+
+
+def ref_m_aurpc(m):
+    mp = ref_m_precision(m)
+    return None if mp is None else (ref_recall(m) + mp) / 2
+
+
+def ref_auroc_ovo(m):
+    c = m.class_count
+    total = Fraction(0)
+    for i in range(c):
+        term = 1 + _accuracy(m, i)
+        for j in range(c):
+            if j != i:
+                term -= Fraction(m.counts[j][i], (c - 1) * m.row_sums[j])
+        total += term
+    return total / (2 * c)
+
+
+def ref_auroc_ova(m):
+    c, n = m.class_count, m.total
+    total = Fraction(0)
+    for i in range(c):
+        total += (
+            1
+            + _accuracy(m, i)
+            - Fraction(m.col_sums[i] - m.counts[i][i], n - m.row_sums[i])
+        )
+    return total / (2 * c)
+
+
+def ref_n_auroc_ova(m):
+    c = m.class_count
+    lam = Fraction(c - 2, 2 * c)
+    return (ref_auroc_ova(m) - lam) / (1 - lam)
+
+
+def ref_aurpc_ova(m):
+    c = m.class_count
+    if any(k == 0 for k in m.col_sums):
+        return None
+    total = Fraction(0)
+    for i in range(c):
+        total += Fraction(m.counts[i][i], m.col_sums[i]) + _accuracy(m, i)
+    return total / (2 * c)
+
+
+def ref_m_aurpc_ova(m):
+    c = m.class_count
+    rates = _rates(m)
+    col_rate_sums = [sum(rates[i][j] for i in range(c)) for j in range(c)]
+    if any(s == 0 for s in col_rate_sums):
+        return None
+    total = Fraction(0)
+    for i in range(c):
+        total += rates[i][i] / col_rate_sums[i] + rates[i][i]
+    return total / (2 * c)
+
+
+REFERENCE = {
+    "gmean2": ref_gmean,
+    "auroc": ref_acsa,
+    "precision": ref_precision,
+    "recall": ref_recall,
+    "specificity": ref_specificity,
+    "aurpc": ref_aurpc,
+    "m_precision": ref_m_precision,
+    "m_aurpc": ref_m_aurpc,
+    "gmean_c": ref_gmean,
+    "acsa": ref_acsa,
+    "auroc_ovo": ref_auroc_ovo,
+    "auroc_ova": ref_auroc_ova,
+    "n_auroc_ova": ref_n_auroc_ova,
+    "aurpc_ova": ref_aurpc_ova,
+    "m_aurpc_ova": ref_m_aurpc_ova,
+}
+GEOMETRIC_MEANS = {"gmean2", "gmean_c"}
+
+
+def ref_value(index_id, key, class_count):
+    if index_id in GEOMETRIC_MEANS:
+        return float(key) ** (1.0 / class_count)
+    return float(key)
+
+
+def _random_matrix(rng: random.Random, c: int) -> ConfusionMatrix:
+    """Cells of 0 to 60 random bits, some rows sparse, sometimes an empty column."""
+    rows = []
+    sparse = rng.random() < 0.5
+    empty_column = rng.randrange(c) if rng.random() < 0.3 else None
+    for i in range(c):
+        row = [
+            0 if j == empty_column or (sparse and rng.random() < 0.6)
+            else rng.getrandbits(rng.randint(0, 60))
+            for j in range(c)
+        ]
+        if sum(row) == 0:
+            allowed = [j for j in range(c) if j != empty_column]
+            row[rng.choice(allowed)] = rng.getrandbits(rng.randint(0, 60)) or 1
+        rows.append(row)
+    return validate(rows)
+
+
+def _cases():
+    rng = random.Random(20201)
+    for c in range(2, 11):
+        for _ in range(400 if c == 2 else 100):
+            yield _random_matrix(rng, c)
+
+
+def test_reference_covers_every_index():
+    assert set(REFERENCE) == set(ALL_INDEX_IDS)
+
+
+def test_oracle_matches_fraction_reference():
+    undefined = dict.fromkeys(ALL_INDEX_IDS, 0)
+    huge = 0
+    for m in _cases():
+        huge += max(max(row) for row in m.counts) > 2**53
+        for index_id in applicable_index_ids(m.class_count):
+            want = REFERENCE[index_id](m)
+            got = get_index(index_id).exact(m)
+            ev = exact(index_id, m)
+            assert got == want, (index_id, m.counts)
+            if want is None:
+                undefined[index_id] += 1
+                assert ev is None
+            else:
+                assert type(got) is Fraction
+                assert ev.key == want
+                assert ev.value == ref_value(index_id, want, m.class_count), (index_id, m.counts)
+    assert huge > 100
+    for index_id in ("precision", "aurpc", "m_precision", "m_aurpc", "aurpc_ova", "m_aurpc_ova"):
+        assert undefined[index_id] > 0, index_id
+
+
+def test_oracle_is_independent_of_the_float_formulas():
+    tree = ast.parse(EXACT_SOURCE.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    for name in imported:
+        assert "binary" not in name and "multiclass" not in name, name
