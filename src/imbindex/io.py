@@ -1,5 +1,5 @@
-"""File formats: confusion-matrix and (true, predicted) label-pair CSVs, and
-the JSON form of results."""
+"""File formats: confusion-matrix and (true, predicted) label-pair CSVs, read
+as UTF-8 with or without a byte-order mark, and the JSON form of results."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import json
 from collections import Counter
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +31,7 @@ def read_matrix_csv(path) -> tuple[ConfusionMatrix, tuple[str, ...] | None]:
     non-integer token.  Returns the validated matrix and the labels (or None).
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         raw = [row for row in csv.reader(fh) if not _is_blank(row)]
     if not raw:
         raise MatrixError(f"{path}: file contains no rows")
@@ -83,19 +84,21 @@ def read_label_pairs(path) -> Counter[tuple[str, str]]:
     Returns a Counter from each stripped pair to its number of rows, keyed in
     order of first appearance.  Blank rows are skipped, columns past the
     second are ignored, and a ``true,predicted`` first row is a header.
-    Memory grows with the number of distinct rows, not with file length.
+    After the first row, raw lines are counted and only the distinct ones are
+    parsed, so parsing and memory grow with the number of distinct lines; a
+    ``"`` in them sends the file through ``csv.reader``, as a quoted field may
+    span lines.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        first = next((row for row in reader if not _is_blank(row)), None)
-        if first is None:
-            raise MatrixError(f"{path}: file contains no rows")
-        header = [cell.strip().lower() for cell in first[:2]] == ["true", "predicted"]
-        rows = Counter() if header else Counter([tuple(first)])
-        rows.update(map(tuple, reader))
+    first, header, rest = _split_first_row(path, raw_lines=True)
+    if any('"' in line for line in rest):  # a quoted field may span lines
+        rest = None  # free the line counts before counting rows
+        first, header, rest = _split_first_row(path, raw_lines=False)
+        counted = rest.items()
+    else:
+        counted = zip(csv.reader(rest), rest.values())  # one row per quote-free line
     pairs: Counter[tuple[str, str]] = Counter()
-    for row, n in rows.items():
+    for row, n in chain([] if header else [(first, 1)], counted):
         if _is_blank(row):
             continue
         if len(row) < 2:
@@ -108,10 +111,23 @@ def read_label_pairs(path) -> Counter[tuple[str, str]]:
     return pairs
 
 
+def _split_first_row(path: Path, raw_lines: bool) -> tuple[list[str], bool, Counter]:
+    """The first non-blank CSV row, whether it is a ``true,predicted`` header,
+    and a Counter of what follows it: raw lines, or rows as tuples."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)  # pulls one line at a time, so fh resumes after the row
+        first = next((row for row in reader if not _is_blank(row)), None)
+        if first is None:
+            raise MatrixError(f"{path}: file contains no rows")
+        header = [cell.strip().lower() for cell in first[:2]] == ["true", "predicted"]
+        rest = Counter(fh) if raw_lines else Counter(map(tuple, reader))
+    return first, header, rest
+
+
 def _first_short_row(path: Path, header: bool) -> int:
     """Number of the first label row with fewer than 2 columns, counting the
     non-blank rows after the header from 1."""
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = (row for row in csv.reader(fh) if not _is_blank(row))
         return next(i for i, row in enumerate(rows, 0 if header else 1) if len(row) < 2)
 
