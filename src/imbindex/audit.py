@@ -56,7 +56,6 @@ from .registry import (
     get_index,
 )
 
-COLLAPSE_TOL = 1e-9
 SCREEN_TOL = 1e-9
 DEFAULT_TRIALS = 500
 DEFAULT_BUDGET = 2_000_000
@@ -96,7 +95,8 @@ class BudgetExceededError(RuntimeError):
 
 
 class BoundCrossedError(MatrixError):
-    """An enumerated extremum lies outside the index's closed-form bounds."""
+    """Exact evidence refutes a closed form: an enumerated extremum lies outside
+    the bounds, or a collapse-family value is not above the collapse floor."""
 
 
 # ---------------------------------------------------------------------------
@@ -706,45 +706,47 @@ def default_collapse_family(class_count: int, collapsed_class: int = 0) -> Colla
 
 
 def audit_condition3(index_id: str, family: CollapseFamily) -> Condition3Result:
-    """Evaluate an index along a collapse family and compare its limit to the floor.
+    """Decide whether an index's limit along a collapse family stays above its floor.
 
-    For the indices with a known closed-form limit the verdict follows the
-    closed form (a finite epsilon cannot certify a limit of zero on its own);
-    the evaluated series is recorded as the empirical evidence.  For any other
-    index the verdict falls back to comparing the value at the smallest
-    epsilon against the index's lower bound.
+    The verdict is exact.  An index with a closed-form collapse limit
+    collapses when that limit equals its lower bound.  An index with a strict
+    collapse floor is informative once the exact oracle puts every family
+    member above that floor; a member at or below it, or a floor below the
+    lower bound, raises :class:`BoundCrossedError`.  An index with neither
+    fact, every two-class index among them, is NotApplicable.  The float
+    series along the family is recorded as the empirical evidence.
     """
     spec = get_index(index_id)
-    if spec.binary_only and family.class_count != 2:
-        raise MatrixError(f"{index_id} is a two-class index")
-    values = tuple(evaluate(index_id, m).require() for m in family.matrices)
-    empirical = values[-1]
+    if spec.collapse_limit is None and spec.collapse_floor is None:
+        return Condition3Result.not_applicable()
     c = family.class_count
-    profile = family.matrices[0].row_sums
-    lo, _hi = bounds_exact(index_id, c, profile=profile)
-
-    limit_fn, floor_fn = spec.collapse_limit, spec.collapse_floor
-    theoretical = float(limit_fn(c)) if limit_fn else None
-    floor = float(floor_fn(c)) if floor_fn else None
-
-    if theoretical is not None:
-        collapses = abs(theoretical - float(lo)) <= COLLAPSE_TOL
-    elif floor is not None:
-        exceeds = all(v > floor for v in values) and floor > float(lo)
-        collapses = not exceeds and abs(empirical - float(lo)) <= COLLAPSE_TOL
-    else:
-        collapses = abs(empirical - float(lo)) <= COLLAPSE_TOL
-    verdict = VERDICT_COLLAPSES if collapses else VERDICT_INFORMATIVE
+    lo, _hi = bounds_exact(index_id, c, profile=family.matrices[0].row_sums)
+    values = tuple(evaluate(index_id, m).require() for m in family.matrices)
+    limit = spec.collapse_limit(c) if spec.collapse_limit else None
+    floor = spec.collapse_floor(c) if spec.collapse_floor else None
+    if floor is not None:
+        if floor < lo:
+            raise BoundCrossedError(
+                f"{index_id} at C={c}: collapse floor {floor} lies below the lower bound {lo}"
+            )
+        for eps, m in zip(family.epsilons, family.matrices):
+            found = exact(index_id, m)
+            if found is None or found.key <= floor:
+                value = "undefined" if found is None else found.key
+                raise BoundCrossedError(
+                    f"{index_id} at C={c}, epsilon {eps}: exact value {value} "
+                    f"is not above the collapse floor {floor}"
+                )
     return Condition3Result(
-        verdict=verdict,
+        verdict=VERDICT_COLLAPSES if limit == lo else VERDICT_INFORMATIVE,
         class_count=c,
         collapsed_class=family.collapsed_class,
         epsilons=family.epsilons,
         values=values,
-        empirical_limit=empirical,
-        theoretical_limit=theoretical,
+        empirical_limit=values[-1],
+        theoretical_limit=None if limit is None else float(limit),
         lower_bound=float(lo),
-        strict_floor=floor,
+        strict_floor=None if floor is None else float(floor),
     )
 
 
@@ -784,8 +786,8 @@ def audit_all(
     indices; two-class indices always run it at C = 2.  Condition 1 draws each
     trial once per class count for all the indices there.  Condition 2 runs one
     shared enumeration pass for all multi-class indices; two-class indices get
-    a NotApplicable row.  Condition 3 runs the default collapse family for the
-    indices whose spec gives a collapse limit or floor.
+    a NotApplicable row.  Condition 3 runs every index along one default
+    collapse family.
     """
     conditions = set(conditions)
     if not conditions <= {1, 2, 3}:
@@ -795,6 +797,7 @@ def audit_all(
         raise MatrixError("class_count must be at least 2")
     ids = tuple(index_ids) if index_ids is not None else tuple(EXPECTED_VERDICTS)
     specs = [get_index(i) for i in ids]
+    family = default_collapse_family(collapse_c) if 3 in conditions else None
 
     shared = {}
     multi = [s.index_id for s in specs if not s.binary_only]
@@ -815,10 +818,7 @@ def audit_all(
             else:
                 cond2 = shared[index_id]
         if 3 in conditions:
-            if spec.collapse_limit is None and spec.collapse_floor is None:
-                cond3 = Condition3Result.not_applicable()
-            else:
-                cond3 = audit_condition3(index_id, default_collapse_family(collapse_c))
+            cond3 = audit_condition3(index_id, family)
         reports.append(AuditReport(index_id, seed, cond1, cond2, cond3))
     return reports
 

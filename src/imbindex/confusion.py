@@ -19,6 +19,7 @@ change from floating-point noise.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,25 +88,21 @@ def to_fraction(value) -> Fraction:
 
 
 def _check_cell(value, i: int, j: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int,)):
-        # numpy integers slip through isinstance(int); accept anything that
-        # round-trips exactly through int().
-        try:
-            as_int = int(value)
-        except (TypeError, ValueError):
-            raise NegativeEntryError(
-                f"row {i + 1}, column {j + 1}: entry {value!r} is not an integer"
-            ) from None
-        if as_int != value or isinstance(value, (bool, float)):
-            raise NegativeEntryError(
-                f"row {i + 1}, column {j + 1}: entry {value!r} is not an integer"
-            )
-        value = as_int
+    """``value`` as an ``int``: Python and numpy integers pass; bools, floats,
+    ``Fraction`` and ``Decimal`` are rejected even when they are whole."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise NegativeEntryError(
+            f"row {i + 1}, column {j + 1}: entry {value!r} is not an integer"
+        ) from None
     if value < 0:
         raise NegativeEntryError(
             f"row {i + 1}, column {j + 1}: entry {value} is negative"
         )
-    return int(value)
+    return value
 
 
 @dataclass(frozen=True)

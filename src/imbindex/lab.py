@@ -252,8 +252,6 @@ class Type1SweepSpec:
     trials: int
     seed: int
 
-    kind = "type1_sweep"
-
 
 @dataclass(frozen=True)
 class GrowthStep:
@@ -271,8 +269,6 @@ class Type2GrowthSpec:
     indices: tuple[str, ...]
     seed: int
 
-    kind = "type2_growth"
-
 
 @dataclass(frozen=True)
 class MatrixStabilityDataset:
@@ -286,8 +282,6 @@ class MatrixStabilityDataset:
     matrix: ConfusionMatrix
     schedule: tuple
     indices: tuple[str, ...]
-
-    mode = "matrix"
 
 
 @dataclass(frozen=True)
@@ -304,8 +298,6 @@ class PointStabilityDataset:
     trials: int
     indices: tuple[str, ...]
 
-    mode = "point"
-
 
 @dataclass(frozen=True)
 class RRTStabilitySpec:
@@ -314,8 +306,6 @@ class RRTStabilitySpec:
     experiment: str
     datasets: tuple
     seed: int
-
-    kind = "rrt_stability"
 
 
 ExperimentSpec = Type1SweepSpec | Type2GrowthSpec | RRTStabilitySpec
@@ -686,20 +676,16 @@ def _mean_and_std_summary(
                     )
                     broken = broken or f"undefined at {sched}"
                     continue
-                vals = cells.get(key)
-                if not vals:
-                    continue
-                mean = statistics.fmean(vals)
+                mean = statistics.fmean(cells[key])
                 means.append(mean)
                 summary.append(
                     SummaryRow(experiment, setting, index_id, sched, "mean", mean, STATUS_OK)
                 )
-            complete = broken is None and len(means) == len(schedule_keys)
             summary.append(
                 SummaryRow(
                     experiment, setting, index_id, "", "std",
-                    statistics.pstdev(means) if complete else None,
-                    STATUS_OK if complete else broken or "incomplete schedule",
+                    None if broken else statistics.pstdev(means),
+                    broken or STATUS_OK,
                 )
             )
     return summary

@@ -95,11 +95,12 @@ class IndexSpec:
     ``lower_bound(C, profile)`` is the closed-form lower bound at ``C``
     classes. ``collapse_limit(C)`` is the closed-form limit along a
     single-class collapse. ``collapse_floor(C)`` is a strict floor that the
-    limit provably exceeds. An index with neither has no collapse verdict.
+    limit provably exceeds; it is checked against exact keys, so it suits only
+    an index whose key is its value. An index with neither has no collapse
+    verdict.
     """
 
     index_id: str
-    label: str
     binary_only: bool
     formula: Callable[..., float]
     exact: Callable[[ConfusionMatrix], Fraction | None]
@@ -110,44 +111,32 @@ class IndexSpec:
 
 
 _SPECS = (
+    IndexSpec("gmean2", True, binary.gmean2, oracle._gmean, key_value=_root_value),
+    IndexSpec("auroc", True, binary.auroc, oracle._acsa),
+    IndexSpec("precision", True, binary.precision, oracle._precision),
+    IndexSpec("recall", True, binary.recall, oracle._recall),
+    IndexSpec("specificity", True, binary.specificity, oracle._specificity),
+    IndexSpec("aurpc", True, binary.aurpc, oracle._aurpc),
+    IndexSpec("m_precision", True, binary.m_precision, oracle._m_precision),
+    IndexSpec("m_aurpc", True, binary.m_aurpc, oracle._m_aurpc),
     IndexSpec(
-        "gmean2", "GMean (two-class)", True, binary.gmean2, oracle._gmean,
-        key_value=_root_value,
-    ),
-    IndexSpec("auroc", "AUROC (two-class, discrete)", True, binary.auroc, oracle._acsa),
-    IndexSpec("precision", "Precision", True, binary.precision, oracle._precision),
-    IndexSpec("recall", "Recall", True, binary.recall, oracle._recall),
-    IndexSpec("specificity", "Specificity", True, binary.specificity, oracle._specificity),
-    IndexSpec("aurpc", "AURPC (two-class, discrete)", True, binary.aurpc, oracle._aurpc),
-    IndexSpec(
-        "m_precision", "mPrecision (rate-corrected)", True,
-        binary.m_precision, oracle._m_precision,
-    ),
-    IndexSpec("m_aurpc", "mAURPC (rate-corrected)", True, binary.m_aurpc, oracle._m_aurpc),
-    IndexSpec(
-        "gmean_c", "GMean (multi-class)", False, multiclass.gmean_c, oracle._gmean,
+        "gmean_c", False, multiclass.gmean_c, oracle._gmean,
         collapse_limit=lambda c: Fraction(0), key_value=_root_value,
     ),
     IndexSpec(
-        "acsa", "ACSA (mean class accuracy)", False, multiclass.acsa, oracle._acsa,
+        "acsa", False, multiclass.acsa, oracle._acsa,
         collapse_limit=lambda c: Fraction(c - 1, c),
     ),
     IndexSpec(
-        "auroc_ovo", "AUROC-OVO", False, multiclass.auroc_ovo, oracle._auroc_ovo,
-        lower_bound=_ovo_floor,
+        "auroc_ovo", False, multiclass.auroc_ovo, oracle._auroc_ovo, lower_bound=_ovo_floor
     ),
     IndexSpec(
-        "auroc_ova", "AUROC-OVA", False, multiclass.auroc_ova, oracle._auroc_ova,
-        lower_bound=_ova_floor,
+        "auroc_ova", False, multiclass.auroc_ova, oracle._auroc_ova, lower_bound=_ova_floor
     ),
+    IndexSpec("n_auroc_ova", False, multiclass.n_auroc_ova, oracle._n_auroc_ova),
+    IndexSpec("aurpc_ova", False, multiclass.aurpc_ova, oracle._aurpc_ova),
     IndexSpec(
-        "n_auroc_ova", "nAUROC-OVA (floor-normalized)", False,
-        multiclass.n_auroc_ova, oracle._n_auroc_ova,
-    ),
-    IndexSpec("aurpc_ova", "AURPC-OVA", False, multiclass.aurpc_ova, oracle._aurpc_ova),
-    IndexSpec(
-        "m_aurpc_ova", "mAURPC-OVA (rate-corrected)", False,
-        multiclass.m_aurpc_ova, oracle._m_aurpc_ova,
+        "m_aurpc_ova", False, multiclass.m_aurpc_ova, oracle._m_aurpc_ova,
         collapse_floor=lambda c: Fraction(3 * (c - 1), 4 * c),
     ),
 )

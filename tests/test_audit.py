@@ -13,6 +13,7 @@ from imbindex import audit
 from imbindex.audit import (
     BoundCrossedError,
     BudgetExceededError,
+    Condition3Result,
     EXPECTED_VERDICTS,
     VERDICT_C_DEPENDENT,
     VERDICT_COLLAPSES,
@@ -349,10 +350,40 @@ class TestCondition3:
             assert result.strict_floor == pytest.approx(floor, abs=1e-12)
             assert all(v > floor for v in result.values)
 
-    def test_generic_index_uses_empirical_limit(self):
-        result = audit_condition3("auroc_ova", default_collapse_family(3))
+    def test_index_without_limit_or_floor_not_applicable(self):
+        for index_id, c in (("auroc_ova", 3), ("precision", 2)):
+            result = audit_condition3(index_id, default_collapse_family(c))
+            assert result == Condition3Result.not_applicable()
+
+    def test_limit_is_compared_exactly(self, monkeypatch):
+        # a limit a hair above the lower bound 0 is informative, however small
+        spec = dataclasses.replace(
+            INDEX_SPECS["acsa"], collapse_limit=lambda c: Fraction(1, 10**12)
+        )
+        monkeypatch.setitem(INDEX_SPECS, "acsa", spec)
+        result = audit_condition3("acsa", default_collapse_family(3))
         assert result.verdict == VERDICT_INFORMATIVE
-        assert result.theoretical_limit is None
+
+    def test_family_value_at_or_below_the_floor_raises(self, monkeypatch):
+        spec = dataclasses.replace(INDEX_SPECS["m_aurpc_ova"], collapse_floor=lambda c: Fraction(1))
+        monkeypatch.setitem(INDEX_SPECS, "m_aurpc_ova", spec)
+        with pytest.raises(
+            BoundCrossedError,
+            match=r"m_aurpc_ova at C=3, epsilon 1/3: exact value \d+/\d+ "
+            r"is not above the collapse floor 1",
+        ):
+            audit_condition3("m_aurpc_ova", default_collapse_family(3))
+
+    def test_floor_below_the_lower_bound_raises(self, monkeypatch):
+        spec = dataclasses.replace(
+            INDEX_SPECS["m_aurpc_ova"], collapse_floor=lambda c: Fraction(-1, 10)
+        )
+        monkeypatch.setitem(INDEX_SPECS, "m_aurpc_ova", spec)
+        with pytest.raises(
+            BoundCrossedError,
+            match=r"m_aurpc_ova at C=3: collapse floor -1/10 lies below the lower bound 0",
+        ):
+            audit_condition3("m_aurpc_ova", default_collapse_family(3))
 
 
 class TestReports:

@@ -3,9 +3,11 @@
 import csv
 import tempfile
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -63,11 +65,23 @@ class TestValidate:
         with pytest.raises(NegativeEntryError):
             validate([[1.5, 2], [3, 4]])
 
-    def test_numpy_ints_accepted(self):
-        import numpy as np
+    @pytest.mark.parametrize(
+        "cell",
+        [4.0, True, np.float64(4.0), np.float32(4.0), np.float16(4.0),
+         np.bool_(True), Fraction(4), Decimal(4)],
+        ids=repr,
+    )
+    def test_non_integer_entry_rejected(self, cell):
+        with pytest.raises(NegativeEntryError, match="row 1, column 1: .* is not an integer"):
+            validate([[cell, 2], [3, 4]])
 
+    def test_numpy_ints_accepted(self):
         m = validate(np.array([[3, 1], [2, 4]]))
         assert m.counts == ((3, 1), (2, 4))
+        assert type(m.counts[0][0]) is int
+        m = validate([[np.int64(4), np.uint8(2)], [np.int32(1), 5]])
+        assert m.counts == ((4, 2), (1, 5))
+        assert all(type(v) is int for row in m.counts for v in row)
 
 
 class TestRowScaling:
