@@ -12,8 +12,8 @@ bounds across a class-count range, with an exhaustive enumeration of all
 matrices over fixed small row sums as the independent check that the bounds
 are attained and never crossed.  The enumeration runs each index's float
 formula, the one :func:`~imbindex.registry.evaluate` runs on one matrix, over
-blocks of matrices held as numpy cell vectors; it screens for extrema in
-float and confirms them with the exact oracle.
+grids whose cells broadcast, row i's compositions along axis i; it screens
+for extrema in float and confirms them with the exact oracle.
 
 Condition 3 (single-class collapse): when one class's accuracy is driven to
 zero along a collapse family, the index limit must stay strictly above the
@@ -29,6 +29,7 @@ with the lowest trial number.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +48,7 @@ from .confusion import (
     to_fraction,
 )
 from .io import to_json
+from .multiclass import _add
 from .registry import (
     DEFAULT_SEED,
     ExactEval,
@@ -317,39 +319,48 @@ def enumeration_size(row_sums: Sequence[int]) -> int:
     return math.prod(math.comb(s + bins - 1, bins - 1) for s in row_sums)
 
 
-# int64 cells per enumeration block: memory stays flat in C and in enumeration size
-_BLOCK_CELLS = 12_288
+# matrices per enumeration chunk: memory stays flat in C and in enumeration size
+_GRID_SIZE = 4096
 
 
-def _iter_blocks(row_sums: Sequence[int]) -> Iterator[np.ndarray]:
-    """All matrices with the given row sums as ``(n, C, C)`` int64 blocks.
+def _iter_grids(row_sums: Sequence[int]) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """All matrices with the given row sums: the grid whose axis i holds row i's
+    compositions, flattened in C order (the order of ``itertools.product``; a
+    matrix's position in it identifies it), in chunks of at most ``_GRID_SIZE``.
 
-    The order is lexicographic in the rows, the order of ``itertools.product``
-    over each row's compositions; a matrix's position in it identifies it.
+    Yields ``(first, rows)``: the chunk is the product of the ``(k_i, C)``
+    arrays ``rows[i]``, and ``first`` is its first position.  A chunk fixes the
+    leading axes and takes a range of one axis and all of the trailing ones.
     """
     bins = len(row_sums)
     rows = [np.array(_compositions(int(s), bins), dtype=np.int64) for s in row_sums]
-    shape = tuple(len(r) for r in rows)
-    size = math.prod(shape)
-    step = max(1, _BLOCK_CELLS // (bins * bins))
-    for first in range(0, size, step):
-        picks = np.unravel_index(np.arange(first, min(first + step, size)), shape)
-        yield np.stack([r[pick] for r, pick in zip(rows, picks)], axis=1)
+    shape = [len(r) for r in rows]
+    axis = bins - 1
+    while axis > 0 and math.prod(shape[axis:]) <= _GRID_SIZE:
+        axis -= 1
+    tail = math.prod(shape[axis + 1 :])
+    step = max(1, _GRID_SIZE // tail)
+    first = 0
+    for prefix in itertools.product(*map(range, shape[:axis])):
+        fixed = [r[p : p + 1] for r, p in zip(rows, prefix)]
+        for lo in range(0, shape[axis], step):
+            ranged = rows[axis][lo : lo + step]
+            yield first, fixed + [ranged] + rows[axis + 1 :]
+            first += len(ranged) * tail
 
 
 def _matrix_at(row_sums: Sequence[int], position: int) -> ConfusionMatrix:
     """The matrix at one position of the enumeration order."""
-    bins = len(row_sums)
-    rows = [_compositions(int(s), bins) for s in row_sums]
+    rows = [_compositions(int(s), len(row_sums)) for s in row_sums]
     picks = np.unravel_index(position, tuple(len(r) for r in rows))
     return ConfusionMatrix(tuple(r[int(pick)] for r, pick in zip(rows, picks)))
 
 
 def iter_matrices(row_sums: Sequence[int]) -> Iterator[ConfusionMatrix]:
     """All valid matrices with the given row sums, in lexicographic row order."""
-    for block in _iter_blocks(row_sums):
-        for counts in block.tolist():
-            yield ConfusionMatrix(counts)
+    bins = len(row_sums)
+    for counts in itertools.product(*(_compositions(int(s), bins) for s in row_sums)):
+        yield ConfusionMatrix(counts)
 
 
 def default_row_sums(class_count: int) -> tuple[int, ...]:
@@ -363,33 +374,39 @@ def default_row_sums(class_count: int) -> tuple[int, ...]:
     return (per_row,) * class_count
 
 
-class _BlockCells:
-    """A block of matrices as the cells an index formula reads, one entry per matrix.
+class _GridCells:
+    """A grid chunk of matrices as the cells an index formula reads.
 
-    The block is copied once into contiguous ``(C, C, n)`` int64 cells, so
-    ``counts[i][j]``, ``row_sums[i]``, ``col_sums[j]`` and ``total`` are
-    ``(n,)`` vectors; the margins are summed once and every formula reads them.
+    ``counts[i][j]`` is a ``(1, ..., k_i, ..., 1)`` view along axis i, so a
+    formula broadcasts to every matrix of the chunk.  Row sums are fixed over
+    an enumeration, so ``row_sums[i]`` and ``total`` are plain ints and only
+    ``col_sums[j]`` spans the grid; a plain-int denominator takes the scalar
+    path of :func:`~imbindex.values.nonzero`, safe as every row sum is positive.
     """
 
-    def __init__(self, block: np.ndarray) -> None:
-        cells = np.ascontiguousarray(block.transpose(1, 2, 0))
-        row_sums = cells.sum(axis=1)
-        # lists of views: a formula indexes them many times per block
-        self.counts = [list(row) for row in cells]
-        self.row_sums = list(row_sums)
-        self.col_sums = list(cells.sum(axis=0))
-        self.total = row_sums.sum(axis=0)
-        self.class_count = block.shape[1]
+    def __init__(self, rows: Sequence[np.ndarray]) -> None:
+        self.class_count = c = len(rows)
+        self.shape = tuple(len(r) for r in rows)
+        self.size = math.prod(self.shape)
+        # column j of every row, row i's entries along axis i
+        columns = [np.ix_(*(r[:, j] for r in rows)) for j in range(c)]
+        self.counts = list(zip(*columns))
+        self.row_sums = [int(r[0].sum()) for r in rows]
+        self.col_sums = [_add(column) for column in columns]
+        self.total = sum(self.row_sums)
         self._undefined: np.ndarray | None = None
 
     def run(self, formula: Callable) -> tuple[np.ndarray, np.ndarray | None]:
-        """Values of ``formula`` (finite everywhere) and the mask of matrices
-        where it is undefined, ``None`` when it is defined on all."""
+        """Values of ``formula`` (finite everywhere) and the mask of matrices where
+        it is undefined, ``None`` when it is defined on all; flat, in order."""
         self._undefined = None
-        return formula(self), self._undefined
+        values, undefined = formula(self), self._undefined
+        if undefined is not None:
+            undefined = np.broadcast_to(undefined, self.shape).ravel()
+        return np.broadcast_to(values, self.shape).ravel(), undefined
 
     def guard(self, d: np.ndarray, reason: str) -> np.ndarray:
-        """:func:`~imbindex.values.nonzero` on a vector: mask the zeros, divide by 1 there."""
+        """:func:`~imbindex.values.nonzero` on a grid: mask the zeros, divide by 1 there."""
         zero = d == 0
         if not zero.any():
             return d
@@ -431,9 +448,9 @@ class _Screen:
         self.best = min(self.best, low)
         cutoff = self.best + SCREEN_TOL
         near = values <= cutoff
-        # built back to front, so each value keeps its first position in the block
-        in_block = dict(zip(values[near][::-1].tolist(), positions[near][::-1].tolist()))
-        for value, position in in_block.items():
+        # each distinct value with its first position here; an earlier chunk's stays
+        distinct, at = np.unique(values[near], return_index=True)
+        for value, position in zip(distinct.tolist(), positions[near][at].tolist()):
             self.first.setdefault(value, position)
         self.first = {v: p for v, p in self.first.items() if v <= cutoff}
 
@@ -458,18 +475,17 @@ def _scan_extremal(
 ) -> dict[str, ExtremalResult]:
     """Scan every matrix once for all indices, then confirm the extrema exactly.
 
-    The scan walks the enumeration in fixed-size int64 blocks and runs each
-    index's float formula, the one :func:`evaluate` runs, on a whole block.
-    Every matrix whose float value lies within ``SCREEN_TOL`` of the running
-    float minimum (or maximum) is a candidate; candidates are deduplicated by
-    float value across all blocks, keeping the first in enumeration order, so
-    a value shared by many matrices (``gmean_c = 0``) keeps one.  Each
-    surviving candidate is re-evaluated on the exact rational path, and the
-    exact extremum is the smallest (largest) exact key among them.  The
-    tolerance dwarfs float rounding, so the true extremum is always a
-    candidate.  The reported witness is the first matrix in enumeration order
-    whose exact key equals the exact extremum; exact ties are not broken by
-    float rounding.
+    The scan runs each index's float formula, the one :func:`evaluate` runs,
+    once per grid chunk of the enumeration.  Every matrix whose float value
+    lies within ``SCREEN_TOL`` of the running float minimum (or maximum) is a
+    candidate; candidates are deduplicated by float value across all chunks,
+    keeping the first in enumeration order, so a value shared by many matrices
+    (``gmean_c = 0``) keeps one.  Each surviving candidate is re-evaluated on
+    the exact rational path, and the exact extremum is the smallest (largest)
+    exact key among them.  The tolerance dwarfs float rounding, so the true
+    extremum is always a candidate.  The reported witness is the first matrix
+    in enumeration order whose exact key equals the exact extremum; exact ties
+    are not broken by float rounding.
     """
     size = enumeration_size(row_sums)
     if size > budget:
@@ -489,17 +505,15 @@ def _scan_extremal(
     lows = {i: _Screen() for i in index_ids}
     highs = {i: _Screen() for i in index_ids}  # screens the negated values
     undefined = dict.fromkeys(index_ids, 0)
-    first = 0
-    for block in _iter_blocks(row_sums):
-        cells = _BlockCells(block)
-        positions = np.arange(first, first + len(block))
-        first += len(block)
+    for first, rows in _iter_grids(row_sums):
+        cells = _GridCells(rows)
+        positions = np.arange(first, first + cells.size)
         for spec in specs:
             values, undefined_at = cells.run(spec.formula)
             defined_at = positions
             if undefined_at is not None:
                 values, defined_at = values[~undefined_at], positions[~undefined_at]
-                undefined[spec.index_id] += len(block) - len(values)
+                undefined[spec.index_id] += cells.size - len(values)
             lows[spec.index_id].add(values, defined_at)
             highs[spec.index_id].add(-values, defined_at)
 

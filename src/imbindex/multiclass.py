@@ -15,14 +15,15 @@ number, and every denominator that can vanish passes through
 
 * one :class:`~imbindex.confusion.ConfusionMatrix`, whose cells are Python
   ints (:func:`imbindex.registry.evaluate`);
-* a block of matrices whose cells are numpy vectors, one entry per matrix
+* a grid of matrices whose cells broadcast, ``counts[i][j]`` along axis i
   (the exhaustive enumeration in :mod:`imbindex.audit`).
 
 The formulas use only ``+ - * /`` and ``**``, in a fixed order, so the two
-paths round alike: the block values equal the one-matrix values bit for bit,
+paths round alike: the grid values equal the one-matrix values bit for bit,
 except that numpy's ``**`` may differ from Python's by one ulp.  Sums run
 left to right (:func:`_add`), not through ``sum``, which compensates float
-rounding on Python 3.12 and later while numpy does not.
+rounding on Python 3.12 and later while numpy does not.  Formulas rebind
+(``total = total + x``), never update in place, so grid shapes broadcast.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def _add(terms):
     """Left-to-right sum of ``terms``: numbers or vectors."""
     total = 0
     for term in terms:
-        total += term
+        total = total + term
     return total
 
 
@@ -63,8 +64,8 @@ def auroc_ovo(cells) -> float:
         term = 1.0 + counts[i][i] / row_sums[i]
         for j in range(c):
             if j != i:
-                term -= counts[j][i] / ((c - 1) * row_sums[j])
-        total += term
+                term = term - (counts[j][i] / ((c - 1) * row_sums[j]))
+        total = total + term
     return total / (2 * c)
 
 
@@ -76,7 +77,7 @@ def auroc_ova(cells) -> float:
     total = 0.0
     for i in range(c):
         false_pos = cells.col_sums[i] - counts[i][i]
-        total += 1.0 + counts[i][i] / row_sums[i] - false_pos / (n - row_sums[i])
+        total = total + (1.0 + counts[i][i] / row_sums[i] - false_pos / (n - row_sums[i]))
     return total / (2 * c)
 
 
@@ -103,7 +104,7 @@ def aurpc_ova(cells) -> float:
     total = 0.0
     for i in range(c):
         predicted = nonzero(cells, cells.col_sums[i], f"class {i + 1} never predicted")
-        total += counts[i][i] / predicted + counts[i][i] / row_sums[i]
+        total = total + (counts[i][i] / predicted + counts[i][i] / row_sums[i])
     return total / (2 * c)
 
 
@@ -115,5 +116,5 @@ def m_aurpc_ova(cells) -> float:
     for i in range(c):
         column = _add(rates[j][i] for j in range(c))
         predicted = nonzero(cells, column, f"rate column {i + 1} sums to zero")
-        total += rates[i][i] / predicted + rates[i][i]
+        total = total + (rates[i][i] / predicted + rates[i][i])
     return total / (2 * c)

@@ -35,7 +35,7 @@ def nonzero(cells, d, reason: str):
     """``d``, a denominator of an index formula over ``cells``, made safe to divide by.
 
     On one matrix ``d`` is a number, and zero raises :class:`Undefined` with
-    ``reason``.  On a block of matrices ``d`` is a vector; ``cells.guard``
+    ``reason``.  On a grid of matrices ``d`` is an array; ``cells.guard``
     marks its zero entries undefined and returns a copy with those set to 1.
     """
     if isinstance(d, (int, float)):

@@ -1,6 +1,7 @@
 """Condition audits: sampling, verdicts, enumeration oracle, collapse families."""
 
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
@@ -274,14 +275,30 @@ def _brute_force_extremal(index_id, rows):
     return lo, hi, undefined, first[lo], first[hi]
 
 
+class TestGridChunks:
+    @pytest.mark.parametrize("size", [1, 3, 4096])
+    @pytest.mark.parametrize("rows", [(2, 2), (3, 3, 3), (2, 2, 2, 2), (1, 2, 3, 4), (1,) * 5])
+    def test_chunks_tile_the_enumeration_in_order(self, rows, size, monkeypatch):
+        monkeypatch.setattr(audit, "_GRID_SIZE", size)
+        found = []
+        for first, chunk in audit._iter_grids(rows):
+            assert first == len(found)  # contiguous positions, from 0
+            matrices = list(itertools.product(*(map(tuple, r.tolist()) for r in chunk)))
+            assert 0 < len(matrices) <= max(size, 1)  # the memory bound
+            found += matrices
+        assert len(found) == enumeration_size(rows)
+        assert found == [m.counts for m in iter_matrices(rows)]
+
+
 class TestBatchedScanParity:
     @pytest.mark.parametrize("rows", [(2, 2), (2, 3, 4), (3, 3, 3), (1, 1, 1, 1)])
     @pytest.mark.parametrize("index_id", MULTI_INDEX_IDS)
     def test_matches_fraction_loop(self, index_id, rows, monkeypatch):
         lo, hi, undefined, argmin, argmax = _brute_force_extremal(index_id, rows)
-        # the default block size, then blocks of a few matrices so that ties span blocks
-        for cells in (audit._BLOCK_CELLS, 4 * len(rows) ** 2):
-            monkeypatch.setattr(audit, "_BLOCK_CELLS", cells)
+        # the default chunk size, then chunks of one and of a few matrices so that
+        # ties span chunks
+        for size in (audit._GRID_SIZE, 1, 3):
+            monkeypatch.setattr(audit, "_GRID_SIZE", size)
             result = enumerate_extremal(index_id, rows)
             assert (result.exact_min, result.exact_max) == (lo, hi)
             assert result.undefined_count == undefined

@@ -3,7 +3,7 @@
 The oracles in :mod:`imbindex.exact` work in integer numerator/denominator
 arithmetic.  The reference below builds a ``Fraction`` for every rate and
 every partial sum instead, straight from the defining formulas, and serves
-the oracle as the block scan's brute-force loop serves the block scan.
+the oracle as the grid scan's brute-force loop serves the grid scan.
 """
 
 import ast
