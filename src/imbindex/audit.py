@@ -319,6 +319,17 @@ def enumeration_size(row_sums: Sequence[int]) -> int:
     return math.prod(math.comb(s + bins - 1, bins - 1) for s in row_sums)
 
 
+def _within_budget(row_sums: Sequence[int], budget: int) -> int:
+    """The enumeration size of ``row_sums``; raises :class:`BudgetExceededError`
+    when it exceeds ``budget``."""
+    size = enumeration_size(row_sums)
+    if size > budget:
+        raise BudgetExceededError(
+            f"row sums {tuple(row_sums)} require {size} matrices, budget is {budget}"
+        )
+    return size
+
+
 # matrices per enumeration chunk: memory stays flat in C and in enumeration size
 _GRID_SIZE = 4096
 
@@ -487,11 +498,7 @@ def _scan_extremal(
     in enumeration order whose exact key equals the exact extremum; exact ties
     are not broken by float rounding.
     """
-    size = enumeration_size(row_sums)
-    if size > budget:
-        raise BudgetExceededError(
-            f"row sums {tuple(row_sums)} require {size} matrices, budget is {budget}"
-        )
+    size = _within_budget(row_sums, budget)
     if len(row_sums) < 2:
         raise TooFewClassesError(f"need at least 2 classes, got {len(row_sums)}")
     if min(row_sums) < 1:
@@ -576,13 +583,15 @@ class Condition2Result:
 def audit_condition2_many(
     index_ids: Sequence[str],
     c_range: Sequence[int] = DEFAULT_C_RANGE,
-    rows_by_c: dict[int, Sequence[int]] | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> dict[str, Condition2Result]:
-    """Bound audit for several indices sharing one enumeration pass per class count.
+    """Bound audit for several indices sharing one enumeration pass per class
+    count, over the :func:`default_row_sums` of each.
 
-    Raises :class:`BoundCrossedError` when an exact enumerated extremum lies
-    outside the closed-form bounds: the evidence then refutes the closed form.
+    Every class count is checked against ``budget``, in ascending order, before
+    any is scanned.  Raises :class:`BoundCrossedError` when an exact enumerated
+    extremum lies outside the closed-form bounds: the evidence then refutes the
+    closed form.
     """
     c_values = sorted(set(int(c) for c in c_range))
     if not c_values or c_values[0] < 2:
@@ -592,17 +601,13 @@ def audit_condition2_many(
             raise MatrixError(
                 f"{index_id} is a two-class index; condition 2 needs a class-count range"
             )
-    rows_for = {
-        c: tuple(rows_by_c[c]) if rows_by_c and c in rows_by_c else default_row_sums(c)
-        for c in c_values
-    }
+    rows_for = {c: default_row_sums(c) for c in c_values}
+    for row_sums in rows_for.values():
+        _within_budget(row_sums, budget)
 
     tables: dict[str, list[BoundRow]] = {i: [] for i in index_ids}
     theory: dict[str, list[tuple[Fraction, Fraction]]] = {i: [] for i in index_ids}
-    for c in c_values:
-        row_sums = rows_for[c]
-        if len(row_sums) != c:
-            raise MatrixError(f"row sums {row_sums} do not match class count {c}")
+    for c, row_sums in rows_for.items():
         extrema = _scan_extremal(index_ids, row_sums, budget)
         for index_id in index_ids:
             found = extrema[index_id]
@@ -804,6 +809,8 @@ def audit_all(
     collapse family.
     """
     conditions = set(conditions)
+    if not conditions:
+        raise ValueError("no condition to audit; choose among 1, 2, 3")
     if not conditions <= {1, 2, 3}:
         raise ValueError(f"conditions must be among 1, 2, 3; got {sorted(conditions)}")
     collapse_c = 3 if class_count is None else class_count

@@ -7,9 +7,15 @@ noise.  Matrix mode rescales confusion-matrix rows by exact rational factors,
 which changes the test mix while provably preserving the row profile; it
 isolates the distortion an index suffers from the mix change alone.
 
+A point set is a dict from each label to its ``(n, 2)`` float64 points in
+generation order.
+
 Experiments are declarative (frozen dataclass specs, loadable from JSON) and
 deterministic: trial ``t`` of an experiment with seed ``s`` draws all its
-randomness from a stream derived from ``(s, t)``.
+randomness from a stream derived from ``(s, t)``.  A ``type1_sweep`` spec and
+a point dataset of an ``rrt_stability`` spec both parse into one
+:class:`PointSweep` and run by one loop; only their streams differ, ``(s, t)``
+for the spec and ``(s, d, t)`` for the dataset at position ``d``.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import statistics
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -71,20 +78,9 @@ class GaussianClassSpec:
             raise SpecError(f"class {self.label!r}: sample_count must be >= 1")
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """Labeled 2-D points: each label maps to its (n, 2) float64 points in
-    generation order."""
-
-    classes: dict[str, np.ndarray]
-
-    def class_counts(self) -> dict[str, int]:
-        return {label: len(xy) for label, xy in self.classes.items()}
-
-
 def generate_gaussian_dataset(
     specs: Sequence[GaussianClassSpec], seed: int | np.random.Generator
-) -> PointSet:
+) -> dict[str, np.ndarray]:
     """Sample every class spec in order from one seeded stream; specs that
     share a label are stacked under it."""
     rng = np.random.default_rng(seed)
@@ -93,11 +89,11 @@ def generate_gaussian_dataset(
         std = np.sqrt(np.asarray(spec.variances))
         block = np.asarray(spec.mean) + rng.standard_normal((spec.sample_count, 2)) * std
         blocks.setdefault(spec.label, []).append(block)
-    return PointSet({label: np.vstack(b) for label, b in blocks.items()})
+    return {label: np.vstack(b) for label, b in blocks.items()}
 
 
 def threshold_classifier_confusion(
-    points: PointSet,
+    points: dict[str, np.ndarray],
     threshold: float,
     positive_label: str,
     positive_side: str = "greater",
@@ -108,15 +104,14 @@ def threshold_classifier_confusion(
     is predicted positive: ``"greater"`` means x > threshold, ``"less"``
     means x < threshold.
     """
-    classes = points.classes
-    if len(classes) != 2:
-        raise MatrixError(f"threshold classifier needs exactly 2 classes, got {sorted(classes)}")
-    if positive_label not in classes:
-        raise MatrixError(f"positive label {positive_label!r} not present in {sorted(classes)}")
+    if len(points) != 2:
+        raise MatrixError(f"threshold classifier needs exactly 2 classes, got {sorted(points)}")
+    if positive_label not in points:
+        raise MatrixError(f"positive label {positive_label!r} not present in {sorted(points)}")
     if positive_side not in ("greater", "less"):
         raise MatrixError(f"positive_side must be 'greater' or 'less', got {positive_side!r}")
-    (negative_label,) = [k for k in classes if k != positive_label]
-    pos, neg = classes[positive_label][:, 0], classes[negative_label][:, 0]
+    (negative_label,) = [k for k in points if k != positive_label]
+    pos, neg = points[positive_label][:, 0], points[negative_label][:, 0]
     if len(pos) == 0 or len(neg) == 0:
         raise EmptyRowError("a class has no points")
     predicts_pos = np.greater if positive_side == "greater" else np.less
@@ -130,11 +125,11 @@ def threshold_classifier_confusion(
 
 
 def resample_points_to_rrt(
-    points: PointSet,
+    points: dict[str, np.ndarray],
     target,
     majority_label: str,
     seed: int | np.random.Generator,
-) -> PointSet:
+) -> dict[str, np.ndarray]:
     """Subsample a two-class point set to the requested majority/minority ratio.
 
     The ratio is counted as ``n(majority_label) / n(other)``.  When the target
@@ -145,7 +140,7 @@ def resample_points_to_rrt(
     target = to_fraction(target)
     if target <= 0:
         raise UnachievableRRTError(f"target ratio {target} is not positive")
-    counts = points.class_counts()
+    counts = {label: len(xy) for label, xy in points.items()}
     if len(counts) != 2:
         raise MatrixError(f"point-mode resampling needs 2 classes, got {sorted(counts)}")
     if majority_label not in counts:
@@ -168,11 +163,11 @@ def resample_points_to_rrt(
     rng = np.random.default_rng(seed)
     kept = {}
     for label, k in keep.items():
-        xy = points.classes[label]
+        xy = points[label]
         if k < len(xy):
             xy = xy[np.sort(rng.choice(len(xy), size=k, replace=False))]
         kept[label] = xy
-    return PointSet(kept)
+    return kept
 
 
 def rescale_matrix_to_rrt(m: ConfusionMatrix, target) -> ConfusionMatrix:
@@ -238,36 +233,43 @@ def synthetic_multiclass_confusion(
 
 
 @dataclass(frozen=True)
-class Type1SweepSpec:
-    """Two-class threshold sweep over a schedule of test-mix ratios."""
+class PointSweep:
+    """Two-class point-mode sweep: each trial draws Gaussian points, subsamples
+    them to every test-mix ratio of ``schedule`` (``n(majority) / n(other)``),
+    and tallies each subsample with every ``(setting, threshold)`` classifier.
 
-    experiment: str
+    A point dataset of an ``rrt_stability`` spec is one, with the single
+    classifier ``(id, threshold)``.
+    """
+
     generators: tuple[GaussianClassSpec, ...]
     positive_label: str
     positive_side: str
     majority_label: str
-    thresholds: tuple[float, ...]
-    rrt_schedule: tuple[Fraction, ...]
-    indices: tuple[str, ...]
+    schedule: tuple[Fraction, ...]
+    classifiers: tuple[tuple[str, float], ...]
     trials: int
-    seed: int
+    indices: tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class GrowthStep:
-    class_count: int
-    profile: tuple[int, ...]
+class Type1SweepSpec(PointSweep):
+    """Two-class threshold sweep over a schedule of test-mix ratios; threshold
+    ``t`` is the classifier ``("t=<t:g>", t)``."""
+
+    experiment: str
+    seed: int
 
 
 @dataclass(frozen=True)
 class Type2GrowthSpec:
-    """Accuracy-profiled matrices over a growing class count."""
+    """Accuracy-profiled matrices over a growing class count; each step is the
+    per-class test counts of its class count."""
 
     experiment: str
-    steps: tuple[GrowthStep, ...]
+    steps: tuple[tuple[int, ...], ...]
     accuracy_sweep: tuple[Fraction, ...]
     indices: tuple[str, ...]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -285,23 +287,9 @@ class MatrixStabilityDataset:
 
 
 @dataclass(frozen=True)
-class PointStabilityDataset:
-    """Point-mode stability dataset: seeded subsampling then a fixed classifier."""
-
-    dataset_id: str
-    generators: tuple[GaussianClassSpec, ...]
-    threshold: float
-    positive_label: str
-    positive_side: str
-    majority_label: str
-    schedule: tuple[Fraction, ...]
-    trials: int
-    indices: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class RRTStabilitySpec:
-    """Index stability across a test-mix schedule, per dataset."""
+    """Index stability across a test-mix schedule, per dataset: each a
+    :class:`MatrixStabilityDataset` or a :class:`PointSweep`."""
 
     experiment: str
     datasets: tuple
@@ -388,10 +376,11 @@ def _index_list(obj: dict, where: str) -> tuple[str, ...]:
 
 
 def _point_sweep(raw: dict, where: str, schedule_field: str) -> dict:
-    """The fields a ``type1_sweep`` and a point dataset share, checked by one rule:
-    a non-empty schedule of positive ratios, at least one trial, generators
-    giving exactly two distinct labels, a positive and a majority label among
-    them, and a positive side of ``greater`` or ``less``."""
+    """The :class:`PointSweep` fields a ``type1_sweep`` and a point dataset
+    share, checked by one rule: a non-empty schedule of positive ratios, at
+    least one trial, generators giving exactly two distinct labels, a positive
+    and a majority label among them, and a positive side of ``greater`` or
+    ``less``."""
     field = f"{where}.{schedule_field}"
     schedule = tuple(_ratio(v, field) for v in _list(raw, schedule_field, where))
     if not schedule:
@@ -413,7 +402,7 @@ def _point_sweep(raw: dict, where: str, schedule_field: str) -> dict:
     if side not in ("greater", "less"):
         raise SpecError(f"{where}.positive_side: expected 'greater' or 'less', got {side!r}")
     return dict(named, generators=generators, positive_side=side, trials=trials,
-                **{schedule_field: schedule})
+                schedule=schedule)
 
 
 def load_spec(source) -> ExperimentSpec:
@@ -442,7 +431,7 @@ def load_spec(source) -> ExperimentSpec:
             raise SpecError("spec.thresholds: must be non-empty")
         return Type1SweepSpec(
             experiment=experiment,
-            thresholds=thresholds,
+            classifiers=tuple((f"t={t:g}", t) for t in thresholds),
             indices=_index_list(raw, "spec"),
             seed=seed,
             **sweep,
@@ -456,7 +445,7 @@ def load_spec(source) -> ExperimentSpec:
             class_count = _int(s.get("class_count", len(profile)), f"{spot}.class_count")
             if class_count != len(profile):
                 raise SpecError(f"{spot}.profile: {len(profile)} counts for C={class_count}")
-            steps.append(GrowthStep(class_count, profile))
+            steps.append(profile)
         if not steps:
             raise SpecError("spec.steps: at least one step required")
         sweep = tuple(
@@ -469,15 +458,17 @@ def load_spec(source) -> ExperimentSpec:
             steps=tuple(steps),
             accuracy_sweep=sweep,
             indices=_index_list(raw, "spec"),
-            seed=seed,
         )
 
     if kind == "rrt_stability":
-        datasets = []
+        datasets, ids = [], set()
         for d_idx, d in enumerate(_list(raw, "datasets", "spec", dict)):
             spot = f"spec.datasets[{d_idx}]"
             mode = str(_need(d, "mode", spot))
             dataset_id = str(_need(d, "id", spot))
+            if dataset_id in ids:
+                raise SpecError("spec.datasets: dataset ids must be unique")
+            ids.add(dataset_id)
             indices = _index_list(d, spot)
             if mode == "matrix":
                 rows = tuple(tuple(r) for r in _list(d, "matrix", spot, list))
@@ -495,10 +486,10 @@ def load_spec(source) -> ExperimentSpec:
                     raise SpecError(f"{field}: must be non-empty")
                 datasets.append(MatrixStabilityDataset(dataset_id, matrix, schedule, indices))
             elif mode == "point":
+                threshold = _number(_need(d, "threshold", spot), f"{spot}.threshold")
                 datasets.append(
-                    PointStabilityDataset(
-                        dataset_id=dataset_id,
-                        threshold=_number(_need(d, "threshold", spot), f"{spot}.threshold"),
+                    PointSweep(
+                        classifiers=((dataset_id, threshold),),
                         indices=indices,
                         **_point_sweep(d, spot, "schedule"),
                     )
@@ -507,9 +498,6 @@ def load_spec(source) -> ExperimentSpec:
                 raise SpecError(f"{spot}.mode: expected 'matrix' or 'point', got {mode!r}")
         if not datasets:
             raise SpecError("spec.datasets: at least one dataset required")
-        ids = [d.dataset_id for d in datasets]
-        if len(set(ids)) != len(ids):
-            raise SpecError("spec.datasets: dataset ids must be unique")
         return RRTStabilitySpec(experiment=experiment, datasets=tuple(datasets), seed=seed)
 
     raise SpecError(f"spec.kind: unknown kind {kind!r}")
@@ -547,29 +535,22 @@ class ExperimentResult:
     rows: tuple[ResultRow, ...]
     summary: tuple[SummaryRow, ...]
 
+    def _statistic(self, statistic: str, *key: str) -> dict[tuple, float | None]:
+        """The values of the ``statistic`` summary rows, keyed by the ``key`` fields."""
+        get = attrgetter(*key)
+        return {get(r): r.value for r in self.summary if r.statistic == statistic}
+
     def stds(self) -> dict[tuple[str, str], float | None]:
         """(setting, index) -> standard deviation over the schedule."""
-        return {
-            (r.setting, r.index): r.value
-            for r in self.summary
-            if r.statistic == "std"
-        }
+        return self._statistic("std", "setting", "index")
 
     def mins(self) -> dict[tuple[str, str], float | None]:
         """(rrt_or_c, index) -> minimum over the sweep (growth experiments)."""
-        return {
-            (r.rrt_or_c, r.index): r.value
-            for r in self.summary
-            if r.statistic == "min"
-        }
+        return self._statistic("min", "rrt_or_c", "index")
 
     def means(self) -> dict[tuple[str, str, str], float | None]:
         """(setting, index, rrt_or_c) -> mean over trials."""
-        return {
-            (r.setting, r.index, r.rrt_or_c): r.value
-            for r in self.summary
-            if r.statistic == "mean"
-        }
+        return self._statistic("mean", "setting", "index", "rrt_or_c")
 
     def digest(self) -> dict[str, float | None]:
         """Per index: mean of the schedule standard deviations across settings."""
@@ -645,29 +626,61 @@ def _schedule_key(entry) -> str:
     return str(entry)
 
 
-def _mean_and_std_summary(
-    experiment: str,
-    rows: Sequence[ResultRow],
-    indices: Sequence[str],
-    settings: Sequence[str],
-    schedule_keys: Sequence[str],
-) -> list[SummaryRow]:
-    """Per (setting, index, schedule entry): mean over trials; then the
+def _point_cells(stream: tuple, sweep: PointSweep):
+    """Cells of a point sweep: trial ``t`` draws its points from ``stream +
+    (t,)`` and its subsample for schedule entry ``s`` from ``stream + (t, s)``."""
+    for trial in range(sweep.trials):
+        points = generate_gaussian_dataset(
+            sweep.generators, np.random.default_rng([*stream, trial])
+        )
+        for s_idx, ratio in enumerate(sweep.schedule):
+            resampled = _attempt(
+                resample_points_to_rrt, points, ratio, sweep.majority_label,
+                np.random.default_rng([*stream, trial, s_idx]),
+            )
+            for setting, threshold in sweep.classifiers:
+                matrix = resampled if isinstance(resampled, MatrixError) else _attempt(
+                    threshold_classifier_confusion, resampled, threshold,
+                    sweep.positive_label, sweep.positive_side,
+                )
+                yield trial, setting, str(ratio), matrix
+
+
+def _schedule_result(
+    experiment: str, stream: tuple, sweep: PointSweep | MatrixStabilityDataset
+) -> tuple[list[ResultRow], list[SummaryRow]]:
+    """Rows of a sweep over a test-mix schedule (a point sweep drawing from
+    ``stream``, or an exactly rescaled matrix), and its summary: per (setting,
+    index, schedule entry) the mean over trials, then per (setting, index) the
     standard deviation of those means over the schedule."""
+    if isinstance(sweep, PointSweep):
+        cells = _point_cells(stream, sweep)
+        settings = [setting for setting, _threshold in sweep.classifiers]
+    else:
+        cells = (
+            (0, sweep.dataset_id, _schedule_key(entry), _attempt(
+                rescale_matrix_to_counts if isinstance(entry, tuple) else rescale_matrix_to_rrt,
+                sweep.matrix, entry,
+            ))
+            for entry in sweep.schedule
+        )
+        settings = [sweep.dataset_id]
+    rows = _result_rows(experiment, cells, sweep.indices)
+
     summary: list[SummaryRow] = []
-    cells: dict[tuple[str, str, str], list[float]] = {}
+    values: dict[tuple[str, str, str], list[float]] = {}
     missing: dict[tuple[str, str, str], str] = {}
     for r in rows:
         key = (r.setting, r.index, r.rrt_or_c)
         if r.value is None:
             missing.setdefault(key, r.status)
         else:
-            cells.setdefault(key, []).append(r.value)
+            values.setdefault(key, []).append(r.value)
     for setting in settings:
-        for index_id in indices:
+        for index_id in sweep.indices:
             means: list[float] = []
             broken: str | None = None
-            for sched in schedule_keys:
+            for sched in map(_schedule_key, sweep.schedule):
                 key = (setting, index_id, sched)
                 if key in missing:
                     status = missing[key]
@@ -676,7 +689,7 @@ def _mean_and_std_summary(
                     )
                     broken = broken or f"undefined at {sched}"
                     continue
-                mean = statistics.fmean(cells[key])
+                mean = statistics.fmean(values[key])
                 means.append(mean)
                 summary.append(
                     SummaryRow(experiment, setting, index_id, sched, "mean", mean, STATUS_OK)
@@ -688,49 +701,18 @@ def _mean_and_std_summary(
                     broken or STATUS_OK,
                 )
             )
-    return summary
-
-
-def _point_cells(seed_prefix: tuple, sweep, schedule, classifiers):
-    """Cells of a point-mode sweep: Gaussian points, subsampled to each ratio,
-    then tallied by each ``(setting, threshold)`` classifier.
-
-    Trial ``t`` draws its points from ``seed_prefix + (t,)`` and its subsample
-    for schedule entry ``s`` from ``seed_prefix + (t, s)``.  ``sweep`` supplies
-    the generators, labels, side and trial count.
-    """
-    for trial in range(sweep.trials):
-        points = generate_gaussian_dataset(
-            sweep.generators, np.random.default_rng([*seed_prefix, trial])
-        )
-        for s_idx, ratio in enumerate(schedule):
-            resampled = _attempt(
-                resample_points_to_rrt, points, ratio, sweep.majority_label,
-                np.random.default_rng([*seed_prefix, trial, s_idx]),
-            )
-            for setting, threshold in classifiers:
-                matrix = resampled if isinstance(resampled, MatrixError) else _attempt(
-                    threshold_classifier_confusion, resampled, threshold,
-                    sweep.positive_label, sweep.positive_side,
-                )
-                yield trial, setting, str(ratio), matrix
+    return rows, summary
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run a declarative experiment; per-cell failures become undefined rows."""
     if isinstance(spec, Type1SweepSpec):
-        settings = [f"t={t:g}" for t in spec.thresholds]
-        classifiers = list(zip(settings, spec.thresholds))
-        cells = _point_cells((spec.seed,), spec, spec.rrt_schedule, classifiers)
-        rows = _result_rows(spec.experiment, cells, spec.indices)
-        summary = _mean_and_std_summary(
-            spec.experiment, rows, spec.indices, settings, [str(r) for r in spec.rrt_schedule]
-        )
+        rows, summary = _schedule_result(spec.experiment, (spec.seed,), spec)
     elif isinstance(spec, Type2GrowthSpec):
         cells = (
-            (0, f"a={accuracy}", str(step.class_count),
-             _attempt(synthetic_multiclass_confusion, step.class_count, accuracy, step.profile))
-            for step in spec.steps
+            (0, f"a={accuracy}", str(len(profile)),
+             _attempt(synthetic_multiclass_confusion, len(profile), accuracy, profile))
+            for profile in spec.steps
             for accuracy in spec.accuracy_sweep
         )
         rows = _result_rows(spec.experiment, cells, spec.indices)
@@ -738,28 +720,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     elif isinstance(spec, RRTStabilitySpec):
         rows, summary = [], []
         for d_idx, dataset in enumerate(spec.datasets):
-            schedule_keys = [_schedule_key(e) for e in dataset.schedule]
-            if isinstance(dataset, MatrixStabilityDataset):
-                cells = (
-                    (0, dataset.dataset_id, key,
-                     _attempt(rescale_matrix_to_counts, dataset.matrix, entry)
-                     if isinstance(entry, tuple)
-                     else _attempt(rescale_matrix_to_rrt, dataset.matrix, entry))
-                    for entry, key in zip(dataset.schedule, schedule_keys)
-                )
-            else:
-                cells = _point_cells(
-                    (spec.seed, d_idx), dataset, dataset.schedule,
-                    [(dataset.dataset_id, dataset.threshold)],
-                )
-            dataset_rows = _result_rows(spec.experiment, cells, dataset.indices)
-            rows.extend(dataset_rows)
-            summary.extend(
-                _mean_and_std_summary(
-                    spec.experiment, dataset_rows, dataset.indices,
-                    [dataset.dataset_id], schedule_keys,
-                )
+            dataset_rows, dataset_summary = _schedule_result(
+                spec.experiment, (spec.seed, d_idx), dataset
             )
+            rows.extend(dataset_rows)
+            summary.extend(dataset_summary)
     else:
         raise SpecError(f"unknown experiment spec type {type(spec).__name__}")
     return ExperimentResult(spec.experiment, tuple(rows), tuple(summary))
@@ -768,8 +733,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 def _min_summary(spec: Type2GrowthSpec, rows: Sequence[ResultRow]) -> list[SummaryRow]:
     """Per (class count, index): the minimum over the accuracy sweep."""
     summary: list[SummaryRow] = []
-    for step in spec.steps:
-        rrt_or_c = str(step.class_count)
+    for profile in spec.steps:
+        rrt_or_c = str(len(profile))
         for index_id in spec.indices:
             values = [
                 r.value for r in rows

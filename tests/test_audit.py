@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +41,12 @@ from imbindex.audit import (
 )
 from imbindex.confusion import IntegralityError
 from imbindex.io import to_json
-from imbindex.registry import INDEX_SPECS, MULTI_INDEX_IDS, applicable_index_ids
+from imbindex.registry import (
+    INDEX_SPECS,
+    MULTI_INDEX_IDS,
+    applicable_index_ids,
+    theoretical_bounds,
+)
 from conftest import matrices_with_scaling
 
 FAST_TRIALS = 100
@@ -171,13 +177,15 @@ class TestCondition1:
 
 class TestCondition2:
     def test_acsa_stable_with_uniform_row_sums(self):
-        result = audit_condition2_many(
-            ["acsa"], c_range=(2, 3, 4), rows_by_c={2: (3, 3), 3: (3, 3, 3), 4: (3, 3, 3, 3)}
-        )["acsa"]
+        result = audit_condition2_many(["acsa"], c_range=(2, 3, 4))["acsa"]
         assert result.verdict == VERDICT_STABLE
+        assert [row.row_sums for row in result.table] == [(3, 3), (3, 3, 3), (2, 2, 2, 2)]
         for row in result.table:
             assert (row.enumerated_min, row.enumerated_max) == (0.0, 1.0)
             assert (row.theoretical_min, row.theoretical_max) == (0.0, 1.0)
+        found = enumerate_extremal("acsa", (3, 3, 3, 3))
+        assert (found.min_value, found.max_value) == (0.0, 1.0)
+        assert theoretical_bounds("acsa", 4, (3, 3, 3, 3)) == (0.0, 1.0)
 
     def test_auroc_ovo_floor_grows_with_class_count(self):
         result = audit_condition2_many(["auroc_ovo"], c_range=(2, 3, 4))["auroc_ovo"]
@@ -210,9 +218,27 @@ class TestCondition2:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            audit_condition2_many(
-                ["acsa"], c_range=(6,), rows_by_c={6: (6,) * 6}, budget=1000
-            )["acsa"]
+            audit_condition2_many(["acsa"], c_range=(6,), budget=1000)["acsa"]
+        with pytest.raises(BudgetExceededError):
+            enumerate_extremal("acsa", (6,) * 6, budget=1000)
+
+    @pytest.mark.parametrize("budget, rows, size", [
+        pytest.param(5000, (2, 2, 2, 2), 10000, id="C=4-over"),  # C = 2, 3 and 5 within
+        pytest.param(500, (3, 3, 3), 1000, id="C=3-and-4-over"),  # the smaller one is named
+    ])
+    def test_budget_checked_before_any_scan(self, monkeypatch, budget, rows, size):
+        scanned = []
+        real_scan = audit._scan_extremal
+
+        def spy(index_ids, row_sums, budget):
+            scanned.append(row_sums)
+            return real_scan(index_ids, row_sums, budget)
+
+        monkeypatch.setattr(audit, "_scan_extremal", spy)
+        message = f"row sums {rows} require {size} matrices, budget is {budget}"
+        with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+            audit_condition2_many(["acsa"], c_range=(5, 4, 3, 2), budget=budget)
+        assert scanned == []
 
     def test_binary_index_rejected(self):
         with pytest.raises(MatrixError):

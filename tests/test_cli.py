@@ -130,9 +130,21 @@ class TestAudit:
                      "--output", str(report)])
         captured = capsys.readouterr()
         assert code == EXIT_OK
-        assert "match the expected table" in captured.err
+        assert captured.err == "verdicts match the expected table for 13 indices\n"
         payload = json.loads(report.read_text())
         assert len(payload) == 13
+
+    def test_check_paper_counts_only_compared_indices(self, capsys):
+        # neither index has an expected row, so nothing was compared
+        code = main(["audit", "--index", "recall,specificity", "--cond", "1", "--trials", "20",
+                     "--check-paper"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == "verdicts match the expected table for 0 indices\n"
+
+    def test_empty_condition_list_is_input_error(self, capsys):
+        code = main(["audit", "--all", "--cond", "", "--check-paper"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: no condition to audit; choose among 1, 2, 3\n")
 
     def test_check_paper_mismatch_exits_three(self, monkeypatch, capsys):
         from imbindex import audit as audit_mod
@@ -385,3 +397,25 @@ class TestUsageAndSeed:
         monkeypatch.setenv("IMBINDEX_SEED", "not_a_number")
         with pytest.raises(ValueError):
             default_seed()
+
+
+class TestUnusablePaths:
+    """A path that cannot be written is an input error naming the path, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(lambda f, m: ["simulate", str(SPEC_DIR / "example1_type2.json"),
+                                   "--output-dir", str(f)], id="simulate-output-dir-is-file"),
+        pytest.param(lambda f, m: ["eval", "--matrix", str(m), "--output", str(f / "x")],
+                     id="eval-output-under-file"),
+        pytest.param(lambda f, m: ["eval", "--matrix", str(m), "--save-matrix", str(f / "x")],
+                     id="eval-save-matrix-under-file"),
+        pytest.param(lambda f, m: ["audit", "--index", "acsa", "--cond", "3",
+                                   "--output", str(f / "x")], id="audit-output-under-file"),
+    ])
+    def test_exit_two(self, tmp_path, base_matrix_csv, capsys, argv):
+        regular_file = tmp_path / "file"
+        regular_file.write_text("")
+        assert main(argv(regular_file, base_matrix_csv)) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: [Errno ") and str(regular_file) in err

@@ -1,5 +1,8 @@
 """Distortion lab: generators, classifiers, resampling, and experiment runs."""
 
+import dataclasses
+import hashlib
+import json
 import math
 import re
 from fractions import Fraction
@@ -12,9 +15,8 @@ from imbindex.confusion import IntegralityError
 from conftest import SPEC_DIR
 from imbindex.lab import (
     GaussianClassSpec,
-    GrowthStep,
     MatrixStabilityDataset,
-    PointSet,
+    PointSweep,
     RRTStabilitySpec,
     SpecError,
     Type1SweepSpec,
@@ -36,6 +38,10 @@ TYPE1_GENERATORS = (
 )
 
 
+def class_counts(points):
+    return {label: len(xy) for label, xy in points.items()}
+
+
 def small_generators(n=600):
     return (
         GaussianClassSpec("right", (7.5, 3.0), (0.25, 0.25), n),
@@ -46,21 +52,21 @@ def small_generators(n=600):
 class TestGaussianDataset:
     def test_counts_and_labels(self):
         points = generate_gaussian_dataset(TYPE1_GENERATORS, 7)
-        assert {k: xy.shape for k, xy in points.classes.items()} == {
+        assert {k: xy.shape for k, xy in points.items()} == {
             "right": (5000, 2), "left": (5000, 2),
         }
-        assert points.class_counts() == {"left": 5000, "right": 5000}
+        assert class_counts(points) == {"left": 5000, "right": 5000}
 
     def test_deterministic_under_seed(self):
         a = generate_gaussian_dataset(TYPE1_GENERATORS, 7)
         b = generate_gaussian_dataset(TYPE1_GENERATORS, 7)
-        assert list(a.classes) == list(b.classes)
-        assert all(np.array_equal(a.classes[k], b.classes[k]) for k in a.classes)
+        assert list(a) == list(b)
+        assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_empirical_means_close_to_spec(self):
         points = generate_gaussian_dataset(TYPE1_GENERATORS, 11)
         for spec in TYPE1_GENERATORS:
-            block = points.classes[spec.label]
+            block = points[spec.label]
             for axis in (0, 1):
                 sigma = math.sqrt(spec.variances[axis])
                 margin = 3 * sigma / math.sqrt(spec.sample_count)
@@ -71,7 +77,7 @@ class TestGaussianDataset:
             GaussianClassSpec("a", (0, 0), (1, 1), 1),
             GaussianClassSpec("b", (5, 5), (1, 1), 1),
         )
-        assert generate_gaussian_dataset(tiny, 3).class_counts() == {"a": 1, "b": 1}
+        assert class_counts(generate_gaussian_dataset(tiny, 3)) == {"a": 1, "b": 1}
 
     def test_shared_label_stacks_blocks_in_spec_order(self):
         specs = (
@@ -85,9 +91,9 @@ class TestGaussianDataset:
             np.asarray(s.mean) + rng.standard_normal((s.sample_count, 2)) * np.sqrt(s.variances)
             for s in specs
         ]
-        assert list(points.classes) == ["a", "b"]
-        assert np.array_equal(points.classes["a"], np.vstack([blocks[0], blocks[2]]))
-        assert np.array_equal(points.classes["b"], blocks[1])
+        assert list(points) == ["a", "b"]
+        assert np.array_equal(points["a"], np.vstack([blocks[0], blocks[2]]))
+        assert np.array_equal(points["b"], blocks[1])
 
     def test_validation(self):
         with pytest.raises(SpecError):
@@ -100,7 +106,7 @@ class TestThresholdClassifier:
     def test_against_manual_tally(self):
         points = generate_gaussian_dataset(small_generators(), 13)
         m = threshold_classifier_confusion(points, 5.0, "right", "greater")
-        right, left = points.classes["right"][:, 0], points.classes["left"][:, 0]
+        right, left = points["right"][:, 0], points["left"][:, 0]
         assert m.counts[0][0] == int(np.sum(right > 5.0))
         assert m.counts[0][1] == int(np.sum(right <= 5.0))
         assert m.counts[1][0] == int(np.sum(left > 5.0))
@@ -117,9 +123,9 @@ class TestThresholdClassifier:
         assert m.counts[0][0] > m.counts[0][1]
 
     def test_point_on_the_threshold_is_predicted_negative(self):
-        points = PointSet({
+        points = {
             "p": np.array([[1.0, 0.0], [2.0, 0.0]]), "n": np.array([[2.0, 0.0], [3.0, 0.0]]),
-        })
+        }
         assert threshold_classifier_confusion(points, 2.0, "p", "greater").to_lists() == [
             [0, 2], [1, 1],
         ]
@@ -140,7 +146,7 @@ class TestThresholdClassifier:
             threshold_classifier_confusion(points, 5.0, "middle")
         with pytest.raises(MatrixError, match="got 'up'$"):
             threshold_classifier_confusion(points, 5.0, "right", "up")
-        three = PointSet({**points.classes, "middle": points.classes["left"]})
+        three = {**points, "middle": points["left"]}
         with pytest.raises(MatrixError, match=re.escape(
             "needs exactly 2 classes, got ['left', 'middle', 'right']"
         )):
@@ -151,17 +157,17 @@ class TestPointResampling:
     def test_shrinks_minority_for_large_ratio(self):
         points = generate_gaussian_dataset(TYPE1_GENERATORS, 7)
         out = resample_points_to_rrt(points, 10, "left", 7)
-        assert out.class_counts() == {"left": 5000, "right": 500}
+        assert class_counts(out) == {"left": 5000, "right": 500}
 
     def test_shrinks_majority_for_small_ratio(self):
         points = generate_gaussian_dataset(small_generators(100), 7)
         out = resample_points_to_rrt(points, "1/2", "left", 7)
-        assert out.class_counts() == {"left": 50, "right": 100}
+        assert class_counts(out) == {"left": 50, "right": 100}
 
     def test_ratio_one_keeps_balanced_set(self):
         points = generate_gaussian_dataset(small_generators(100), 7)
         out = resample_points_to_rrt(points, 1, "left", 7)
-        assert out.class_counts() == {"left": 100, "right": 100}
+        assert class_counts(out) == {"left": 100, "right": 100}
 
     def test_unachievable_ratio(self):
         points = generate_gaussian_dataset(small_generators(10), 7)
@@ -173,15 +179,15 @@ class TestPointResampling:
         a = resample_points_to_rrt(points, 4, "left", 21)
         b = resample_points_to_rrt(points, 4, "left", 21)
         for label in ("left", "right"):
-            assert np.array_equal(a.classes[label], b.classes[label])
-            original = {tuple(row) for row in points.classes[label]}
-            assert all(tuple(row) in original for row in a.classes[label])
+            assert np.array_equal(a[label], b[label])
+            original = {tuple(row) for row in points[label]}
+            assert all(tuple(row) in original for row in a[label])
 
     def test_draws_match_global_index_reference(self):
         # the same draws as a subsample by global point position: one label
         # per point in generation order, majority class drawn first
         points = generate_gaussian_dataset(small_generators(200), 9)
-        xy = np.vstack([points.classes["right"], points.classes["left"]])
+        xy = np.vstack([points["right"], points["left"]])
         labels = np.array(["right"] * 200 + ["left"] * 200)
         for ratio in (4, "1/2", 1):  # shrinks the minority, the majority, neither
             out = resample_points_to_rrt(points, ratio, "left", 21)
@@ -189,13 +195,13 @@ class TestPointResampling:
             kept = []
             for label in ("left", "right"):
                 idx = np.flatnonzero(labels == label)
-                k = out.class_counts()[label]
+                k = class_counts(out)[label]
                 if k < len(idx):
                     idx = np.sort(rng.choice(idx, size=k, replace=False))
                 kept.append(idx)
             order = np.sort(np.concatenate(kept))
             for label in ("left", "right"):
-                assert np.array_equal(out.classes[label], xy[order][labels[order] == label])
+                assert np.array_equal(out[label], xy[order][labels[order] == label])
 
 
 class TestMatrixRescaling:
@@ -269,8 +275,8 @@ class TestType1Sweep:
             positive_label="right",
             positive_side="greater",
             majority_label="left",
-            thresholds=tuple(thresholds),
-            rrt_schedule=tuple(Fraction(s) for s in schedule),
+            classifiers=tuple((f"t={t:g}", t) for t in thresholds),
+            schedule=tuple(Fraction(s) for s in schedule),
             indices=("precision", "m_precision", "gmean2"),
             trials=trials,
             seed=1729,
@@ -300,10 +306,9 @@ class TestType2Growth:
         hexagon = (5000, 1500, 4000, 500, 3500, 4500)
         spec = Type2GrowthSpec(
             experiment="t2",
-            steps=tuple(GrowthStep(c, hexagon[:c]) for c in (3, 4, 5, 6)),
+            steps=tuple(hexagon[:c] for c in (3, 4, 5, 6)),
             accuracy_sweep=(Fraction(3, 5),),
             indices=("auroc_ova", "acsa"),
-            seed=1,
         )
         result = run_experiment(spec)
         mins = result.mins()
@@ -466,6 +471,15 @@ class TestPointSweepValidation:
         with pytest.raises(SpecError, match=rf"^spec\.datasets\[0\]\.{field}: {message}"):
             load_spec(point_raw(**{field: value}))
 
+    def test_both_forms_parse_into_one_point_sweep(self):
+        type1 = load_spec(type1_raw(thresholds=[4, 5]))
+        (dataset,) = load_spec(point_raw()).datasets
+        assert type(dataset) is PointSweep and isinstance(type1, PointSweep)
+        shared = [f.name for f in dataclasses.fields(PointSweep) if f.name != "classifiers"]
+        assert {n: getattr(type1, n) for n in shared} == {n: getattr(dataset, n) for n in shared}
+        assert type1.classifiers == (("t=4", 4.0), ("t=5", 5.0))
+        assert dataset.classifiers == (("pts", 4.0),)
+
     def test_generators_sharing_a_label_are_stacked(self):
         generators = [*GENERATORS_RAW, dict(GENERATORS_RAW[1], mean=[2.0, 3.0])]
         for raw in (type1_raw(generators=generators), point_raw(generators=generators)):
@@ -566,7 +580,9 @@ class TestSpecFieldTypes:
     def test_negative_seed(self, raw):
         with pytest.raises(SpecError, match=r"^spec\.seed: must be >= 0$"):
             load_spec({**raw, "seed": -1})
-        assert load_spec({**raw, "seed": 0}).seed == 0
+        spec = load_spec({**raw, "seed": 0})
+        if not isinstance(spec, Type2GrowthSpec):  # a growth run draws nothing at random
+            assert spec.seed == 0
 
     @pytest.mark.parametrize(
         "value", ["abc", True, None, math.nan, -math.inf, 10**400],
@@ -585,9 +601,11 @@ class TestSpecFieldTypes:
 
     def test_numbers_accept_ints_and_floats(self):
         spec = load_spec(type1_raw(thresholds=[3, 4.5]))
-        assert spec.thresholds == (3.0, 4.5)
+        assert spec.classifiers == (("t=3", 3.0), ("t=4.5", 4.5))
+        assert [type(t) for _setting, t in spec.classifiers] == [float, float]
         assert spec.generators[0].mean == (7.5, 3.0)
-        assert load_spec(point_raw(threshold=4)).datasets[0].threshold == 4.0
+        (classifier,) = load_spec(point_raw(threshold=4)).datasets[0].classifiers
+        assert classifier == ("pts", 4.0) and type(classifier[1]) is float
 
     def test_sample_count(self):
         generators = [dict(GENERATORS_RAW[0], sample_count=10.5), GENERATORS_RAW[1]]
@@ -603,6 +621,11 @@ class TestSpecFieldTypes:
             SpecError, match=r"^spec\.steps\[0\]\.class_count: expected an integer"
         ):
             load_spec(type2_raw(class_count=3.0))
+        with pytest.raises(SpecError, match=r"^spec\.steps\[0\]\.profile: 3 counts for C=4$"):
+            load_spec(type2_raw(class_count=4))
+        raw = type2_raw()
+        del raw["steps"][0]["class_count"]
+        assert load_spec(raw).steps == ((10, 10, 10),)
 
     def test_matrix_mode_count_vector(self):
         with pytest.raises(
@@ -673,3 +696,39 @@ class TestResultFiles:
         digest = result.digest()
         assert digest["gmean2"] == 0.0
         assert digest["precision"] is None
+
+
+# sha256 of every bundled spec's CSVs with its seed set to 7, recorded at c21cf03
+SEED7_DIGESTS = {
+    "class_count_effect_long.csv":
+        "8538f05c16b8048279dbea4f24823e87c341fa66b1cf310dc72fb657b87d62de",
+    "class_count_effect_summary.csv":
+        "8100f03a71c9ad6d7645b4cbd89fca0fc4d1bf676be73451cb755bc116dcc2e0",
+    "example1_type1_long.csv":
+        "902446f1a9114f53a4512360ad0119f65fd56a0f6b5494d1c58a3ad4a18ea281",
+    "example1_type1_summary.csv":
+        "d8d98d2df6aeb03b1f5fe476794477d32937e9af17778cf21811959c667dab45",
+    "example1_type2_long.csv":
+        "0ca6b45f78397274738ed7534d0ac6faaf46097d70eb15567c00fda864b9239b",
+    "example1_type2_summary.csv":
+        "10f2397432bc13048098884feb5f455fe59a5cd57ab03e400d6554826357a181",
+    "rrt_stability_matrix_long.csv":
+        "98823ab8a66f79814015b2b82f6eeb657223760cade4a16d014d1e0a43f046e0",
+    "rrt_stability_matrix_summary.csv":
+        "e08e63fce1c5f52c9deb9f491fe10f2278c202f0152ad28c080e2ef975e1660b",
+    "rrt_stability_point_long.csv":
+        "c6d89060b6794341d67afc9c380e284442d4398f4f5a15ee5402af0ef9ecfb8b",
+    "rrt_stability_point_summary.csv":
+        "dfd2cbeb0c8f00902dd5c7069f24f6a5df1686719e1eba554d971dccb3c07a60",
+}
+
+
+def test_bundled_specs_at_seed_7_match_recorded_digests(tmp_path):
+    for spec_path in sorted(SPEC_DIR.glob("*.json")):
+        raw = dict(json.loads(spec_path.read_text()), seed=7)
+        run_experiment(load_spec(raw)).write_csv(tmp_path)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.glob("*.csv"))
+    }
+    assert digests == SEED7_DIGESTS
