@@ -8,12 +8,13 @@ differ, so rounding noise can never produce a false violation.
 
 Condition 2 (class-count-stable bounds): the index's closed-form value bounds
 must not depend on the number of classes.  Audited by comparing closed-form
-bounds across a class-count range, with an exhaustive enumeration of all
-matrices over fixed small row sums as the independent check that the bounds
-are attained and never crossed.  The enumeration runs each index's float
-formula, the one :func:`~imbindex.registry.evaluate` runs on one matrix, over
-grids whose cells broadcast, row i's compositions along axis i; it screens
-for extrema in float and confirms them with the exact oracle.
+bounds across a class-count range.  At each class count the exact extrema
+over all matrices with fixed small row sums are certified without
+enumerating: the exact oracle evaluates a few vertex matrices, whose rows
+each put all their mass in one column, and the certificate raises when the
+extrema cross the closed form or, for an index that is not affine at fixed
+row sums, do not attain it.  An exhaustive enumeration through the exact
+oracle remains as the reference the certificates are tested against.
 
 Condition 3 (single-class collapse): when one class's accuracy is driven to
 zero along a collapse family, the index limit must stay strictly above the
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from .confusion import (
     to_fraction,
 )
 from .io import to_json
-from .multiclass import _add
 from .registry import (
     DEFAULT_SEED,
     ExactEval,
@@ -58,7 +58,6 @@ from .registry import (
     get_index,
 )
 
-SCREEN_TOL = 1e-9
 DEFAULT_TRIALS = 500
 DEFAULT_BUDGET = 2_000_000
 DEFAULT_C_RANGE = (2, 3, 4)
@@ -299,7 +298,7 @@ def audit_condition1(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration over fixed row sums
+# extrema over fixed row sums
 
 
 @lru_cache(maxsize=None)
@@ -317,54 +316,6 @@ def enumeration_size(row_sums: Sequence[int]) -> int:
     """Number of matrices with the given row sums."""
     bins = len(row_sums)
     return math.prod(math.comb(s + bins - 1, bins - 1) for s in row_sums)
-
-
-def _within_budget(row_sums: Sequence[int], budget: int) -> int:
-    """The enumeration size of ``row_sums``; raises :class:`BudgetExceededError`
-    when it exceeds ``budget``."""
-    size = enumeration_size(row_sums)
-    if size > budget:
-        raise BudgetExceededError(
-            f"row sums {tuple(row_sums)} require {size} matrices, budget is {budget}"
-        )
-    return size
-
-
-# matrices per enumeration chunk: memory stays flat in C and in enumeration size
-_GRID_SIZE = 4096
-
-
-def _iter_grids(row_sums: Sequence[int]) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """All matrices with the given row sums: the grid whose axis i holds row i's
-    compositions, flattened in C order (the order of ``itertools.product``; a
-    matrix's position in it identifies it), in chunks of at most ``_GRID_SIZE``.
-
-    Yields ``(first, rows)``: the chunk is the product of the ``(k_i, C)``
-    arrays ``rows[i]``, and ``first`` is its first position.  A chunk fixes the
-    leading axes and takes a range of one axis and all of the trailing ones.
-    """
-    bins = len(row_sums)
-    rows = [np.array(_compositions(int(s), bins), dtype=np.int64) for s in row_sums]
-    shape = [len(r) for r in rows]
-    axis = bins - 1
-    while axis > 0 and math.prod(shape[axis:]) <= _GRID_SIZE:
-        axis -= 1
-    tail = math.prod(shape[axis + 1 :])
-    step = max(1, _GRID_SIZE // tail)
-    first = 0
-    for prefix in itertools.product(*map(range, shape[:axis])):
-        fixed = [r[p : p + 1] for r, p in zip(rows, prefix)]
-        for lo in range(0, shape[axis], step):
-            ranged = rows[axis][lo : lo + step]
-            yield first, fixed + [ranged] + rows[axis + 1 :]
-            first += len(ranged) * tail
-
-
-def _matrix_at(row_sums: Sequence[int], position: int) -> ConfusionMatrix:
-    """The matrix at one position of the enumeration order."""
-    rows = [_compositions(int(s), len(row_sums)) for s in row_sums]
-    picks = np.unravel_index(position, tuple(len(r) for r in rows))
-    return ConfusionMatrix(tuple(r[int(pick)] for r, pick in zip(rows, picks)))
 
 
 def iter_matrices(row_sums: Sequence[int]) -> Iterator[ConfusionMatrix]:
@@ -385,46 +336,6 @@ def default_row_sums(class_count: int) -> tuple[int, ...]:
     return (per_row,) * class_count
 
 
-class _GridCells:
-    """A grid chunk of matrices as the cells an index formula reads.
-
-    ``counts[i][j]`` is a ``(1, ..., k_i, ..., 1)`` view along axis i, so a
-    formula broadcasts to every matrix of the chunk.  Row sums are fixed over
-    an enumeration, so ``row_sums[i]`` and ``total`` are plain ints and only
-    ``col_sums[j]`` spans the grid; a plain-int denominator takes the scalar
-    path of :func:`~imbindex.values.nonzero`, safe as every row sum is positive.
-    """
-
-    def __init__(self, rows: Sequence[np.ndarray]) -> None:
-        self.class_count = c = len(rows)
-        self.shape = tuple(len(r) for r in rows)
-        self.size = math.prod(self.shape)
-        # column j of every row, row i's entries along axis i
-        columns = [np.ix_(*(r[:, j] for r in rows)) for j in range(c)]
-        self.counts = list(zip(*columns))
-        self.row_sums = [int(r[0].sum()) for r in rows]
-        self.col_sums = [_add(column) for column in columns]
-        self.total = sum(self.row_sums)
-        self._undefined: np.ndarray | None = None
-
-    def run(self, formula: Callable) -> tuple[np.ndarray, np.ndarray | None]:
-        """Values of ``formula`` (finite everywhere) and the mask of matrices where
-        it is undefined, ``None`` when it is defined on all; flat, in order."""
-        self._undefined = None
-        values, undefined = formula(self), self._undefined
-        if undefined is not None:
-            undefined = np.broadcast_to(undefined, self.shape).ravel()
-        return np.broadcast_to(values, self.shape).ravel(), undefined
-
-    def guard(self, d: np.ndarray, reason: str) -> np.ndarray:
-        """:func:`~imbindex.values.nonzero` on a grid: mask the zeros, divide by 1 there."""
-        zero = d == 0
-        if not zero.any():
-            return d
-        self._undefined = zero if self._undefined is None else self._undefined | zero
-        return np.where(zero, 1, d)
-
-
 @dataclass(frozen=True)
 class ExtremalResult:
     index: str
@@ -439,110 +350,24 @@ class ExtremalResult:
     undefined_count: int
 
 
-class _Screen:
-    """Float screen for one minimum: the candidates for exact confirmation.
-
-    Keeps, for each distinct float value within ``SCREEN_TOL`` of the running
-    minimum, the position of the first matrix in enumeration order that has it.
-    """
-
-    def __init__(self) -> None:
-        self.best = math.inf
-        self.first: dict[float, int] = {}
-
-    def add(self, values: np.ndarray, positions: np.ndarray) -> None:
-        if not len(values):
-            return
-        low = float(values.min())
-        if low > self.best + SCREEN_TOL:
-            return
-        self.best = min(self.best, low)
-        cutoff = self.best + SCREEN_TOL
-        near = values <= cutoff
-        # each distinct value with its first position here; an earlier chunk's stays
-        distinct, at = np.unique(values[near], return_index=True)
-        for value, position in zip(distinct.tolist(), positions[near][at].tolist()):
-            self.first.setdefault(value, position)
-        self.first = {v: p for v, p in self.first.items() if v <= cutoff}
-
-
-def _confirm(
-    index_id: str,
-    row_sums: Sequence[int],
-    screen: _Screen,
-    pick: Callable[[Iterable[Fraction]], Fraction],
-) -> tuple[ConfusionMatrix, ExactEval]:
-    """Exact extremum (``pick`` is ``min`` or ``max``) over the screen's candidates."""
-    candidates = []
-    for position in sorted(screen.first.values()):
-        m = _matrix_at(row_sums, position)
-        candidates.append((m, exact(index_id, m)))
-    best = pick(ev.key for _m, ev in candidates)
-    return next((m, ev) for m, ev in candidates if ev.key == best)
-
-
-def _scan_extremal(
-    index_ids: Sequence[str], row_sums: Sequence[int], budget: int
-) -> dict[str, ExtremalResult]:
-    """Scan every matrix once for all indices, then confirm the extrema exactly.
-
-    The scan runs each index's float formula, the one :func:`evaluate` runs,
-    once per grid chunk of the enumeration.  Every matrix whose float value
-    lies within ``SCREEN_TOL`` of the running float minimum (or maximum) is a
-    candidate; candidates are deduplicated by float value across all chunks,
-    keeping the first in enumeration order, so a value shared by many matrices
-    (``gmean_c = 0``) keeps one.  Each surviving candidate is re-evaluated on
-    the exact rational path, and the exact extremum is the smallest (largest)
-    exact key among them.  The tolerance dwarfs float rounding, so the true
-    extremum is always a candidate.  The reported witness is the first matrix
-    in enumeration order whose exact key equals the exact extremum; exact ties
-    are not broken by float rounding.
-    """
-    size = _within_budget(row_sums, budget)
+def _check_rows(index_id: str, row_sums: Sequence[int]) -> None:
     if len(row_sums) < 2:
         raise TooFewClassesError(f"need at least 2 classes, got {len(row_sums)}")
     if min(row_sums) < 1:
         raise EmptyRowError(f"row sums {tuple(row_sums)} include an empty class")
-    specs = [get_index(i) for i in index_ids]
-    for spec in specs:
-        if spec.binary_only:
-            raise MatrixError(
-                f"{spec.index_id} is a two-class index; enumeration covers multi-class indices"
-            )
-    lows = {i: _Screen() for i in index_ids}
-    highs = {i: _Screen() for i in index_ids}  # screens the negated values
-    undefined = dict.fromkeys(index_ids, 0)
-    for first, rows in _iter_grids(row_sums):
-        cells = _GridCells(rows)
-        positions = np.arange(first, first + cells.size)
-        for spec in specs:
-            values, undefined_at = cells.run(spec.formula)
-            defined_at = positions
-            if undefined_at is not None:
-                values, defined_at = values[~undefined_at], positions[~undefined_at]
-                undefined[spec.index_id] += cells.size - len(values)
-            lows[spec.index_id].add(values, defined_at)
-            highs[spec.index_id].add(-values, defined_at)
-
-    out = {}
-    for index_id in index_ids:
-        if not lows[index_id].first:
-            raise MatrixError(f"{index_id} is undefined on every matrix with rows {row_sums}")
-        argmin, exact_min = _confirm(index_id, row_sums, lows[index_id], min)
-        argmax, exact_max = _confirm(index_id, row_sums, highs[index_id], max)
-        out[index_id] = ExtremalResult(
-            index=index_id,
-            row_sums=tuple(int(s) for s in row_sums),
-            min_matrix=argmin,
-            max_matrix=argmax,
-            min_value=exact_min.value,
-            max_value=exact_max.value,
-            exact_min=exact_min.key,
-            exact_max=exact_max.key,
-            matrix_count=size,
-            undefined_count=undefined[index_id],
+    if get_index(index_id).binary_only:
+        raise MatrixError(
+            f"{index_id} is a two-class index; extrema over row sums cover multi-class indices"
         )
-    return out
+
+
+def _result(index_id, row_sums, low, high, undefined_count: int) -> ExtremalResult:
+    """The result whose witnesses ``low`` and ``high`` are ``(matrix, ExactEval)`` pairs."""
+    (argmin, lo), (argmax, hi) = low, high
+    return ExtremalResult(
+        index_id, tuple(int(s) for s in row_sums), argmin, argmax, lo.value, hi.value,
+        lo.key, hi.key, enumeration_size(row_sums), undefined_count,
+    )
 
 
 def enumerate_extremal(
@@ -550,8 +375,105 @@ def enumerate_extremal(
     row_sums: Sequence[int],
     budget: int = DEFAULT_BUDGET,
 ) -> ExtremalResult:
-    """Exact extrema of an index over all matrices with the given row sums."""
-    return _scan_extremal([index_id], row_sums, budget)[index_id]
+    """Exact extrema of an index over all matrices with the given row sums, by enumeration.
+
+    Every matrix of :func:`iter_matrices` goes through the exact oracle; each
+    witness is the first matrix in that order whose key is the extremum.
+    Raises :class:`BudgetExceededError` when there are more than ``budget``
+    matrices.  This is the reference :func:`certify_extremal` is tested against.
+    """
+    size = enumeration_size(row_sums)
+    if size > budget:
+        raise BudgetExceededError(
+            f"row sums {tuple(row_sums)} require {size} matrices, budget is {budget}"
+        )
+    _check_rows(index_id, row_sums)
+    low = high = None
+    undefined = 0
+    for m in iter_matrices(row_sums):
+        ev = exact(index_id, m)
+        if ev is None:
+            undefined += 1
+            continue
+        if low is None or ev.key < low[1].key:
+            low = m, ev
+        if high is None or ev.key > high[1].key:
+            high = m, ev
+    if low is None:
+        raise MatrixError(f"{index_id} is undefined on every matrix with rows {row_sums}")
+    return _result(index_id, row_sums, low, high, undefined)
+
+
+def _vertex(row_sums: Sequence[int], columns: Sequence[int]) -> ConfusionMatrix:
+    """The matrix whose row i puts all of ``row_sums[i]`` in column ``columns[i]``."""
+    c = len(row_sums)
+    return ConfusionMatrix(
+        tuple(tuple(r if j == col else 0 for j in range(c)) for r, col in zip(row_sums, columns))
+    )
+
+
+def _empty_column_count(row_sums: Sequence[int]) -> int:
+    """Matrices with the given row sums that have an empty column.
+
+    Inclusion-exclusion over the set S of empty columns: the matrices whose
+    columns in S are empty number ``prod_i binom(R_i + C - |S| - 1, C - |S| - 1)``.
+    """
+    c = len(row_sums)
+    return sum(
+        (-1) ** (s + 1) * math.comb(c, s)
+        * math.prod(math.comb(r + c - s - 1, c - s - 1) for r in row_sums)
+        for s in range(1, c)
+    )
+
+
+def certify_extremal(index_id: str, row_sums: Sequence[int]) -> ExtremalResult:
+    """Exact extrema of an index over all matrices with the given row sums, without enumerating.
+
+    Both witnesses are vertices, whose row i puts all of ``R_i`` in one
+    column, valued by the exact oracle.  An affine index's key is a sum of one
+    linear term per row, so each row takes the column that makes its term
+    least (most), ranked by the keys of the identity with that row moved.  Any
+    other index must attain its closed-form bounds exactly, at a cyclic
+    derangement and at the identity; that rests on the closed form being a
+    bound, which the tests check against :func:`enumerate_extremal` at small
+    class counts.  ``undefined_count`` counts the matrices with an empty
+    column for an index undefined exactly there, and is 0 for any other.
+
+    Raises :class:`BoundCrossedError` when an extremum lies outside the
+    closed-form bounds, or a non-affine index does not attain them.
+    """
+    _check_rows(index_id, row_sums)
+    spec = get_index(index_id)
+    c = len(row_sums)
+    lo, hi = bounds_exact(index_id, c, profile=row_sums)
+    where = f"{index_id} at C={c}, row sums {tuple(row_sums)}"
+    identity = tuple(range(c))
+    if spec.affine:
+        lows, highs = [], []
+        for i in range(c):
+            keys = [
+                exact(index_id, _vertex(row_sums, identity[:i] + (j,) + identity[i + 1 :])).key
+                for j in range(c)
+            ]
+            lows.append(keys.index(min(keys)))
+            highs.append(keys.index(max(keys)))
+        ends = [_vertex(row_sums, lows), _vertex(row_sums, highs)]
+    else:
+        ends = [_vertex(row_sums, identity[1:] + identity[:1]), _vertex(row_sums, identity)]
+    low, high = ((m, exact(index_id, m)) for m in ends)
+    keys = [None if ev is None else ev.key for _m, ev in (low, high)]
+    if not spec.affine and keys != [lo, hi]:
+        raise BoundCrossedError(
+            f"{where}: a cyclic derangement and the identity give {keys}, not the "
+            f"closed form [{lo}, {hi}]; the extrema are uncertified"
+        )
+    # keys order like values; gmean_c's product key equals its value at its bounds 0 and 1
+    if keys[0] < lo or keys[1] > hi:
+        raise BoundCrossedError(
+            f"{where}: certified [{keys[0]}, {keys[1]}] crosses the closed form [{lo}, {hi}]"
+        )
+    undefined = _empty_column_count(row_sums) if spec.undefined_iff_empty_column else 0
+    return _result(index_id, row_sums, low, high, undefined)
 
 
 # ---------------------------------------------------------------------------
@@ -583,41 +505,27 @@ class Condition2Result:
 def audit_condition2_many(
     index_ids: Sequence[str],
     c_range: Sequence[int] = DEFAULT_C_RANGE,
-    budget: int = DEFAULT_BUDGET,
 ) -> dict[str, Condition2Result]:
-    """Bound audit for several indices sharing one enumeration pass per class
-    count, over the :func:`default_row_sums` of each.
+    """Bound audit for several indices over the :func:`default_row_sums` of each
+    class count.
 
-    Every class count is checked against ``budget``, in ascending order, before
-    any is scanned.  Raises :class:`BoundCrossedError` when an exact enumerated
-    extremum lies outside the closed-form bounds: the evidence then refutes the
-    closed form.
+    Each row's extrema and counts are :func:`certify_extremal`'s, which
+    raises :class:`BoundCrossedError` when the evidence refutes a closed form
+    or cannot certify an extremum.  The row fields keep their names:
+    ``enumerated_min`` and ``enumerated_max`` hold the certified extrema,
+    which equal the ones an enumeration would find.
     """
     c_values = sorted(set(int(c) for c in c_range))
     if not c_values or c_values[0] < 2:
         raise MatrixError("class-count range must contain values >= 2")
-    for index_id in index_ids:
-        if get_index(index_id).binary_only:
-            raise MatrixError(
-                f"{index_id} is a two-class index; condition 2 needs a class-count range"
-            )
-    rows_for = {c: default_row_sums(c) for c in c_values}
-    for row_sums in rows_for.values():
-        _within_budget(row_sums, budget)
 
     tables: dict[str, list[BoundRow]] = {i: [] for i in index_ids}
     theory: dict[str, list[tuple[Fraction, Fraction]]] = {i: [] for i in index_ids}
-    for c, row_sums in rows_for.items():
-        extrema = _scan_extremal(index_ids, row_sums, budget)
+    for c in c_values:
+        row_sums = default_row_sums(c)
         for index_id in index_ids:
-            found = extrema[index_id]
+            found = certify_extremal(index_id, row_sums)
             lo, hi = bounds_exact(index_id, c, profile=row_sums)
-            # keys order like values; gmean_c's product key equals its value at its bounds 0 and 1
-            if found.exact_min < lo or found.exact_max > hi:
-                raise BoundCrossedError(
-                    f"{index_id} at C={c}, row sums {row_sums}: enumerated "
-                    f"[{found.exact_min}, {found.exact_max}] crosses the closed form [{lo}, {hi}]"
-                )
             theory[index_id].append((lo, hi))
             tables[index_id].append(
                 BoundRow(
@@ -641,6 +549,7 @@ def audit_condition2_many(
     return out
 
 
+# ---------------------------------------------------------------------------
 # ---------------------------------------------------------------------------
 # condition 3
 
@@ -797,15 +706,14 @@ def audit_all(
     seed: int = DEFAULT_SEED,
     class_count: int | None = None,
     c_range: Sequence[int] = DEFAULT_C_RANGE,
-    budget: int = DEFAULT_BUDGET,
 ) -> list[AuditReport]:
     """Run the requested condition audits for each index (default: every audited index).
 
     ``class_count`` sets the class count of condition 1 for the multi-class
     indices; two-class indices always run it at C = 2.  Condition 1 draws each
-    trial once per class count for all the indices there.  Condition 2 runs one
-    shared enumeration pass for all multi-class indices; two-class indices get
-    a NotApplicable row.  Condition 3 runs every index along one default
+    trial once per class count for all the indices there.  Condition 2
+    certifies the bounds of the multi-class indices; two-class indices get a
+    NotApplicable row.  Condition 3 runs every index along one default
     collapse family.
     """
     conditions = set(conditions)
@@ -823,7 +731,7 @@ def audit_all(
     shared = {}
     multi = [s.index_id for s in specs if not s.binary_only]
     if 2 in conditions and multi:
-        shared = audit_condition2_many(multi, c_range=c_range, budget=budget)
+        shared = audit_condition2_many(multi, c_range=c_range)
 
     shared1 = {}
     if 1 in conditions:

@@ -34,7 +34,7 @@ def auroc(cells) -> float:
 def precision(cells) -> float:
     """TP / (TP + FP); undefined when nothing is predicted positive."""
     (tp, _fn), (fp, _tn) = cells.counts
-    return tp / nonzero(cells, tp + fp, "no positive predictions")
+    return tp / nonzero(tp + fp, "no positive predictions")
 
 
 def recall(cells) -> float:
@@ -52,7 +52,7 @@ def specificity(cells) -> float:
 def aurpc(cells) -> float:
     """Mean of recall and precision; inherits precision's undefined case."""
     (tp, fn), (fp, _tn) = cells.counts
-    return 0.5 * (tp / (tp + fn) + tp / nonzero(cells, tp + fp, "no positive predictions"))
+    return 0.5 * (tp / (tp + fn) + tp / nonzero(tp + fp, "no positive predictions"))
 
 
 def _tpr_and_predicted(cells) -> tuple[float, float]:
@@ -60,7 +60,7 @@ def _tpr_and_predicted(cells) -> tuple[float, float]:
     (tp, fn), (fp, tn) = cells.counts
     tpr = tp / (tp + fn)
     fpr = fp / (fp + tn)
-    return tpr, nonzero(cells, tpr + fpr, "no positive predictions in rate terms")
+    return tpr, nonzero(tpr + fpr, "no positive predictions in rate terms")
 
 
 def m_precision(cells) -> float:

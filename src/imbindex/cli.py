@@ -131,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--c-range", "--c", default="2..4",
         help="class counts for the bound audit, e.g. 2..6 or 2,4 (default 2..4)",
     )
-    p_audit.add_argument("--budget", type=int, default=audit_mod.DEFAULT_BUDGET)
     p_audit.add_argument("--output", help="write the JSON report here instead of stdout")
     p_audit.add_argument(
         "--check-paper", action="store_true",
@@ -202,7 +201,6 @@ def _cmd_audit(args) -> int:
         seed=seed,
         class_count=args.class_count,
         c_range=c_range,
-        budget=args.budget,
     )
     text = audit_mod.reports_to_json(reports) + "\n"
     if args.output:
@@ -256,7 +254,6 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (
         ValueError,  # includes MatrixError, SpecError, UnknownIndexError, JSONDecodeError
-        audit_mod.BudgetExceededError,
         OSError,  # a path that cannot be read or written
     ) as err:
         print(f"error: {err}", file=sys.stderr)

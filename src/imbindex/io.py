@@ -61,14 +61,11 @@ def read_matrix_csv(path) -> tuple[ConfusionMatrix, tuple[str, ...] | None]:
 
 def write_matrix_csv(path, matrix: ConfusionMatrix, labels: Sequence[str] | None = None) -> None:
     """Write a matrix in the same format :func:`read_matrix_csv` accepts."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    if labels is not None and len(labels) != matrix.class_count:
+        raise MatrixError(f"{len(labels)} labels for {matrix.class_count} classes")
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         if labels is not None:
-            if len(labels) != matrix.class_count:
-                raise MatrixError(
-                    f"{len(labels)} labels for {matrix.class_count} classes"
-                )
             writer.writerow(labels)
         for row in matrix.counts:
             writer.writerow(row)

@@ -429,9 +429,18 @@ def load_spec(source) -> ExperimentSpec:
         thresholds = tuple(_number(t, "spec.thresholds") for t in _list(raw, "thresholds", "spec"))
         if not thresholds:
             raise SpecError("spec.thresholds: must be non-empty")
+        classifiers = tuple((f"t={t:g}", t) for t in thresholds)
+        # the name keys a classifier's trials, so two thresholds may not share one
+        first: dict[str, float] = {}
+        for name, t in classifiers:
+            if name in first:
+                raise SpecError(
+                    f"spec.thresholds: {first[name]!r} and {t!r} share the classifier name {name!r}"
+                )
+            first[name] = t
         return Type1SweepSpec(
             experiment=experiment,
-            classifiers=tuple((f"t={t:g}", t) for t in thresholds),
+            classifiers=classifiers,
             indices=_index_list(raw, "spec"),
             seed=seed,
             **sweep,

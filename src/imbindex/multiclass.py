@@ -11,19 +11,11 @@ of row rates.
 Each index is written once, as a formula over a matrix's cells: ``counts[i][j]``,
 ``row_sums``, ``col_sums``, ``total`` and ``class_count``.  It returns a bare
 number, and every denominator that can vanish passes through
-:func:`~imbindex.values.nonzero`.  The same body runs over two kinds of cells:
-
-* one :class:`~imbindex.confusion.ConfusionMatrix`, whose cells are Python
-  ints (:func:`imbindex.registry.evaluate`);
-* a grid of matrices whose cells broadcast, ``counts[i][j]`` along axis i
-  (the exhaustive enumeration in :mod:`imbindex.audit`).
-
-The formulas use only ``+ - * /`` and ``**``, in a fixed order, so the two
-paths round alike: the grid values equal the one-matrix values bit for bit,
-except that numpy's ``**`` may differ from Python's by one ulp.  Sums run
-left to right (:func:`_add`), not through ``sum``, which compensates float
-rounding on Python 3.12 and later while numpy does not.  Formulas rebind
-(``total = total + x``), never update in place, so grid shapes broadcast.
+:func:`~imbindex.values.nonzero`; :func:`imbindex.registry.evaluate` runs it
+on one :class:`~imbindex.confusion.ConfusionMatrix`.  Sums run left to right
+(:func:`_add`), not through ``sum``, which compensates float rounding on
+Python 3.12 and later, so values would differ across the Python versions CI
+runs.
 """
 
 from __future__ import annotations
@@ -34,7 +26,7 @@ from .values import nonzero
 
 
 def _add(terms):
-    """Left-to-right sum of ``terms``: numbers or vectors."""
+    """Left-to-right sum of ``terms``."""
     total = 0
     for term in terms:
         total = total + term
@@ -103,7 +95,7 @@ def aurpc_ova(cells) -> float:
     counts, row_sums = cells.counts, cells.row_sums
     total = 0.0
     for i in range(c):
-        predicted = nonzero(cells, cells.col_sums[i], f"class {i + 1} never predicted")
+        predicted = nonzero(cells.col_sums[i], f"class {i + 1} never predicted")
         total = total + (counts[i][i] / predicted + counts[i][i] / row_sums[i])
     return total / (2 * c)
 
@@ -115,6 +107,6 @@ def m_aurpc_ova(cells) -> float:
     total = 0.0
     for i in range(c):
         column = _add(rates[j][i] for j in range(c))
-        predicted = nonzero(cells, column, f"rate column {i + 1} sums to zero")
+        predicted = nonzero(column, f"rate column {i + 1} sums to zero")
         total = total + (rates[i][i] / predicted + rates[i][i])
     return total / (2 * c)

@@ -97,7 +97,9 @@ class IndexSpec:
     single-class collapse. ``collapse_floor(C)`` is a strict floor that the
     limit provably exceeds; it is checked against exact keys, so it suits only
     an index whose key is its value. An index with neither has no collapse
-    verdict.
+    verdict.  ``affine``: the key is affine in the cells at fixed row sums.
+    ``undefined_iff_empty_column``: undefined exactly when a column is empty
+    (else defined whenever every row is non-empty).  Condition 2 reads both.
     """
 
     index_id: str
@@ -108,6 +110,8 @@ class IndexSpec:
     collapse_limit: Callable[[int], Fraction] | None = None
     collapse_floor: Callable[[int], Fraction] | None = None
     key_value: Callable[[Fraction, int], float] = _key_value
+    affine: bool = False
+    undefined_iff_empty_column: bool = False
 
 
 _SPECS = (
@@ -125,19 +129,17 @@ _SPECS = (
     ),
     IndexSpec(
         "acsa", False, multiclass.acsa, oracle._acsa,
-        collapse_limit=lambda c: Fraction(c - 1, c),
+        collapse_limit=lambda c: Fraction(c - 1, c), affine=True,
     ),
+    IndexSpec("auroc_ovo", False, multiclass.auroc_ovo, oracle._auroc_ovo, _ovo_floor, affine=True),
+    IndexSpec("auroc_ova", False, multiclass.auroc_ova, oracle._auroc_ova, _ova_floor, affine=True),
+    IndexSpec("n_auroc_ova", False, multiclass.n_auroc_ova, oracle._n_auroc_ova, affine=True),
     IndexSpec(
-        "auroc_ovo", False, multiclass.auroc_ovo, oracle._auroc_ovo, lower_bound=_ovo_floor
+        "aurpc_ova", False, multiclass.aurpc_ova, oracle._aurpc_ova, undefined_iff_empty_column=True
     ),
-    IndexSpec(
-        "auroc_ova", False, multiclass.auroc_ova, oracle._auroc_ova, lower_bound=_ova_floor
-    ),
-    IndexSpec("n_auroc_ova", False, multiclass.n_auroc_ova, oracle._n_auroc_ova),
-    IndexSpec("aurpc_ova", False, multiclass.aurpc_ova, oracle._aurpc_ova),
     IndexSpec(
         "m_aurpc_ova", False, multiclass.m_aurpc_ova, oracle._m_aurpc_ova,
-        collapse_floor=lambda c: Fraction(3 * (c - 1), 4 * c),
+        collapse_floor=lambda c: Fraction(3 * (c - 1), 4 * c), undefined_iff_empty_column=True,
     ),
 )
 

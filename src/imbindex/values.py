@@ -31,15 +31,9 @@ class Undefined(Exception):
     """An index formula met a zero denominator on one matrix; the message is the reason."""
 
 
-def nonzero(cells, d, reason: str):
-    """``d``, a denominator of an index formula over ``cells``, made safe to divide by.
-
-    On one matrix ``d`` is a number, and zero raises :class:`Undefined` with
-    ``reason``.  On a grid of matrices ``d`` is an array; ``cells.guard``
-    marks its zero entries undefined and returns a copy with those set to 1.
-    """
-    if isinstance(d, (int, float)):
-        if d == 0:
-            raise Undefined(reason)
-        return d
-    return cells.guard(d, reason)
+def nonzero(d, reason: str):
+    """``d``, a denominator of an index formula, made safe to divide by: zero
+    raises :class:`Undefined` with ``reason``."""
+    if d == 0:
+        raise Undefined(reason)
+    return d

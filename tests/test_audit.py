@@ -1,9 +1,8 @@
 """Condition audits: sampling, verdicts, enumeration oracle, collapse families."""
 
 import dataclasses
-import itertools
 import json
-import re
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +28,7 @@ from imbindex.audit import (
     audit_condition2_many,
     audit_condition3,
     build_collapse_family,
+    certify_extremal,
     conformance_mismatches,
     default_collapse_family,
     enumerate_extremal,
@@ -216,29 +216,30 @@ class TestCondition2:
         with pytest.raises(BoundCrossedError, match=r"acsa at C=2, row sums \(3, 3\)"):
             audit_condition2_many(["acsa"], c_range=(2, 3))
 
+    def test_certificate_not_attaining_a_closed_form_raises(self, monkeypatch):
+        # aurpc_ova's cyclic derangement has key 0; a claimed floor of -1/10 is
+        # never crossed, but neither is it attained, so the minimum is uncertified
+        spec = dataclasses.replace(
+            INDEX_SPECS["aurpc_ova"], lower_bound=lambda c, p: Fraction(-1, 10)
+        )
+        monkeypatch.setitem(INDEX_SPECS, "aurpc_ova", spec)
+        message = r"aurpc_ova at C=2, row sums \(3, 3\): .* the extrema are uncertified$"
+        with pytest.raises(BoundCrossedError, match=message):
+            audit_condition2_many(["aurpc_ova"], c_range=(2, 3))
+
+    def test_eight_classes_without_enumerating(self):
+        results = audit_condition2_many(MULTI_INDEX_IDS, c_range=(8,))
+        for index_id, result in results.items():
+            (row,) = result.table
+            assert row.row_sums == (1,) * 8
+            assert row.matrix_count == 8**8 == 16_777_216
+            empty_column = index_id in ("aurpc_ova", "m_aurpc_ova")
+            assert row.undefined_count == (16_736_896 if empty_column else 0)
+        assert 8**8 - math.factorial(8) == 16_736_896
+
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            audit_condition2_many(["acsa"], c_range=(6,), budget=1000)["acsa"]
-        with pytest.raises(BudgetExceededError):
             enumerate_extremal("acsa", (6,) * 6, budget=1000)
-
-    @pytest.mark.parametrize("budget, rows, size", [
-        pytest.param(5000, (2, 2, 2, 2), 10000, id="C=4-over"),  # C = 2, 3 and 5 within
-        pytest.param(500, (3, 3, 3), 1000, id="C=3-and-4-over"),  # the smaller one is named
-    ])
-    def test_budget_checked_before_any_scan(self, monkeypatch, budget, rows, size):
-        scanned = []
-        real_scan = audit._scan_extremal
-
-        def spy(index_ids, row_sums, budget):
-            scanned.append(row_sums)
-            return real_scan(index_ids, row_sums, budget)
-
-        monkeypatch.setattr(audit, "_scan_extremal", spy)
-        message = f"row sums {rows} require {size} matrices, budget is {budget}"
-        with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
-            audit_condition2_many(["acsa"], c_range=(5, 4, 3, 2), budget=budget)
-        assert scanned == []
 
     def test_binary_index_rejected(self):
         with pytest.raises(MatrixError):
@@ -255,6 +256,12 @@ class TestEnumeration:
         assert result.min_value == 0.0
         assert result.min_matrix.to_lists() == [[0, 2], [2, 0]]
         assert result.max_value == 1.0
+        assert result.max_matrix.to_lists() == [[2, 0], [0, 2]]
+
+    def test_witness_is_first_in_order_among_ties(self):
+        # gmean_c is 0 on every matrix with a zero diagonal cell; the first in order is kept
+        result = enumerate_extremal("gmean_c", (2, 2))
+        assert result.min_matrix.to_lists() == [[0, 2], [0, 2]]
         assert result.max_matrix.to_lists() == [[2, 0], [0, 2]]
 
     def test_auroc_ova_min_matches_closed_form_and_construction(self):
@@ -286,50 +293,29 @@ class TestEnumeration:
             assert result.exact_max == hi, index_id
 
 
-def _brute_force_extremal(index_id, rows):
-    """Reference scan: every matrix built one at a time and evaluated exactly."""
-    found, undefined = [], 0
-    for m in iter_matrices(rows):
-        ev = exact(index_id, m)
-        if ev is None:
-            undefined += 1
-        else:
-            found.append((ev.key, m))
-    lo = min(key for key, _m in found)
-    hi = max(key for key, _m in found)
-    first = {key: m for key, m in reversed(found)}  # first matrix in order per key
-    return lo, hi, undefined, first[lo], first[hi]
-
-
-class TestGridChunks:
-    @pytest.mark.parametrize("size", [1, 3, 4096])
-    @pytest.mark.parametrize("rows", [(2, 2), (3, 3, 3), (2, 2, 2, 2), (1, 2, 3, 4), (1,) * 5])
-    def test_chunks_tile_the_enumeration_in_order(self, rows, size, monkeypatch):
-        monkeypatch.setattr(audit, "_GRID_SIZE", size)
-        found = []
-        for first, chunk in audit._iter_grids(rows):
-            assert first == len(found)  # contiguous positions, from 0
-            matrices = list(itertools.product(*(map(tuple, r.tolist()) for r in chunk)))
-            assert 0 < len(matrices) <= max(size, 1)  # the memory bound
-            found += matrices
-        assert len(found) == enumeration_size(rows)
-        assert found == [m.counts for m in iter_matrices(rows)]
-
-
 class TestBatchedScanParity:
-    @pytest.mark.parametrize("rows", [(2, 2), (2, 3, 4), (3, 3, 3), (1, 1, 1, 1)])
+    """The condition-2 audit takes each row from :func:`certify_extremal`; its
+    certificates must equal the exact loop of :func:`enumerate_extremal`."""
+
+    @pytest.mark.parametrize("rows", [
+        (2, 2), (2, 3, 4), (3, 3, 3), (1, 1, 1, 1),
+        # the default rows at C = 2, 4 and 5, then uneven profiles
+        (3, 3), (2, 2, 2, 2), (1,) * 5,
+        (1, 2), (3, 1, 4), (4, 1, 1), (1, 2, 3, 4), (1, 1, 1, 1, 4),
+    ])
     @pytest.mark.parametrize("index_id", MULTI_INDEX_IDS)
-    def test_matches_fraction_loop(self, index_id, rows, monkeypatch):
-        lo, hi, undefined, argmin, argmax = _brute_force_extremal(index_id, rows)
-        # the default chunk size, then chunks of one and of a few matrices so that
-        # ties span chunks
-        for size in (audit._GRID_SIZE, 1, 3):
-            monkeypatch.setattr(audit, "_GRID_SIZE", size)
-            result = enumerate_extremal(index_id, rows)
-            assert (result.exact_min, result.exact_max) == (lo, hi)
-            assert result.undefined_count == undefined
-            assert result.min_matrix == argmin
-            assert result.max_matrix == argmax
+    def test_matches_fraction_loop(self, index_id, rows):
+        found = enumerate_extremal(index_id, rows)
+        certified = certify_extremal(index_id, rows)
+        for field in ("exact_min", "exact_max", "min_value", "max_value",
+                      "matrix_count", "undefined_count"):
+            assert getattr(certified, field) == getattr(found, field), field
+        # the certificate's witnesses are vertices with those exact values
+        for m, key in ((certified.min_matrix, found.exact_min),
+                       (certified.max_matrix, found.exact_max)):
+            assert m.row_sums == rows
+            assert all(row.count(0) == len(rows) - 1 for row in m.counts)
+            assert exact(index_id, m).key == key
 
 
 class TestCollapseFamily:

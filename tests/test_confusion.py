@@ -217,6 +217,13 @@ class TestMatrixCsv:
         loaded, labels = read_matrix_csv(path)
         assert loaded == m and labels == ("a", "b", "c")
 
+    def test_label_count_checked_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4\n")
+        with pytest.raises(MatrixError, match="1 labels for 2 classes"):
+            write_matrix_csv(path, validate([[5, 6], [7, 8]]), labels=("a",))
+        assert path.read_text() == "1,2\n3,4\n"
+
     def test_bad_cell_named_in_error(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3,x\n")

@@ -3,7 +3,8 @@
 The oracles in :mod:`imbindex.exact` work in integer numerator/denominator
 arithmetic.  The reference below builds a ``Fraction`` for every rate and
 every partial sum instead, straight from the defining formulas, and serves
-the oracle as the grid scan's brute-force loop serves the grid scan.
+the oracle as :func:`~imbindex.audit.enumerate_extremal` serves the
+condition-2 certificates.
 """
 
 import ast

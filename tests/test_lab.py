@@ -490,6 +490,13 @@ class TestPointSweepValidation:
         with pytest.raises(SpecError, match=r"^spec\.thresholds: must be non-empty"):
             load_spec(type1_raw(thresholds=[]))
 
+    def test_type1_thresholds_with_one_name_rejected(self):
+        message = r"^spec\.thresholds: 4\.0 and 4\.0000001 share the classifier name 't=4'$"
+        with pytest.raises(SpecError, match=message):
+            load_spec(type1_raw(thresholds=[4, 4.0000001, 6]))
+        with pytest.raises(SpecError, match=r"^spec\.thresholds: 6\.0 and 6\.0 share"):
+            load_spec(type1_raw(thresholds=[6, 4, 6]))
+
     def test_missing_file_is_not_read_as_json_text(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_spec(tmp_path / "nope.json")

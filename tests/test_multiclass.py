@@ -10,19 +10,15 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given
 
 from imbindex import IndexValue, evaluate, exact, validate
-from imbindex import audit
-from imbindex.audit import _GridCells, _iter_grids, iter_matrices
 from imbindex.multiclass import lambda_c
 from imbindex.registry import (
     ProfileRequiredError,
     UnknownIndexError,
     bounds_exact,
-    get_index,
     theoretical_bounds,
 )
 
@@ -260,47 +256,6 @@ class TestProperties:
             assert iv.defined == (ev is not None)
             if iv.defined:
                 assert iv.value == pytest.approx(ev.value, abs=TOL)
-
-
-class TestBlockParity:
-    """The enumeration runs each formula over a grid chunk of matrices at once;
-    the values must be the ones :func:`evaluate` gives matrix by matrix."""
-
-    @pytest.mark.parametrize(
-        "row_sums", [(3, 3, 3), (2, 2, 2, 2), (1, 2, 3, 4), (1,) * 5], ids=str
-    )
-    def test_block_values_equal_evaluate(self, row_sums, monkeypatch):
-        matrices = list(iter_matrices(row_sums))
-        expected = {}
-        for index_id in MULTI_IDS:
-            found = [evaluate(index_id, m).value for m in matrices]
-            defined = np.array([v is not None for v in found])
-            expected[index_id] = defined, np.array([0.0 if v is None else v for v in found])
-        # the default chunk size, then an odd one: a fixed prefix, a ranged axis
-        # cut short at its end, and guard masks on those short chunks
-        for size in (audit._GRID_SIZE, 111):
-            monkeypatch.setattr(audit, "_GRID_SIZE", size)
-            checked = 0
-            for first, rows in _iter_grids(row_sums):
-                cells = _GridCells(rows)
-                at = slice(first, first + cells.size)
-                # guarded indices first: a mask leaking into the next index would show
-                for index_id in reversed(MULTI_IDS):
-                    values, undefined_at = cells.run(get_index(index_id).formula)
-                    assert values.shape == (cells.size,) and np.isfinite(values).all()
-                    defined, want = (e[at] for e in expected[index_id])
-                    if undefined_at is None:
-                        assert defined.all()
-                    else:
-                        assert (~undefined_at == defined).all()
-                    got, want = values[defined], want[defined]
-                    if index_id == "gmean_c":
-                        # numpy's ** may round the C-th root one ulp away from Python's
-                        assert (np.abs(got - want) <= np.spacing(want)).all()
-                    else:
-                        assert (got == want).all()
-                    checked += len(got)
-            assert checked > 0
 
 
 def test_import_loads_no_numpy():
