@@ -426,54 +426,68 @@ def _empty_column_count(row_sums: Sequence[int]) -> int:
     )
 
 
-def certify_extremal(index_id: str, row_sums: Sequence[int]) -> ExtremalResult:
-    """Exact extrema of an index over all matrices with the given row sums, without enumerating.
+def certify_extremal(index_ids: Sequence[str], row_sums: Sequence[int]) -> dict[str, ExtremalResult]:
+    """Exact extrema of each index over all matrices with the given row sums, without enumerating.
 
     Both witnesses are vertices, whose row i puts all of ``R_i`` in one
-    column, valued by the exact oracle.  An affine index's key is a sum of one
-    linear term per row, so each row takes the column that makes its term
-    least (most), ranked by the keys of the identity with that row moved.  Any
+    column, valued by the exact oracle; each vertex is built once per call
+    and shared by every index.  An affine index's key is a sum of one linear
+    term per row, so each row takes the column that makes its term least
+    (most), ranked by the keys of the identity with that row moved.  Any
     other index must attain its closed-form bounds exactly, at a cyclic
     derangement and at the identity; that rests on the closed form being a
     bound, which the tests check against :func:`enumerate_extremal` at small
     class counts.  ``undefined_count`` counts the matrices with an empty
     column for an index undefined exactly there, and is 0 for any other.
+    Each distinct id is certified once, in first-appearance order.
 
     Raises :class:`BoundCrossedError` when an extremum lies outside the
     closed-form bounds, or a non-affine index does not attain them.
     """
-    _check_rows(index_id, row_sums)
-    spec = get_index(index_id)
     c = len(row_sums)
-    lo, hi = bounds_exact(index_id, c, profile=row_sums)
-    where = f"{index_id} at C={c}, row sums {tuple(row_sums)}"
     identity = tuple(range(c))
-    if spec.affine:
-        lows, highs = [], []
-        for i in range(c):
-            keys = [
-                exact(index_id, _vertex(row_sums, identity[:i] + (j,) + identity[i + 1 :])).key
-                for j in range(c)
-            ]
-            lows.append(keys.index(min(keys)))
-            highs.append(keys.index(max(keys)))
-        ends = [_vertex(row_sums, lows), _vertex(row_sums, highs)]
-    else:
-        ends = [_vertex(row_sums, identity[1:] + identity[:1]), _vertex(row_sums, identity)]
-    low, high = ((m, exact(index_id, m)) for m in ends)
-    keys = [None if ev is None else ev.key for _m, ev in (low, high)]
-    if not spec.affine and keys != [lo, hi]:
-        raise BoundCrossedError(
-            f"{where}: a cyclic derangement and the identity give {keys}, not the "
-            f"closed form [{lo}, {hi}]; the extrema are uncertified"
-        )
-    # keys order like values; gmean_c's product key equals its value at its bounds 0 and 1
-    if keys[0] < lo or keys[1] > hi:
-        raise BoundCrossedError(
-            f"{where}: certified [{keys[0]}, {keys[1]}] crosses the closed form [{lo}, {hi}]"
-        )
-    undefined = _empty_column_count(row_sums) if spec.undefined_iff_empty_column else 0
-    return _result(index_id, row_sums, low, high, undefined)
+    vertices: dict[tuple[int, ...], ConfusionMatrix] = {}
+
+    def vertex(columns: tuple[int, ...]) -> ConfusionMatrix:
+        if columns not in vertices:
+            vertices[columns] = _vertex(row_sums, columns)
+        return vertices[columns]
+
+    out = {}
+    for index_id in dict.fromkeys(index_ids):
+        _check_rows(index_id, row_sums)
+        spec = get_index(index_id)
+        lo, hi = bounds_exact(index_id, c, profile=row_sums)
+        where = f"{index_id} at C={c}, row sums {tuple(row_sums)}"
+        if spec.affine:
+            base = exact(index_id, vertex(identity)).key
+            lows, highs = [], []
+            for i in range(c):
+                keys = [
+                    base if j == i
+                    else exact(index_id, vertex(identity[:i] + (j,) + identity[i + 1 :])).key
+                    for j in range(c)
+                ]
+                lows.append(keys.index(min(keys)))
+                highs.append(keys.index(max(keys)))
+            ends = [vertex(tuple(lows)), vertex(tuple(highs))]
+        else:
+            ends = [vertex(identity[1:] + identity[:1]), vertex(identity)]
+        low, high = ((m, exact(index_id, m)) for m in ends)
+        keys = [None if ev is None else ev.key for _m, ev in (low, high)]
+        if not spec.affine and keys != [lo, hi]:
+            raise BoundCrossedError(
+                f"{where}: a cyclic derangement and the identity give {keys}, not the "
+                f"closed form [{lo}, {hi}]; the extrema are uncertified"
+            )
+        # keys order like values; gmean_c's product key equals its value at its bounds 0 and 1
+        if keys[0] < lo or keys[1] > hi:
+            raise BoundCrossedError(
+                f"{where}: certified [{keys[0]}, {keys[1]}] crosses the closed form [{lo}, {hi}]"
+            )
+        undefined = _empty_column_count(row_sums) if spec.undefined_iff_empty_column else 0
+        out[index_id] = _result(index_id, row_sums, low, high, undefined)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +520,10 @@ def audit_condition2_many(
     index_ids: Sequence[str],
     c_range: Sequence[int] = DEFAULT_C_RANGE,
 ) -> dict[str, Condition2Result]:
-    """Bound audit for several indices over the :func:`default_row_sums` of each
-    class count.
+    """Bound audit for each distinct index over the :func:`default_row_sums` of
+    each class count.
 
-    Each row's extrema and counts are :func:`certify_extremal`'s, which
+    Each class count's rows come from one :func:`certify_extremal` call, which
     raises :class:`BoundCrossedError` when the evidence refutes a closed form
     or cannot certify an extremum.  The row fields keep their names:
     ``enumerated_min`` and ``enumerated_max`` hold the certified extrema,
@@ -519,12 +533,12 @@ def audit_condition2_many(
     if not c_values or c_values[0] < 2:
         raise MatrixError("class-count range must contain values >= 2")
 
-    tables: dict[str, list[BoundRow]] = {i: [] for i in index_ids}
-    theory: dict[str, list[tuple[Fraction, Fraction]]] = {i: [] for i in index_ids}
+    ids = tuple(dict.fromkeys(index_ids))
+    tables: dict[str, list[BoundRow]] = {i: [] for i in ids}
+    theory: dict[str, list[tuple[Fraction, Fraction]]] = {i: [] for i in ids}
     for c in c_values:
         row_sums = default_row_sums(c)
-        for index_id in index_ids:
-            found = certify_extremal(index_id, row_sums)
+        for index_id, found in certify_extremal(ids, row_sums).items():
             lo, hi = bounds_exact(index_id, c, profile=row_sums)
             theory[index_id].append((lo, hi))
             tables[index_id].append(
@@ -541,7 +555,7 @@ def audit_condition2_many(
             )
 
     out = {}
-    for index_id in index_ids:
+    for index_id in ids:
         pairs = theory[index_id]
         stable = all(p == pairs[0] for p in pairs)
         verdict = VERDICT_STABLE if stable else VERDICT_C_DEPENDENT
@@ -549,7 +563,6 @@ def audit_condition2_many(
     return out
 
 
-# ---------------------------------------------------------------------------
 # ---------------------------------------------------------------------------
 # condition 3
 
@@ -707,7 +720,7 @@ def audit_all(
     class_count: int | None = None,
     c_range: Sequence[int] = DEFAULT_C_RANGE,
 ) -> list[AuditReport]:
-    """Run the requested condition audits for each index (default: every audited index).
+    """Run the requested condition audits for each distinct index (default: every audited index).
 
     ``class_count`` sets the class count of condition 1 for the multi-class
     indices; two-class indices always run it at C = 2.  Condition 1 draws each
@@ -724,7 +737,7 @@ def audit_all(
     collapse_c = 3 if class_count is None else class_count
     if collapse_c < 2:
         raise MatrixError("class_count must be at least 2")
-    ids = tuple(index_ids) if index_ids is not None else tuple(EXPECTED_VERDICTS)
+    ids = tuple(dict.fromkeys(EXPECTED_VERDICTS if index_ids is None else index_ids))
     specs = [get_index(i) for i in ids]
     family = default_collapse_family(collapse_c) if 3 in conditions else None
 

@@ -58,10 +58,7 @@ def _parse_indices(raw: str | None, class_count: int | None = None) -> tuple[str
             out.append(token)
     if not out:
         raise UnknownIndexError("no index ids given")
-    seen: dict[str, None] = {}
-    for i in out:
-        seen.setdefault(i, None)
-    return tuple(seen)
+    return tuple(dict.fromkeys(out))
 
 
 def _parse_c_range(raw: str) -> tuple[int, ...]:
@@ -155,6 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_eval(args) -> int:
     if args.digits < 0:
         raise ValueError(f"--digits must be non-negative, got {args.digits}")
+    if args.matrix and args.classes is not None:
+        raise ValueError("--classes applies only to --labels")
     labels = None
     if args.matrix:
         matrix, labels = io_mod.read_matrix_csv(args.matrix)

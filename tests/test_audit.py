@@ -245,6 +245,14 @@ class TestCondition2:
         with pytest.raises(MatrixError):
             audit_condition2_many(["precision"], c_range=(2, 3))["precision"]
 
+    def test_duplicate_ids_audited_once(self):
+        results = audit_condition2_many(["acsa", "auroc_ovo", "acsa"], c_range=(2, 3))
+        assert list(results) == ["acsa", "auroc_ovo"]
+        assert [row.class_count for row in results["acsa"].table] == [2, 3]
+        reports = audit_all(["acsa", "acsa"], conditions=(1, 2), trials=5)
+        assert [r.index for r in reports] == ["acsa"]
+        assert len(reports[0].condition2.table) == 3
+
 
 class TestEnumeration:
     def test_enumeration_size_matches_iteration(self):
@@ -295,7 +303,8 @@ class TestEnumeration:
 
 class TestBatchedScanParity:
     """The condition-2 audit takes each row from :func:`certify_extremal`; its
-    certificates must equal the exact loop of :func:`enumerate_extremal`."""
+    certificates must equal the exact loop of :func:`enumerate_extremal`, and
+    certifying all the indices at once must give each one's own result."""
 
     @pytest.mark.parametrize("rows", [
         (2, 2), (2, 3, 4), (3, 3, 3), (1, 1, 1, 1),
@@ -306,7 +315,8 @@ class TestBatchedScanParity:
     @pytest.mark.parametrize("index_id", MULTI_INDEX_IDS)
     def test_matches_fraction_loop(self, index_id, rows):
         found = enumerate_extremal(index_id, rows)
-        certified = certify_extremal(index_id, rows)
+        certified = certify_extremal([index_id], rows)[index_id]
+        assert certify_extremal(MULTI_INDEX_IDS, rows)[index_id] == certified
         for field in ("exact_min", "exact_max", "min_value", "max_value",
                       "matrix_count", "undefined_count"):
             assert getattr(certified, field) == getattr(found, field), field
@@ -316,6 +326,24 @@ class TestBatchedScanParity:
             assert m.row_sums == rows
             assert all(row.count(0) == len(rows) - 1 for row in m.counts)
             assert exact(index_id, m).key == key
+
+    @pytest.mark.parametrize("rows", [(3, 3), (2, 3, 4), (1,) * 6])
+    def test_each_vertex_built_once_per_call(self, monkeypatch, rows):
+        built = []
+        real = audit._vertex
+
+        def recording(row_sums, columns):
+            built.append(tuple(columns))
+            return real(row_sums, columns)
+
+        monkeypatch.setattr(audit, "_vertex", recording)
+        certify_extremal(MULTI_INDEX_IDS, rows)
+        assert built and len(built) == len(set(built))
+
+    def test_each_distinct_id_certified_once_in_order(self):
+        assert tuple(certify_extremal(MULTI_INDEX_IDS, (2, 2))) == MULTI_INDEX_IDS
+        results = certify_extremal(["acsa", "gmean_c", "acsa"], (2, 2))
+        assert list(results) == ["acsa", "gmean_c"]
 
 
 class TestCollapseFamily:

@@ -115,6 +115,12 @@ class TestEval:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: --digits must be non-negative, got -1\n")
 
+    def test_classes_with_matrix_is_input_error(self, base_matrix_csv, capsys):
+        code = main(["eval", "--matrix", str(base_matrix_csv), "--classes", "x,y"])
+        assert code == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: --classes applies only to --labels\n")
+
 
 class TestAudit:
     def test_single_index_violation_with_witness(self, capsys):
