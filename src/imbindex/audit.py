@@ -8,17 +8,22 @@ differ, so rounding noise can never produce a false violation.
 
 Condition 2 (class-count-stable bounds): the index's closed-form value bounds
 must not depend on the number of classes.  Audited by comparing closed-form
-bounds across a class-count range.  At each class count the exact extrema
-over all matrices with fixed small row sums are certified without
-enumerating: the exact oracle evaluates a few vertex matrices, whose rows
-each put all their mass in one column, and the certificate raises when the
-extrema cross the closed form or, for an index that is not affine at fixed
-row sums, do not attain it.  An exhaustive enumeration through the exact
-oracle remains as the reference the certificates are tested against.
+bounds across a class-count range; a two-class index is NotApplicable.  At
+each class count the exact extrema over all matrices with fixed small row
+sums are certified without enumerating: the exact oracle evaluates a few
+vertex matrices, whose rows each put all their mass in one column, and the
+certificate raises when the extrema cross the closed form or, for an index
+that is not affine at fixed row sums, do not attain it.  An exhaustive
+enumeration through the exact oracle remains as the reference the
+certificates are tested against.
 
 Condition 3 (single-class collapse): when one class's accuracy is driven to
 zero along a collapse family, the index limit must stay strictly above the
 index's global lower bound, otherwise the index forgets every other class.
+
+The condition-1 and condition-2 audits take a list of index ids and return
+one result per distinct id, in first-appearance order; condition 3 audits one
+id along a given family.  :func:`audit_all` composes the three.
 
 Determinism contract: every audit derives the randomness of trial ``t`` from
 ``(seed, t)`` alone, so trials are order-independent and a report is exactly
@@ -41,9 +46,7 @@ import numpy as np
 
 from .confusion import (
     ConfusionMatrix,
-    EmptyRowError,
     MatrixError,
-    TooFewClassesError,
     apply_scaling,
     even_error_matrix,
     to_fraction,
@@ -59,6 +62,7 @@ from .registry import (
 )
 
 DEFAULT_TRIALS = 500
+DEFAULT_CLASS_COUNT = 3
 DEFAULT_BUDGET = 2_000_000
 DEFAULT_C_RANGE = (2, 3, 4)
 
@@ -203,17 +207,18 @@ def _draw_defined(
     raise RuntimeError(f"{index_id} undefined on {_MAX_DRAWS} consecutive sampled matrices")
 
 
-def audit_condition1_many(
+def audit_condition1(
     index_ids: Sequence[str],
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    class_count: int | None = None,
+    class_count: int = DEFAULT_CLASS_COUNT,
 ) -> dict[str, Condition1Result]:
     """Randomized row-scaling invariance audit with exact-rational confirmation.
 
-    Two-class indices run at C = 2, the others at ``class_count`` (default 3).
-    Trial ``t`` at class count C draws from a stream seeded by ``(seed, t)``,
-    and every index audited at C shares those draws: each still-active index
+    Each distinct index gets one result, in first-appearance order.  Two-class
+    indices run at C = 2, the others at ``class_count``.  Trial ``t`` at
+    class count C draws from a stream seeded by ``(seed, t)``, and every
+    index audited at C shares those draws: each still-active index
     takes the first draw ``m_j`` on which it is defined, and each distinct
     ``j`` gets one scaling, drawn from the stream state right after ``m_j``.
     So every index sees exactly the matrix and scaling a trial run for it
@@ -222,14 +227,9 @@ def audit_condition1_many(
     draws no more trials; Invariant when every trial agrees exactly.  The
     largest float drift is reported, never judged.
     """
-    class_of: dict[str, int] = {}
-    for index_id in index_ids:
-        if get_index(index_id).binary_only:
-            class_of[index_id] = 2
-        else:
-            class_of[index_id] = 3 if class_count is None else class_count
-            if class_of[index_id] < 2:
-                raise MatrixError("class_count must be at least 2")
+    if class_count < 2:
+        raise MatrixError("class_count must be at least 2")
+    class_of = {i: 2 if get_index(i).binary_only else class_count for i in index_ids}
     if trials < 1:
         raise ValueError("trials must be at least 1")
 
@@ -281,20 +281,8 @@ def audit_condition1_many(
             max_float_drift=drift[index_id],
             witness=witnesses.get(index_id),
         )
-        for index_id in index_ids
+        for index_id in class_of
     }
-
-
-def audit_condition1(
-    index_id: str,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-    class_count: int | None = None,
-) -> Condition1Result:
-    """Condition 1 for one index; a two-class index accepts only C = 2."""
-    if get_index(index_id).binary_only and class_count not in (None, 2):
-        raise MatrixError(f"{index_id} is a two-class index; class_count must be 2")
-    return audit_condition1_many([index_id], trials, seed, class_count)[index_id]
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +338,6 @@ class ExtremalResult:
     undefined_count: int
 
 
-def _check_rows(index_id: str, row_sums: Sequence[int]) -> None:
-    if len(row_sums) < 2:
-        raise TooFewClassesError(f"need at least 2 classes, got {len(row_sums)}")
-    if min(row_sums) < 1:
-        raise EmptyRowError(f"row sums {tuple(row_sums)} include an empty class")
-    if get_index(index_id).binary_only:
-        raise MatrixError(
-            f"{index_id} is a two-class index; extrema over row sums cover multi-class indices"
-        )
-
-
 def _result(index_id, row_sums, low, high, undefined_count: int) -> ExtremalResult:
     """The result whose witnesses ``low`` and ``high`` are ``(matrix, ExactEval)`` pairs."""
     (argmin, lo), (argmax, hi) = low, high
@@ -379,15 +356,16 @@ def enumerate_extremal(
 
     Every matrix of :func:`iter_matrices` goes through the exact oracle; each
     witness is the first matrix in that order whose key is the extremum.
-    Raises :class:`BudgetExceededError` when there are more than ``budget``
-    matrices.  This is the reference :func:`certify_extremal` is tested against.
+    A two-class index is accepted only at C = 2.  Raises
+    :class:`BudgetExceededError` when there are more than ``budget`` matrices.
+    This is the reference :func:`certify_extremal` is tested against.
     """
     size = enumeration_size(row_sums)
     if size > budget:
         raise BudgetExceededError(
             f"row sums {tuple(row_sums)} require {size} matrices, budget is {budget}"
         )
-    _check_rows(index_id, row_sums)
+    bounds_exact(index_id, len(row_sums), profile=row_sums)  # validates the id and the rows
     low = high = None
     undefined = 0
     for m in iter_matrices(row_sums):
@@ -442,7 +420,8 @@ def certify_extremal(index_ids: Sequence[str], row_sums: Sequence[int]) -> dict[
     Each distinct id is certified once, in first-appearance order.
 
     Raises :class:`BoundCrossedError` when an extremum lies outside the
-    closed-form bounds, or a non-affine index does not attain them.
+    closed-form bounds, or a non-affine index does not attain them, and
+    :class:`MatrixError` for a two-class index.
     """
     c = len(row_sums)
     identity = tuple(range(c))
@@ -455,8 +434,9 @@ def certify_extremal(index_ids: Sequence[str], row_sums: Sequence[int]) -> dict[
 
     out = {}
     for index_id in dict.fromkeys(index_ids):
-        _check_rows(index_id, row_sums)
         spec = get_index(index_id)
+        if spec.binary_only:  # its undefined matrices are not the empty-column ones
+            raise MatrixError(f"{index_id} is a two-class index; certificates cover the others")
         lo, hi = bounds_exact(index_id, c, profile=row_sums)
         where = f"{index_id} at C={c}, row sums {tuple(row_sums)}"
         if spec.affine:
@@ -511,17 +491,13 @@ class Condition2Result:
     verdict: str
     table: tuple[BoundRow, ...]
 
-    @classmethod
-    def not_applicable(cls) -> "Condition2Result":
-        return cls(VERDICT_NOT_APPLICABLE, ())
-
 
 def audit_condition2_many(
     index_ids: Sequence[str],
     c_range: Sequence[int] = DEFAULT_C_RANGE,
 ) -> dict[str, Condition2Result]:
     """Bound audit for each distinct index over the :func:`default_row_sums` of
-    each class count.
+    each class count, in first-appearance order; a two-class index is NotApplicable.
 
     Each class count's rows come from one :func:`certify_extremal` call, which
     raises :class:`BoundCrossedError` when the evidence refutes a closed form
@@ -534,13 +510,14 @@ def audit_condition2_many(
         raise MatrixError("class-count range must contain values >= 2")
 
     ids = tuple(dict.fromkeys(index_ids))
-    tables: dict[str, list[BoundRow]] = {i: [] for i in ids}
-    theory: dict[str, list[tuple[Fraction, Fraction]]] = {i: [] for i in ids}
+    multi = [i for i in ids if not get_index(i).binary_only]
+    tables: dict[str, list[BoundRow]] = {i: [] for i in multi}
+    theory: dict[str, set[tuple[Fraction, Fraction]]] = {i: set() for i in multi}
     for c in c_values:
         row_sums = default_row_sums(c)
-        for index_id, found in certify_extremal(ids, row_sums).items():
+        for index_id, found in certify_extremal(multi, row_sums).items():
             lo, hi = bounds_exact(index_id, c, profile=row_sums)
-            theory[index_id].append((lo, hi))
+            theory[index_id].add((lo, hi))
             tables[index_id].append(
                 BoundRow(
                     class_count=c,
@@ -554,13 +531,13 @@ def audit_condition2_many(
                 )
             )
 
-    out = {}
-    for index_id in ids:
-        pairs = theory[index_id]
-        stable = all(p == pairs[0] for p in pairs)
-        verdict = VERDICT_STABLE if stable else VERDICT_C_DEPENDENT
-        out[index_id] = Condition2Result(verdict, tuple(tables[index_id]))
-    return out
+    return {
+        i: Condition2Result(VERDICT_NOT_APPLICABLE, ()) if i not in theory
+        else Condition2Result(
+            VERDICT_STABLE if len(theory[i]) == 1 else VERDICT_C_DEPENDENT, tuple(tables[i])
+        )
+        for i in ids
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -717,52 +694,31 @@ def audit_all(
     conditions: Iterable[int] = (1, 2, 3),
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    class_count: int | None = None,
+    class_count: int = DEFAULT_CLASS_COUNT,
     c_range: Sequence[int] = DEFAULT_C_RANGE,
 ) -> list[AuditReport]:
     """Run the requested condition audits for each distinct index (default: every audited index).
 
-    ``class_count`` sets the class count of condition 1 for the multi-class
-    indices; two-class indices always run it at C = 2.  Condition 1 draws each
-    trial once per class count for all the indices there.  Condition 2
-    certifies the bounds of the multi-class indices; two-class indices get a
-    NotApplicable row.  Condition 3 runs every index along one default
-    collapse family.
+    ``class_count`` is the class count of condition 1 for the multi-class
+    indices and of the one default collapse family condition 3 runs along.
     """
     conditions = set(conditions)
     if not conditions:
         raise ValueError("no condition to audit; choose among 1, 2, 3")
     if not conditions <= {1, 2, 3}:
         raise ValueError(f"conditions must be among 1, 2, 3; got {sorted(conditions)}")
-    collapse_c = 3 if class_count is None else class_count
-    if collapse_c < 2:
+    if class_count < 2:
         raise MatrixError("class_count must be at least 2")
     ids = tuple(dict.fromkeys(EXPECTED_VERDICTS if index_ids is None else index_ids))
-    specs = [get_index(i) for i in ids]
-    family = default_collapse_family(collapse_c) if 3 in conditions else None
-
-    shared = {}
-    multi = [s.index_id for s in specs if not s.binary_only]
-    if 2 in conditions and multi:
-        shared = audit_condition2_many(multi, c_range=c_range)
-
-    shared1 = {}
-    if 1 in conditions:
-        shared1 = audit_condition1_many(ids, trials=trials, seed=seed, class_count=class_count)
-
-    reports = []
-    for spec in specs:
-        index_id = spec.index_id
-        cond1, cond2, cond3 = shared1.get(index_id), None, None
-        if 2 in conditions:
-            if spec.binary_only:
-                cond2 = Condition2Result.not_applicable()
-            else:
-                cond2 = shared[index_id]
-        if 3 in conditions:
-            cond3 = audit_condition3(index_id, family)
-        reports.append(AuditReport(index_id, seed, cond1, cond2, cond3))
-    return reports
+    family = default_collapse_family(class_count) if 3 in conditions else None
+    cond2 = audit_condition2_many(ids, c_range) if 2 in conditions else {}
+    cond1 = audit_condition1(ids, trials, seed, class_count) if 1 in conditions else {}
+    return [
+        AuditReport(
+            i, seed, cond1.get(i), cond2.get(i), audit_condition3(i, family) if family else None
+        )
+        for i in ids
+    ]
 
 
 def conformance_mismatches(reports: Sequence[AuditReport]) -> list[str]:

@@ -121,8 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--trials", type=int, default=audit_mod.DEFAULT_TRIALS)
     p_audit.add_argument("--seed", type=int, default=None)
     p_audit.add_argument(
-        "--class-count", type=int, default=None,
-        help="class count for randomized multi-class sampling (default 3)",
+        "--class-count", type=int, default=audit_mod.DEFAULT_CLASS_COUNT,
+        help="class count for randomized multi-class sampling and the collapse family "
+        f"(default {audit_mod.DEFAULT_CLASS_COUNT})",
     )
     p_audit.add_argument(
         "--c-range", "--c", default="2..4",
@@ -160,7 +161,7 @@ def _cmd_eval(args) -> int:
     else:
         pairs = io_mod.read_label_pairs(args.labels)
         class_list = None
-        if args.classes:
+        if args.classes is not None:
             class_list = [tok.strip() for tok in args.classes.split(",") if tok.strip()]
         matrix = ingest_labels(pairs, class_list)
         labels = tuple(class_list) if class_list else None

@@ -447,13 +447,20 @@ def load_spec(source) -> ExperimentSpec:
         )
 
     if kind == "type2_growth":
+        # the class count keys a step's rows, so two steps may not share one
         steps = []
+        first_step: dict[int, str] = {}
         for s_idx, s in enumerate(_list(raw, "steps", "spec", dict)):
             spot = f"spec.steps[{s_idx}]"
             profile = tuple(_int(v, f"{spot}.profile") for v in _list(s, "profile", spot))
             class_count = _int(s.get("class_count", len(profile)), f"{spot}.class_count")
             if class_count != len(profile):
                 raise SpecError(f"{spot}.profile: {len(profile)} counts for C={class_count}")
+            if class_count in first_step:
+                raise SpecError(
+                    f"{first_step[class_count]} and {spot} share the class count {class_count}"
+                )
+            first_step[class_count] = spot
             steps.append(profile)
         if not steps:
             raise SpecError("spec.steps: at least one step required")

@@ -14,6 +14,7 @@ from imbindex import audit
 from imbindex.audit import (
     BoundCrossedError,
     BudgetExceededError,
+    Condition2Result,
     Condition3Result,
     EXPECTED_VERDICTS,
     VERDICT_C_DEPENDENT,
@@ -95,11 +96,11 @@ class TestSampling:
 class TestCondition1:
     @pytest.mark.parametrize("index_id", sorted(EXPECTED_VERDICTS))
     def test_verdicts_match_expected_table(self, index_id):
-        result = audit_condition1(index_id, trials=FAST_TRIALS)
+        result = audit_condition1([index_id], trials=FAST_TRIALS)[index_id]
         assert result.verdict == EXPECTED_VERDICTS[index_id][0]
 
     def test_witness_reevaluates_to_unequal_values(self):
-        result = audit_condition1("precision", trials=FAST_TRIALS)
+        result = audit_condition1(["precision"], trials=FAST_TRIALS)["precision"]
         w = result.witness
         assert w is not None
         scaled = apply_scaling(w.matrix, w.factors)
@@ -107,27 +108,37 @@ class TestCondition1:
         assert w.exact_before != w.exact_after
 
     def test_witness_factors_are_fractions_written_as_strings(self):
-        w = audit_condition1("precision", trials=FAST_TRIALS).witness
+        w = audit_condition1(["precision"], trials=FAST_TRIALS)["precision"].witness
         assert all(type(f) is Fraction for f in w.factors)
         assert json.loads(to_json(w))["factors"] == [str(f) for f in w.factors]
 
     def test_invariant_indices_have_zero_drift(self):
-        result = audit_condition1("gmean_c", trials=FAST_TRIALS, class_count=4)
+        result = audit_condition1(["gmean_c"], trials=FAST_TRIALS, class_count=4)["gmean_c"]
         assert result.verdict == VERDICT_INVARIANT
         assert result.max_float_drift <= 1e-12
 
     def test_deterministic_under_seed(self):
-        a = audit_condition1("aurpc_ova", trials=40, seed=99)
-        b = audit_condition1("aurpc_ova", trials=40, seed=99)
+        a = audit_condition1(["aurpc_ova"], trials=40, seed=99)
+        b = audit_condition1(["aurpc_ova"], trials=40, seed=99)
         assert a == b
 
     def test_m_aurpc_ova_invariant_at_five_classes(self):
-        result = audit_condition1("m_aurpc_ova", trials=FAST_TRIALS, class_count=5)
-        assert result.verdict == VERDICT_INVARIANT
+        result = audit_condition1(["m_aurpc_ova"], trials=FAST_TRIALS, class_count=5)
+        assert result["m_aurpc_ova"].verdict == VERDICT_INVARIANT
 
-    def test_binary_index_rejects_other_class_counts(self):
-        with pytest.raises(MatrixError):
-            audit_condition1("gmean2", trials=5, class_count=3)
+    def test_binary_index_runs_at_two_classes(self):
+        results = audit_condition1(["gmean2", "acsa"], trials=5, class_count=4)
+        assert [r.class_count for r in results.values()] == [2, 4]
+        assert audit_condition1(["gmean2"], trials=5, class_count=3)["gmean2"].class_count == 2
+
+    def test_class_count_below_two_rejected(self):
+        with pytest.raises(MatrixError, match="class_count must be at least 2"):
+            audit_condition1(["gmean2"], trials=5, class_count=1)
+
+    def test_duplicate_ids_audited_once(self):
+        results = audit_condition1(["precision", "acsa", "precision"], trials=5)
+        assert list(results) == ["precision", "acsa"]
+        assert results == audit_condition1(["precision", "acsa"], trials=5)
 
     @given(matrices_with_scaling())
     def test_scaling_keeps_definedness(self, pair):
@@ -142,7 +153,7 @@ class TestCondition1:
     def test_undefined_samples_counted(self):
         # m_precision is undefined on a random matrix with an empty first
         # column; the audit resamples and reports how often (trials 112, 143)
-        result = audit_condition1("m_precision", trials=500, seed=7)
+        result = audit_condition1(["m_precision"], trials=500, seed=7)["m_precision"]
         assert result.resampled_undefined == 2
 
     @pytest.mark.parametrize("seed", [1729, 7, 99])
@@ -156,14 +167,15 @@ class TestCondition1:
             seen.append((index_id, m.counts))
             return evaluate(index_id, m)
         monkeypatch.setattr(audit, "evaluate", recording)
-        reports = audit_all(conditions=(1,), trials=150, seed=seed, class_count=class_count)
+        # None audits at the default class count
+        kwargs = {} if class_count is None else {"class_count": class_count}
+        reports = audit_all(conditions=(1,), trials=150, seed=seed, **kwargs)
         results = {r.index: r.condition1 for r in reports}
         shared = list(seen)
         for index_id, result in results.items():
             seen.clear()
-            assert result == audit_condition1(
-                index_id, trials=150, seed=seed,
-                class_count=None if INDEX_SPECS[index_id].binary_only else class_count,
+            assert {index_id: result} == audit_condition1(
+                [index_id], trials=150, seed=seed, **kwargs
             )
             assert seen == [s for s in shared if s[0] == index_id]
         # precision stops at trial 0 while the rest of its group runs on
@@ -241,9 +253,11 @@ class TestCondition2:
         with pytest.raises(BudgetExceededError):
             enumerate_extremal("acsa", (6,) * 6, budget=1000)
 
-    def test_binary_index_rejected(self):
-        with pytest.raises(MatrixError):
-            audit_condition2_many(["precision"], c_range=(2, 3))["precision"]
+    def test_binary_index_not_applicable(self):
+        results = audit_condition2_many(["precision", "acsa"], c_range=(2, 3))
+        assert results["precision"] == Condition2Result(VERDICT_NOT_APPLICABLE, ())
+        assert results["acsa"].verdict == VERDICT_STABLE
+        assert [row.class_count for row in results["acsa"].table] == [2, 3]
 
     def test_duplicate_ids_audited_once(self):
         results = audit_condition2_many(["acsa", "auroc_ovo", "acsa"], c_range=(2, 3))
@@ -255,6 +269,26 @@ class TestCondition2:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("index_id, rows", [
+        ("acsa", (3,)), ("acsa", (3, 0, 3)), ("precision", (3, 3, 3)),
+    ])
+    def test_rows_and_id_checked_before_enumerating(self, monkeypatch, index_id, rows):
+        def unreachable(row_sums):
+            raise AssertionError("enumerated before validating")
+        monkeypatch.setattr(audit, "iter_matrices", unreachable)
+        with pytest.raises(MatrixError):
+            enumerate_extremal(index_id, rows)
+        with pytest.raises(MatrixError):
+            certify_extremal([index_id], rows)
+
+    def test_two_class_index_enumerated_but_not_certified(self):
+        # at C = 2 a two-class index has exact extrema, but its undefined
+        # matrices are not the empty-column ones a certificate counts
+        result = enumerate_extremal("precision", (3, 3))
+        assert (result.exact_min, result.exact_max, result.undefined_count) == (0, 1, 1)
+        with pytest.raises(MatrixError, match="precision is a two-class index"):
+            certify_extremal(["acsa", "precision"], (3, 3))
+
     def test_enumeration_size_matches_iteration(self):
         rows = (2, 3)
         assert enumeration_size(rows) == sum(1 for _ in iter_matrices(rows))

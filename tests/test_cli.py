@@ -115,6 +115,16 @@ class TestEval:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: --digits must be non-negative, got -1\n")
 
+    @pytest.mark.parametrize("classes", ["", " , "])
+    def test_empty_class_list_is_input_error(self, tmp_path, classes, capsys):
+        # an empty --classes is an error, not a request to infer the class order
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("true,predicted\nA,A\nA,B\nB,B\n")
+        code = main(["eval", "--labels", str(pairs), "--classes", classes])
+        assert code == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: need at least 2 classes to tally a confusion matrix\n")
+
     def test_classes_with_matrix_is_input_error(self, base_matrix_csv, capsys):
         code = main(["eval", "--matrix", str(base_matrix_csv), "--classes", "x,y"])
         assert code == EXIT_INPUT
@@ -172,6 +182,13 @@ class TestAudit:
         assert payload[0]["condition2"]["verdict"] == "CDependentBounds"
         assert [row["class_count"] for row in table] == [2, 3, 4, 5]
         assert table[1]["theoretical_min"] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("index", ["precision", "acsa"])
+    def test_class_count_range_below_two_is_input_error(self, index, capsys):
+        # a two-class index is NotApplicable under condition 2, but the range is still checked
+        assert main(["audit", "--index", index, "--cond", "2", "--c", "1..3"]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: class-count range must contain values >= 2\n")
 
     def test_class_count_applies_to_multiclass_rows_only(self, capsys):
         code = main(["audit", "--all", "--cond", "1", "--class-count", "5", "--trials", "10"])

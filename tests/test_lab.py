@@ -634,6 +634,15 @@ class TestSpecFieldTypes:
         del raw["steps"][0]["class_count"]
         assert load_spec(raw).steps == ((10, 10, 10),)
 
+    def test_type2_steps_with_one_class_count_rejected(self):
+        # the class count keys a step's summary rows, so two steps at C = 3
+        # would pool into one rrt_or_c
+        raw = type2_raw()
+        raw["steps"] += [{"profile": [5, 5]}, {"class_count": 3, "profile": [5, 20, 5]}]
+        message = r"^spec\.steps\[0\] and spec\.steps\[2\] share the class count 3$"
+        with pytest.raises(SpecError, match=message):
+            load_spec(raw)
+
     def test_matrix_mode_count_vector(self):
         with pytest.raises(
             SpecError, match=r"^spec\.datasets\[0\]\.schedule: expected an integer"
