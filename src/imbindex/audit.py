@@ -4,7 +4,8 @@ Condition 1 (test-mix invariance): the index value must not change across
 equivalent matrices, i.e. under positive row scalings.  Audited by sampling
 random valid matrices and random integrality-preserving scalings; a violation
 is declared only after the exact rational oracle confirms the two values
-differ, so rounding noise can never produce a false violation.
+differ, so rounding noise can never produce a false violation.  The trial
+loop calls each index's oracle and float formula directly and compares keys.
 
 Condition 2 (class-count-stable bounds): the index's closed-form value bounds
 must not depend on the number of classes.  Audited by comparing closed-form
@@ -54,7 +55,7 @@ from .confusion import (
 from .io import to_json
 from .registry import (
     DEFAULT_SEED,
-    ExactEval,
+    IndexSpec,
     bounds_exact,
     evaluate,
     exact,
@@ -113,12 +114,8 @@ def uniform_composition(rng: np.random.Generator, total: int, bins: int) -> tupl
     if bins == 1:
         return (total,)
     slots = total + bins - 1
-    bars = np.sort(rng.choice(slots, size=bins - 1, replace=False))
-    parts = [int(bars[0])]
-    for k in range(1, bins - 1):
-        parts.append(int(bars[k] - bars[k - 1] - 1))
-    parts.append(int(slots - bars[-1] - 1))
-    return tuple(parts)
+    edges = [-1, *sorted(rng.choice(slots, size=bins - 1, replace=False).tolist()), slots]
+    return tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def sample_matrix(rng: np.random.Generator, class_count: int) -> ConfusionMatrix:
@@ -134,15 +131,17 @@ _SCALING_CANDIDATES = tuple(Fraction(1, d) for d in (5, 4, 3, 2)) + tuple(
     Fraction(k) for k in (1, 2, 3, 4, 5)
 )
 _INTEGER_CANDIDATES = tuple(Fraction(k) for k in (1, 2, 3, 4, 5))
+# ``1/d`` keeps a row integral iff ``d`` divides the row's gcd, or, as ``d`` divides 60,
+# the gcd of 60 and the row: one candidate tuple per divisor of 60
+_CANDIDATES_BY_GCD = {
+    g: tuple(b for b in _SCALING_CANDIDATES if g % b.denominator == 0)
+    for g in range(1, 61) if 60 % g == 0
+}
 
 
-def _scaling_candidates(row: Sequence[int]) -> list[Fraction]:
-    """The candidates that keep every cell of ``row`` an integer, in candidate order.
-
-    ``1/d`` keeps every cell integral exactly when ``d`` divides the row's gcd.
-    """
-    g = math.gcd(*row)
-    return [b for b in _SCALING_CANDIDATES if g % b.denominator == 0]
+def _scaling_candidates(row: Sequence[int]) -> tuple[Fraction, ...]:
+    """The candidates that keep every cell of ``row`` an integer, in candidate order."""
+    return _CANDIDATES_BY_GCD[math.gcd(60, *row)]
 
 
 def sample_scaling(rng: np.random.Generator, m: ConfusionMatrix) -> tuple[Fraction, ...]:
@@ -190,10 +189,11 @@ _MAX_DRAWS = 200  # draws per trial before an index counts as never defined
 def _draw_defined(
     rng: np.random.Generator,
     drawn: list[ConfusionMatrix],
-    index_id: str,
+    spec: IndexSpec,
     class_count: int,
-) -> tuple[int, ExactEval]:
-    """First position ``j`` of the trial's draws ``m_0, m_1, ...`` where the index is defined.
+) -> tuple[int, Fraction]:
+    """First position ``j`` of the trial's draws ``m_0, m_1, ...`` where the index
+    is defined, and the index's exact key there.
 
     ``drawn`` holds the matrices already drawn from ``rng`` in this trial; it
     grows only when every drawn matrix is undefined for the index.
@@ -201,10 +201,10 @@ def _draw_defined(
     for j in range(_MAX_DRAWS):
         if j == len(drawn):
             drawn.append(sample_matrix(rng, class_count))
-        ev = exact(index_id, drawn[j])
-        if ev is not None:
-            return j, ev
-    raise RuntimeError(f"{index_id} undefined on {_MAX_DRAWS} consecutive sampled matrices")
+        key = spec.exact(drawn[j])
+        if key is not None:
+            return j, key
+    raise RuntimeError(f"{spec.index_id} undefined on {_MAX_DRAWS} consecutive sampled matrices")
 
 
 def audit_condition1(
@@ -229,7 +229,8 @@ def audit_condition1(
     """
     if class_count < 2:
         raise MatrixError("class_count must be at least 2")
-    class_of = {i: 2 if get_index(i).binary_only else class_count for i in index_ids}
+    specs = {i: get_index(i) for i in index_ids}
+    class_of = {i: 2 if spec.binary_only else class_count for i, spec in specs.items()}
     if trials < 1:
         raise ValueError("trials must be at least 1")
 
@@ -244,9 +245,9 @@ def audit_condition1(
                 break
             rng = np.random.default_rng([seed, trial])
             drawn: list[ConfusionMatrix] = []
-            picks = {i: _draw_defined(rng, drawn, i, c) for i in active}
+            picks = {i: _draw_defined(rng, drawn, specs[i], c) for i in active}
             scalings = {}
-            for j in {j for j, _ev in picks.values()}:
+            for j in {j for j, _key in picks.values()}:
                 stream = rng
                 if j < len(drawn) - 1:  # rare: replay the trial's stream through m_j
                     stream = np.random.default_rng([seed, trial])
@@ -255,21 +256,22 @@ def audit_condition1(
                 factors = sample_scaling(stream, drawn[j])
                 scalings[j] = factors, apply_scaling(drawn[j], factors)
             for index_id, (j, exact_before) in picks.items():
+                spec = specs[index_id]
                 m, (factors, scaled) = drawn[j], scalings[j]
                 resampled[index_id] += j
-                exact_after = exact(index_id, scaled)
-                value_before = evaluate(index_id, m).require()
-                value_after = evaluate(index_id, scaled).require()
+                exact_after = spec.exact(scaled)
+                value_before = float(spec.formula(m))
+                value_after = float(spec.formula(scaled))
                 drift[index_id] = max(drift[index_id], abs(value_after - value_before))
-                if exact_before.key != exact_after.key:
+                if exact_before != exact_after:
                     witnesses[index_id] = Condition1Witness(
                         trial=trial,
                         matrix=m,
                         factors=factors,
                         value_before=value_before,
                         value_after=value_after,
-                        exact_before=exact_before.key,
-                        exact_after=exact_after.key,
+                        exact_before=exact_before,
+                        exact_after=exact_after,
                     )
     return {
         index_id: Condition1Result(

@@ -125,9 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="class count for randomized multi-class sampling and the collapse family "
         f"(default {audit_mod.DEFAULT_CLASS_COUNT})",
     )
+    c_range = ",".join(map(str, audit_mod.DEFAULT_C_RANGE))
     p_audit.add_argument(
-        "--c-range", "--c", default="2..4",
-        help="class counts for the bound audit, e.g. 2..6 or 2,4 (default 2..4)",
+        "--c-range", "--c", default=c_range,
+        help=f"class counts for the bound audit, e.g. 2..6 or 2,4 (default {c_range})",
     )
     p_audit.add_argument("--output", help="write the JSON report here instead of stdout")
     p_audit.add_argument(

@@ -122,10 +122,11 @@ class ConfusionMatrix:
                 raise NonSquareError(
                     f"row {i + 1} has {len(row)} entries, expected {class_count}"
                 )
-        rows = tuple(
-            tuple(_check_cell(v, i, j) for j, v in enumerate(row))
-            for i, row in enumerate(rows)
-        )
+        for i, row in enumerate(rows):
+            # a row of non-negative plain ints is kept as it is, in one pass
+            if not all(type(v) is int and v >= 0 for v in row):
+                rows[i] = tuple(_check_cell(v, i, j) for j, v in enumerate(row))
+        rows = tuple(rows)
         row_sums = tuple(map(sum, rows))
         for i, row_sum in enumerate(row_sums):
             if row_sum == 0:

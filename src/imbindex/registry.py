@@ -6,7 +6,10 @@ bound (the upper bound is 1 for every index), and its single-class-collapse
 behaviour.  :func:`evaluate` is the one place that checks a two-class index's
 class count and wraps a formula's bare number, or the reason it is
 undefined, in an :class:`~imbindex.values.IndexValue`; :func:`exact` is the
-one place that wraps an oracle's key in an :class:`ExactEval`.
+one place that wraps an oracle's key in an :class:`ExactEval`.  The
+condition-1 trial loop in :mod:`imbindex.audit` reads a spec's ``exact`` and
+``formula`` directly: it runs each index only at a class count it accepts,
+and it compares keys, so it needs neither wrapper.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ class IndexSpec:
     (see :mod:`imbindex.multiclass`); call it through :func:`evaluate`.
     ``exact(m)`` is its oracle in :mod:`imbindex.exact`, which returns the
     exact key or ``None``; ``key_value(key, C)`` turns a key into the float
-    value.  Call both through :func:`exact`.
+    value.  Call both through :func:`exact`, except in the condition-1 trial
+    loop, which calls ``exact`` and ``formula`` directly (see above).
     ``lower_bound(C, profile)`` is the closed-form lower bound at ``C``
     classes. ``collapse_limit(C)`` is the closed-form limit along a
     single-class collapse. ``collapse_floor(C)`` is a strict floor that the

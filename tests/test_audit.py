@@ -1,6 +1,7 @@
 """Condition audits: sampling, verdicts, enumeration oracle, collapse families."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -89,8 +90,8 @@ class TestSampling:
                 b for b in audit._SCALING_CANDIDATES
                 if all(v % b.denominator == 0 for v in row)
             ]
-            assert audit._scaling_candidates(row) == per_cell
-        assert audit._scaling_candidates([0, 0, 0]) == list(audit._SCALING_CANDIDATES)
+            assert audit._scaling_candidates(row) == tuple(per_cell)
+        assert audit._scaling_candidates([0, 0, 0]) == audit._SCALING_CANDIDATES
 
 
 class TestCondition1:
@@ -163,21 +164,24 @@ class TestCondition1:
         # its result, and every matrix it is evaluated on (each trial's sample
         # and its scaled image, in order), must equal an audit of it alone
         seen = []
-        def recording(index_id, m):
-            seen.append((index_id, m.counts))
-            return evaluate(index_id, m)
-        monkeypatch.setattr(audit, "evaluate", recording)
+        for index_id in EXPECTED_VERDICTS:
+            spec = INDEX_SPECS[index_id]
+            def recording(m, index_id=index_id, formula=spec.formula):
+                seen.append((index_id, m.counts))
+                return formula(m)
+            monkeypatch.setitem(INDEX_SPECS, index_id, dataclasses.replace(spec, formula=recording))
         # None audits at the default class count
         kwargs = {} if class_count is None else {"class_count": class_count}
         reports = audit_all(conditions=(1,), trials=150, seed=seed, **kwargs)
         results = {r.index: r.condition1 for r in reports}
         shared = list(seen)
+        assert {s[0] for s in shared} == set(EXPECTED_VERDICTS)
         for index_id, result in results.items():
             seen.clear()
             assert {index_id: result} == audit_condition1(
                 [index_id], trials=150, seed=seed, **kwargs
             )
-            assert seen == [s for s in shared if s[0] == index_id]
+            assert seen and seen == [s for s in shared if s[0] == index_id]
         # precision stops at trial 0 while the rest of its group runs on
         assert results["precision"].witness.trial == 0
         assert results["m_precision"].verdict == VERDICT_INVARIANT
@@ -185,6 +189,23 @@ class TestCondition1:
             # a resampled trial: the other indices' scaling replays the stream
             assert results["m_precision"].resampled_undefined == 2
             assert results["gmean2"].resampled_undefined == 0
+
+    # sha256 of the condition-1 audit JSON of every audited index, recorded at 0ce76ba
+    @pytest.mark.parametrize(
+        "kwargs, digest",
+        [
+            ({"seed": 7}, "b66952687aa0ebae7ab9847c0e24231b4063cde9619ecdc503dd4c2dfd28c0f9"),
+            ({"seed": 99}, "0e25450f99c0d48580dc8f1c8576ef300226b535b9cda5a38bd675135c7ef0bf"),
+            (
+                {"seed": 1729, "class_count": 4},
+                "8711e9696c128b8f04644e53cad86b13b85cae5f4182e250623bd7b327afeafe",
+            ),
+        ],
+        ids=repr,
+    )
+    def test_json_matches_recorded_digest(self, kwargs, digest):
+        text = reports_to_json(audit_all(conditions=(1,), **kwargs))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCondition2:

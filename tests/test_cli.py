@@ -183,6 +183,17 @@ class TestAudit:
         assert [row["class_count"] for row in table] == [2, 3, 4, 5]
         assert table[1]["theoretical_min"] == pytest.approx(0.25)
 
+    def test_c_range_default_is_the_audit_default(self, monkeypatch, capsys):
+        from imbindex import audit as audit_mod
+        from imbindex.cli import _build_parser, _parse_c_range
+
+        args = _build_parser().parse_args(["audit", "--all"])
+        assert _parse_c_range(args.c_range) == audit_mod.DEFAULT_C_RANGE
+        monkeypatch.setattr(audit_mod, "DEFAULT_C_RANGE", (2, 5))
+        assert main(["audit", "--index", "acsa", "--cond", "2"]) == EXIT_OK
+        table = json.loads(capsys.readouterr().out)[0]["condition2"]["table"]
+        assert [row["class_count"] for row in table] == [2, 5]
+
     @pytest.mark.parametrize("index", ["precision", "acsa"])
     def test_class_count_range_below_two_is_input_error(self, index, capsys):
         # a two-class index is NotApplicable under condition 2, but the range is still checked

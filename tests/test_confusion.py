@@ -1,6 +1,7 @@
 """Confusion-matrix validation, row scaling, label tallies, and CSV I/O."""
 
 import csv
+import re
 import tempfile
 from collections import Counter
 from decimal import Decimal
@@ -82,6 +83,37 @@ class TestValidate:
         m = validate([[np.int64(4), np.uint8(2)], [np.int32(1), 5]])
         assert m.counts == ((4, 2), (1, 5))
         assert all(type(v) is int for row in m.counts for v in row)
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            (True, "entry True is not an integer"),
+            (np.bool_(True), "entry np.True_ is not an integer"),
+            (2.0, "entry 2.0 is not an integer"),
+            (Fraction(2), "entry Fraction(2, 1) is not an integer"),
+            (Decimal(2), "entry Decimal('2') is not an integer"),
+            (-1, "entry -1 is negative"),
+            (np.int64(-1), "entry -1 is negative"),
+        ],
+        ids=repr,
+    )
+    def test_bad_cell_after_plain_int_rows_names_the_first(self, cell, message):
+        # rows of plain non-negative ints are accepted in one pass; the first
+        # other cell in row-major order is still checked and named alone
+        grid = [[1, 2, 3], [4, 5, cell], [-7, 8.5, 9]]
+        with pytest.raises(NegativeEntryError, match=f"^row 2, column 3: {re.escape(message)}$"):
+            validate(grid)
+        with pytest.raises(NegativeEntryError, match=f"^row 1, column 2: {re.escape(message)}$"):
+            validate([[np.int64(1), cell], [0, 1]])
+
+    def test_every_stored_cell_is_a_plain_int(self):
+        class Count(int):
+            pass
+
+        m = validate([[Count(3), np.int16(1), 0], [2, 2, 2], [np.uint64(7), 0, Count(0)]])
+        assert m.counts == ((3, 1, 0), (2, 2, 2), (7, 0, 0))
+        assert m.row_sums == (4, 6, 7)
+        assert {type(v) for row in m.counts for v in row} == {int}
 
 
 class TestRowScaling:
