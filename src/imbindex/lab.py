@@ -8,7 +8,8 @@ which changes the test mix while provably preserving the row profile; it
 isolates the distortion an index suffers from the mix change alone.
 
 A point set is a dict from each label to its ``(n, 2)`` float64 points in
-generation order.
+generation order, or to their x column alone, the one coordinate the
+vertical-line classifiers read.
 
 Experiments are declarative (frozen dataclass specs, loadable from JSON) and
 deterministic: trial ``t`` of an experiment with seed ``s`` draws all its
@@ -34,6 +35,7 @@ import numpy as np
 
 from .confusion import (
     ConfusionMatrix,
+    DimensionMismatchError,
     EmptyRowError,
     IntegralityError,
     MatrixError,
@@ -41,7 +43,8 @@ from .confusion import (
     even_error_matrix,
     to_fraction,
 )
-from .registry import DEFAULT_SEED, evaluate, get_index
+from .registry import DEFAULT_SEED, get_index
+from .values import Undefined
 
 STATUS_OK = "ok"
 
@@ -86,10 +89,12 @@ def generate_gaussian_dataset(
     rng = np.random.default_rng(seed)
     blocks: dict[str, list[np.ndarray]] = {}
     for spec in specs:
-        std = np.sqrt(np.asarray(spec.variances))
-        block = np.asarray(spec.mean) + rng.standard_normal((spec.sample_count, 2)) * std
+        # scaled and shifted in place: the same doubles as mean + draw * std
+        block = rng.standard_normal((spec.sample_count, 2))
+        block *= np.sqrt(spec.variances)
+        block += spec.mean
         blocks.setdefault(spec.label, []).append(block)
-    return {label: np.vstack(b) for label, b in blocks.items()}
+    return {label: b[0] if len(b) == 1 else np.vstack(b) for label, b in blocks.items()}
 
 
 def threshold_classifier_confusion(
@@ -102,7 +107,8 @@ def threshold_classifier_confusion(
 
     Row 0 is the positive class.  ``positive_side`` selects which half-plane
     is predicted positive: ``"greater"`` means x > threshold, ``"less"``
-    means x < threshold.
+    means x < threshold.  A label's array is its ``(n, 2)`` points, or their
+    x column alone when it is 1-D.
     """
     if len(points) != 2:
         raise MatrixError(f"threshold classifier needs exactly 2 classes, got {sorted(points)}")
@@ -111,7 +117,8 @@ def threshold_classifier_confusion(
     if positive_side not in ("greater", "less"):
         raise MatrixError(f"positive_side must be 'greater' or 'less', got {positive_side!r}")
     (negative_label,) = [k for k in points if k != positive_label]
-    pos, neg = points[positive_label][:, 0], points[negative_label][:, 0]
+    pos, neg = (xs if xs.ndim == 1 else xs[:, 0]
+                for xs in (points[positive_label], points[negative_label]))
     if len(pos) == 0 or len(neg) == 0:
         raise EmptyRowError("a class has no points")
     predicts_pos = np.greater if positive_side == "greater" else np.less
@@ -135,7 +142,8 @@ def resample_points_to_rrt(
     The ratio is counted as ``n(majority_label) / n(other)``.  When the target
     is reachable by shrinking the minority class the majority is kept intact;
     otherwise the majority is shrunk.  Points are never duplicated, and each
-    class keeps its generation order.
+    class keeps its generation order.  A class's array may be its x column
+    alone: the draws depend only on the class counts.
     """
     target = to_fraction(target)
     if target <= 0:
@@ -375,6 +383,16 @@ def _index_list(obj: dict, where: str) -> tuple[str, ...]:
     return ids
 
 
+def _two_class_rule(field: str, indices: Sequence[str], class_count: int, what: str) -> None:
+    """Reject a two-class index among ``indices`` when ``what`` has
+    ``class_count`` classes, not 2; the error names ``field``, the id and the count."""
+    two_class = [i for i in indices if get_index(i).binary_only]
+    if two_class and class_count != 2:
+        raise SpecError(
+            f"{field}: {two_class[0]!r} is a two-class index, but {what} has {class_count} classes"
+        )
+
+
 def _point_sweep(raw: dict, where: str, schedule_field: str) -> dict:
     """The :class:`PointSweep` fields a ``type1_sweep`` and a point dataset
     share, checked by one rule: a non-empty schedule of positive ratios, at
@@ -469,11 +487,14 @@ def load_spec(source) -> ExperimentSpec:
         )
         if not sweep:
             raise SpecError("spec.accuracy_sweep: at least one accuracy required")
+        indices = _index_list(raw, "spec")
+        for s_idx, profile in enumerate(steps):
+            _two_class_rule("spec.indices", indices, len(profile), f"spec.steps[{s_idx}]")
         return Type2GrowthSpec(
             experiment=experiment,
             steps=tuple(steps),
             accuracy_sweep=sweep,
-            indices=_index_list(raw, "spec"),
+            indices=indices,
         )
 
     if kind == "rrt_stability":
@@ -492,6 +513,7 @@ def load_spec(source) -> ExperimentSpec:
                     matrix = ConfusionMatrix(rows)
                 except MatrixError as exc:
                     raise SpecError(f"{spot}.matrix: {exc}") from None
+                _two_class_rule(f"{spot}.indices", indices, matrix.class_count, f"{spot}.matrix")
                 field = f"{spot}.schedule"
                 schedule = tuple(
                     tuple(_int(v, field) for v in entry) if isinstance(entry, (list, tuple))
@@ -597,10 +619,10 @@ class ExperimentResult:
             with path.open("w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(names)
-                for r in rows:
-                    writer.writerow(
-                        "UNDEFINED" if (v := getattr(r, n)) is None else v for n in names
-                    )
+                writer.writerows(
+                    tuple("UNDEFINED" if v is None else v for v in t) if None in t else t
+                    for t in map(attrgetter(*names), rows)
+                )
             paths.append(path)
         return tuple(paths)
 
@@ -617,8 +639,12 @@ def _result_rows(experiment: str, cells, indices: Sequence[str]) -> list[ResultR
     """One row per index for each ``(trial, setting, rrt_or_c, matrix)`` cell.
 
     A cell whose matrix is a ``MatrixError`` gives every index an undefined row
-    whose status names the error.
+    whose status names the error.  Each index's formula is called directly,
+    with the two-class check of :func:`~imbindex.registry.evaluate` made once
+    per cell; a loaded spec never fails it (see :func:`load_spec`).
     """
+    specs = [get_index(i) for i in indices]
+    two_class = any(spec.binary_only for spec in specs)
     rows: list[ResultRow] = []
     for trial, setting, rrt_or_c, matrix in cells:
         if isinstance(matrix, MatrixError):
@@ -627,11 +653,17 @@ def _result_rows(experiment: str, cells, indices: Sequence[str]) -> list[ResultR
                 ResultRow(experiment, trial, setting, rrt_or_c, i, None, reason) for i in indices
             )
             continue
-        for index_id in indices:
-            iv = evaluate(index_id, matrix)
+        if two_class and matrix.class_count != 2:
+            raise DimensionMismatchError(
+                f"two-class index requires a 2-class matrix, got {matrix.class_count} classes"
+            )
+        for spec in specs:
+            try:
+                value, status = float(spec.formula(matrix)), STATUS_OK
+            except Undefined as err:
+                value, status = None, str(err)
             rows.append(
-                ResultRow(experiment, trial, setting, rrt_or_c, index_id, iv.value,
-                          STATUS_OK if iv.defined else iv.reason)
+                ResultRow(experiment, trial, setting, rrt_or_c, spec.index_id, value, status)
             )
     return rows
 
@@ -644,14 +676,19 @@ def _schedule_key(entry) -> str:
 
 def _point_cells(stream: tuple, sweep: PointSweep):
     """Cells of a point sweep: trial ``t`` draws its points from ``stream +
-    (t,)`` and its subsample for schedule entry ``s`` from ``stream + (t, s)``."""
+    (t,)`` and its subsample for schedule entry ``s`` from ``stream + (t, s)``.
+    The classifiers read only x, so each class is resampled as its x column,
+    copied out once per trial: every tally reads contiguous memory, and the
+    ``(n, 2)`` points are freed before the first subsample."""
     for trial in range(sweep.trials):
         points = generate_gaussian_dataset(
             sweep.generators, np.random.default_rng([*stream, trial])
         )
+        xs = {label: np.ascontiguousarray(xy[:, 0]) for label, xy in points.items()}
+        del points
         for s_idx, ratio in enumerate(sweep.schedule):
             resampled = _attempt(
-                resample_points_to_rrt, points, ratio, sweep.majority_label,
+                resample_points_to_rrt, xs, ratio, sweep.majority_label,
                 np.random.default_rng([*stream, trial, s_idx]),
             )
             for setting, threshold in sweep.classifiers:
@@ -748,14 +785,15 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 def _min_summary(spec: Type2GrowthSpec, rows: Sequence[ResultRow]) -> list[SummaryRow]:
     """Per (class count, index): the minimum over the accuracy sweep."""
+    defined: dict[tuple[str, str], list[float]] = {}
+    for r in rows:
+        if r.value is not None:
+            defined.setdefault((r.rrt_or_c, r.index), []).append(r.value)
     summary: list[SummaryRow] = []
     for profile in spec.steps:
         rrt_or_c = str(len(profile))
         for index_id in spec.indices:
-            values = [
-                r.value for r in rows
-                if r.rrt_or_c == rrt_or_c and r.index == index_id and r.value is not None
-            ]
+            values = defined.get((rrt_or_c, index_id), [])
             summary.append(
                 SummaryRow(spec.experiment, "sweep", index_id, rrt_or_c, "min",
                            min(values, default=None),

@@ -334,6 +334,19 @@ class TestSimulate:
         )
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_two_class_index_on_three_classes_names_its_field(self, tmp_path, capsys):
+        raw = json.loads((SPEC_DIR / "rrt_stability_matrix.json").read_text())
+        raw["datasets"][1]["indices"].append("precision")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        code = main(["simulate", str(spec_path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: spec.datasets[1].indices: 'precision' is a two-class index, "
+            "but spec.datasets[1].matrix has 3 classes\n"
+        )
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_non_numeric_threshold_is_input_error(self, tmp_path, capsys):
         raw = json.loads((SPEC_DIR / "example1_type1.json").read_text())
         raw["thresholds"] = [3, "abc"]

@@ -10,13 +10,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from imbindex import MatrixError, evaluate, validate
+from imbindex import DimensionMismatchError, MatrixError, evaluate, validate
 from imbindex.confusion import IntegralityError
 from conftest import SPEC_DIR
+from imbindex import lab
 from imbindex.lab import (
     GaussianClassSpec,
     MatrixStabilityDataset,
     PointSweep,
+    ResultRow,
     RRTStabilitySpec,
     SpecError,
     Type1SweepSpec,
@@ -133,6 +135,15 @@ class TestThresholdClassifier:
             [1, 1], [0, 2],
         ]
 
+    @pytest.mark.parametrize("positive, side", [("right", "greater"), ("left", "less")])
+    def test_x_columns_match_points(self, positive, side):
+        points = generate_gaussian_dataset(small_generators(), 13)
+        xs = {label: xy[:, 0] for label, xy in points.items()}
+        for threshold in (3.0, 5.0, 7.5, -100.0):
+            assert threshold_classifier_confusion(xs, threshold, positive, side) == (
+                threshold_classifier_confusion(points, threshold, positive, side)
+            )
+
     def test_rejects_unknown_label(self):
         points = generate_gaussian_dataset(small_generators(), 13)
         with pytest.raises(MatrixError):
@@ -182,6 +193,22 @@ class TestPointResampling:
             assert np.array_equal(a[label], b[label])
             original = {tuple(row) for row in points[label]}
             assert all(tuple(row) in original for row in a[label])
+
+    @pytest.mark.parametrize("ratio, kept", [
+        (4, {"left": 200, "right": 50}),  # shrinks the minority
+        ("1/2", {"left": 100, "right": 200}),  # shrinks the majority
+        (1, {"left": 200, "right": 200}),  # neither
+    ])
+    def test_x_columns_give_the_x_column_of_the_subsample(self, ratio, kept):
+        points = generate_gaussian_dataset(small_generators(200), 9)
+        xs = {label: xy[:, 0] for label, xy in points.items()}
+        sub_points = resample_points_to_rrt(points, ratio, "left", 21)
+        sub_xs = resample_points_to_rrt(xs, ratio, "left", 21)
+        assert class_counts(sub_xs) == kept
+        assert list(sub_xs) == list(sub_points)
+        for label in sub_points:
+            assert sub_xs[label].ndim == 1
+            assert np.array_equal(sub_xs[label], sub_points[label][:, 0])
 
     def test_draws_match_global_index_reference(self):
         # the same draws as a subsample by global point position: one label
@@ -317,6 +344,30 @@ class TestType2Growth:
         assert all(a < b for a, b in zip(ova, ova[1:]))
         assert all(mins[(str(c), "acsa")] == pytest.approx(0.6, abs=1e-12) for c in (3, 4, 5, 6))
 
+    @pytest.mark.parametrize("accuracies", [("1/2", "3/5", "1"), ("1/2", "3/5")])
+    def test_min_summary_matches_a_rescan_per_key(self, accuracies):
+        # at C = 3 only accuracy 1 gives integer counts, so without it every
+        # C = 3 cell is an error row and the minimum is undefined
+        spec = Type2GrowthSpec(
+            experiment="t2",
+            steps=((10, 10, 11), (10, 20, 30, 40), (30, 10)),
+            accuracy_sweep=tuple(Fraction(a) for a in accuracies),
+            indices=("aurpc_ova", "acsa", "aurpc_ova"),  # an id twice gives two equal rows
+        )
+        result = run_experiment(spec)
+        expected = []
+        for profile in spec.steps:
+            c = str(len(profile))
+            for index_id in spec.indices:
+                values = [r.value for r in result.rows
+                          if r.rrt_or_c == c and r.index == index_id and r.value is not None]
+                expected.append(("min", c, index_id, min(values, default=None),
+                                 "ok" if values else "undefined on entire sweep"))
+        assert [(r.statistic, r.rrt_or_c, r.index, r.value, r.status)
+                for r in result.summary] == expected
+        undefined = ("min", "3", "acsa", None, "undefined on entire sweep")
+        assert (undefined in expected) == ("1" not in accuracies)
+
 
 class TestStability:
     def test_matrix_mode_invariant_indices_have_exactly_zero_std(self):
@@ -363,6 +414,28 @@ class TestStability:
         statuses = {(r.index): r.status for r in result.rows}
         assert statuses["precision"] != "ok"
         assert statuses["gmean2"] == "ok"
+
+    def test_rows_match_registry_evaluate(self):
+        # the row builder calls each formula directly; registry.evaluate is
+        # the reference for every value and undefined reason
+        cells = [
+            (0, "s", "1", validate([[0, 5], [0, 5]])),
+            (1, "s", "2", validate([[8, 2], [10, 90]])),
+            (2, "s", "3", UnachievableRRTError("ratio 3 unreachable")),
+        ]
+        ids = ("precision", "gmean2", "aurpc", "m_precision", "specificity")
+        rows = lab._result_rows("e", cells, ids)
+        expected = []
+        for trial, setting, rrt, matrix in cells:
+            for i in ids:
+                if isinstance(matrix, MatrixError):
+                    value, status = None, "UnachievableRRTError: ratio 3 unreachable"
+                else:
+                    iv = evaluate(i, matrix)
+                    value, status = iv.value, "ok" if iv.defined else iv.reason
+                expected.append(ResultRow("e", trial, setting, rrt, i, value, status))
+        assert rows == expected
+        assert any(r.value is None for r in rows[:5])  # precision has no positive predictions
 
 
 class TestSpecLoading:
@@ -662,6 +735,41 @@ class TestSpecFieldTypes:
             load_spec(dict(type2_raw(), accuracy_sweep=[value]))
 
 
+class TestTwoClassRule:
+    """A two-class index on more than two classes is rejected at load, naming
+    the field, the id and the class count; a spec built directly fails when
+    it runs."""
+
+    MESSAGE = "two-class index requires a 2-class matrix, got 3 classes"
+
+    def test_matrix_dataset(self):
+        raw = matrix_raw([[14, 21, 7]], matrix=[[5, 1, 1], [1, 5, 1], [1, 1, 5]],
+                         indices=["acsa", "precision", "gmean2"])
+        message = (r"^spec\.datasets\[0\]\.indices: 'precision' is a two-class index, "
+                   r"but spec\.datasets\[0\]\.matrix has 3 classes$")
+        with pytest.raises(SpecError, match=message):
+            load_spec(raw)
+        load_spec(matrix_raw(["1"], indices=["acsa", "precision"]))
+
+    def test_type2_growth_step(self):
+        raw = {**type2_raw(), "indices": ["acsa", "specificity"]}
+        raw["steps"] = [{"profile": [10, 10]}, {"profile": [10, 10, 10]}]
+        message = (r"^spec\.indices: 'specificity' is a two-class index, "
+                   r"but spec\.steps\[1\] has 3 classes$")
+        with pytest.raises(SpecError, match=message):
+            load_spec(raw)
+        raw["steps"] = [{"profile": [10, 10]}]
+        assert load_spec(raw).indices == ("acsa", "specificity")
+
+    def test_specs_built_directly_fail_at_run_time(self):
+        tri = validate([[5, 1, 1], [1, 5, 1], [1, 1, 5]])
+        dataset = MatrixStabilityDataset("tri", tri, ((14, 21, 7),), ("acsa", "precision"))
+        growth = Type2GrowthSpec("t2", ((10, 10, 10),), (Fraction(3, 5),), ("acsa", "recall"))
+        for spec in (RRTStabilitySpec("m", (dataset,), 0), growth):
+            with pytest.raises(DimensionMismatchError, match=f"^{self.MESSAGE}$"):
+                run_experiment(spec)
+
+
 class TestPointSweepErrorCells:
     """An unreachable ratio gives error rows and an undefined schedule std."""
 
@@ -739,12 +847,44 @@ SEED7_DIGESTS = {
 }
 
 
-def test_bundled_specs_at_seed_7_match_recorded_digests(tmp_path):
+# the same at seed 99, recorded at 40b9bb0
+SEED99_DIGESTS = {
+    "class_count_effect_long.csv":
+        "8538f05c16b8048279dbea4f24823e87c341fa66b1cf310dc72fb657b87d62de",
+    "class_count_effect_summary.csv":
+        "8100f03a71c9ad6d7645b4cbd89fca0fc4d1bf676be73451cb755bc116dcc2e0",
+    "example1_type1_long.csv":
+        "96f2d125db7a702b400e96bdcdfbec4e9368021f9546018993ff53ffdfe5cfab",
+    "example1_type1_summary.csv":
+        "d4be6a2a834f9329e50307c15869c4459e68b7aadc2d1683e29634d20d4ed560",
+    "example1_type2_long.csv":
+        "0ca6b45f78397274738ed7534d0ac6faaf46097d70eb15567c00fda864b9239b",
+    "example1_type2_summary.csv":
+        "10f2397432bc13048098884feb5f455fe59a5cd57ab03e400d6554826357a181",
+    "rrt_stability_matrix_long.csv":
+        "98823ab8a66f79814015b2b82f6eeb657223760cade4a16d014d1e0a43f046e0",
+    "rrt_stability_matrix_summary.csv":
+        "e08e63fce1c5f52c9deb9f491fe10f2278c202f0152ad28c080e2ef975e1660b",
+    "rrt_stability_point_long.csv":
+        "814dd66e9724c2050795a1277f05453ed8f7e050e3ca48640f4fb2941b47b43c",
+    "rrt_stability_point_summary.csv":
+        "e56f4fd6da8eeba16813d329f3c0bfa3448a3fd5c05001e4cde22b7eaf0a9d89",
+}
+
+
+def bundled_csv_digests(seed, output_dir):
     for spec_path in sorted(SPEC_DIR.glob("*.json")):
-        raw = dict(json.loads(spec_path.read_text()), seed=7)
-        run_experiment(load_spec(raw)).write_csv(tmp_path)
-    digests = {
+        raw = dict(json.loads(spec_path.read_text()), seed=seed)
+        run_experiment(load_spec(raw)).write_csv(output_dir)
+    return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.glob("*.csv"))
+        for path in sorted(output_dir.glob("*.csv"))
     }
-    assert digests == SEED7_DIGESTS
+
+
+def test_bundled_specs_at_seed_7_match_recorded_digests(tmp_path):
+    assert bundled_csv_digests(7, tmp_path) == SEED7_DIGESTS
+
+
+def test_bundled_specs_at_seed_99_match_recorded_digests(tmp_path):
+    assert bundled_csv_digests(99, tmp_path) == SEED99_DIGESTS
