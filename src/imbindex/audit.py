@@ -28,7 +28,10 @@ id along a given family.  :func:`audit_all` composes the three.
 
 Determinism contract: every audit derives the randomness of trial ``t`` from
 ``(seed, t)`` alone, so trials are order-independent and a report is exactly
-reproducible from its recorded seed.  In condition 1, trial ``t``'s draws
+reproducible from its recorded seed.  In condition 1, trial ``t``'s draws are
+the words of a PCG64 generator seeded from ``[seed, t]``, taken as Lemire
+bounded integers and Floyd samples (:class:`TrialStream`); up to C = 9,951
+they are the draws numpy's ``Generator`` would make from the same seed.  They
 depend only on ``(seed, t, C)`` and are shared by every index audited at
 class count ``C``.  When a violation exists the stored witness is the one
 with the lowest trial number.
@@ -109,20 +112,82 @@ class BoundCrossedError(MatrixError):
 # randomized matrix and scaling generation
 
 
-def uniform_composition(rng: np.random.Generator, total: int, bins: int) -> tuple[int, ...]:
-    """Uniformly random composition of ``total`` into ``bins`` non-negative parts."""
+class TrialStream:
+    """One trial's random draws, computed straight from its PCG64 words.
+
+    ``TrialStream(seed)`` seeds ``np.random.PCG64(seed)`` as
+    ``np.random.default_rng(seed)`` does and hands out each 64-bit word as two
+    32-bit halves, low half first, as numpy's ``next_uint32`` does.
+    :meth:`integers` turns those halves into bounded integers by Lemire's
+    method with 32-bit rejection (Lemire 2019), so it returns what
+    ``Generator.integers`` returns for the same bounds and consumes the same
+    halves.  The stream then rests only on PCG64's words, which numpy's
+    compatibility policy (NEP 19) keeps stable; ``Generator`` methods are not
+    covered by that policy.
+    """
+
+    __slots__ = ("_next",)
+
+    def __init__(self, seed: int | Sequence[int]) -> None:
+        self._next = _halves(np.random.PCG64(seed)).__next__
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """Uniform integer in ``[low, high)``, or in ``[0, low)`` when ``high`` is None.
+
+        The range may hold 1 to 2^32 values; a range of one value makes no draw.
+        """
+        if high is None:
+            low, high = 0, low
+        n = high - low
+        if not 0 < n <= 1 << 32:
+            raise ValueError(f"range [{low}, {high}) must hold 1 to 2**32 values")
+        if n == 1:
+            return low
+        m = self._next() * n
+        if (m & 0xFFFFFFFF) < n:  # n bounds the threshold; compute it only here
+            threshold = ((1 << 32) - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._next() * n
+        return low + (m >> 32)
+
+
+def _halves(bits: np.random.PCG64) -> Iterator[int]:
+    """The 32-bit halves of ``bits``'s words, low half first, read 16 words at a time."""
+    while True:
+        for word in bits.random_raw(16).tolist():
+            yield word & 0xFFFFFFFF
+            yield word >> 32
+
+
+def uniform_composition(rng: TrialStream, total: int, bins: int) -> tuple[int, ...]:
+    """Uniformly random composition of ``total`` into ``bins`` non-negative parts.
+
+    The ``bins - 1`` bars take distinct slots among ``total + bins - 1``, drawn
+    by Floyd's sampling (Bentley & Floyd 1987); the ``bins - 2`` draws of the
+    shuffle that closes numpy's sample are then spent.  So the bars, sorted,
+    are ``sorted(Generator.choice(slots, bins - 1, replace=False))`` and the
+    stream ends where numpy's does.  numpy samples this way for at most 10,000
+    slots, and an audit row has at most ``49 + bins``, so the two match for
+    up to 9,951 classes.
+    """
     if bins == 1:
         return (total,)
     slots = total + bins - 1
-    edges = [-1, *sorted(rng.choice(slots, size=bins - 1, replace=False).tolist()), slots]
+    bars: set[int] = set()
+    for j in range(total, slots):
+        v = rng.integers(j + 1)
+        bars.add(j if v in bars else v)
+    for i in range(bins - 2, 0, -1):
+        rng.integers(i + 1)
+    edges = [-1, *sorted(bars), slots]
     return tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
-def sample_matrix(rng: np.random.Generator, class_count: int) -> ConfusionMatrix:
+def sample_matrix(rng: TrialStream, class_count: int) -> ConfusionMatrix:
     """Random valid matrix: row sums uniform on [5, 50], cells by uniform composition."""
     rows = []
     for _ in range(class_count):
-        total = int(rng.integers(5, 51))
+        total = rng.integers(5, 51)
         rows.append(uniform_composition(rng, total, class_count))
     return ConfusionMatrix(tuple(rows))
 
@@ -144,16 +209,16 @@ def _scaling_candidates(row: Sequence[int]) -> tuple[Fraction, ...]:
     return _CANDIDATES_BY_GCD[math.gcd(60, *row)]
 
 
-def sample_scaling(rng: np.random.Generator, m: ConfusionMatrix) -> tuple[Fraction, ...]:
+def sample_scaling(rng: TrialStream, m: ConfusionMatrix) -> tuple[Fraction, ...]:
     """Random integrality-preserving row scaling with at least two distinct factors."""
     factors = []
     for row in m.counts:
         valid = _scaling_candidates(row)
-        factors.append(valid[int(rng.integers(len(valid)))])
+        factors.append(valid[rng.integers(len(valid))])
     if len(set(factors)) == 1:
-        row_idx = int(rng.integers(m.class_count))
+        row_idx = rng.integers(m.class_count)
         alternatives = [b for b in _INTEGER_CANDIDATES if b != factors[row_idx]]
-        factors[row_idx] = alternatives[int(rng.integers(len(alternatives)))]
+        factors[row_idx] = alternatives[rng.integers(len(alternatives))]
     return tuple(factors)
 
 
@@ -187,7 +252,7 @@ _MAX_DRAWS = 200  # draws per trial before an index counts as never defined
 
 
 def _draw_defined(
-    rng: np.random.Generator,
+    rng: TrialStream,
     drawn: list[ConfusionMatrix],
     spec: IndexSpec,
     class_count: int,
@@ -243,14 +308,14 @@ def audit_condition1(
             active = [i for i in group if i not in witnesses]
             if not active:
                 break
-            rng = np.random.default_rng([seed, trial])
+            rng = TrialStream([seed, trial])
             drawn: list[ConfusionMatrix] = []
             picks = {i: _draw_defined(rng, drawn, specs[i], c) for i in active}
             scalings = {}
             for j in {j for j, _key in picks.values()}:
                 stream = rng
                 if j < len(drawn) - 1:  # rare: replay the trial's stream through m_j
-                    stream = np.random.default_rng([seed, trial])
+                    stream = TrialStream([seed, trial])
                     for _ in range(j + 1):
                         sample_matrix(stream, c)
                 factors = sample_scaling(stream, drawn[j])
@@ -602,6 +667,14 @@ def build_collapse_family(
 
 @dataclass(frozen=True)
 class Condition3Result:
+    """The verdict along a collapse family and the float values it rests on.
+
+    ``empirical_limit`` is the float value at the family's last member, the
+    one with the smallest epsilon, not the limit itself: the default family
+    is not split evenly at epsilon 1/10^4, so ``m_aurpc_ova`` reads 0.62696
+    there at C = 3 against the even-split limit 23/36.
+    """
+
     verdict: str
     class_count: int
     collapsed_class: int

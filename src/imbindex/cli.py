@@ -63,13 +63,15 @@ def _parse_indices(raw: str | None, class_count: int | None = None) -> tuple[str
 
 def _parse_c_range(raw: str) -> tuple[int, ...]:
     raw = raw.strip()
-    if ".." in raw:
-        lo_s, hi_s = raw.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise ValueError(f"empty class-count range {raw!r}")
-        return tuple(range(lo, hi + 1))
-    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    try:
+        if ".." not in raw:
+            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+        lo, hi = (int(end) for end in raw.split("..", 1))
+    except ValueError:
+        raise ValueError(f"bad class-count range {raw!r}") from None
+    if hi < lo:
+        raise ValueError(f"empty class-count range {raw!r}")
+    return tuple(range(lo, hi + 1))
 
 
 def _format_value(value: float | None, digits: int | None) -> str:

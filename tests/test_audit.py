@@ -25,6 +25,7 @@ from imbindex.audit import (
     VERDICT_NOT_APPLICABLE,
     VERDICT_STABLE,
     VERDICT_VIOLATED,
+    TrialStream,
     audit_all,
     audit_condition1,
     audit_condition2_many,
@@ -41,7 +42,7 @@ from imbindex.audit import (
     sample_scaling,
     uniform_composition,
 )
-from imbindex.confusion import IntegralityError
+from imbindex.confusion import ConfusionMatrix, IntegralityError
 from imbindex.io import to_json
 from imbindex.registry import (
     INDEX_SPECS,
@@ -56,7 +57,7 @@ FAST_TRIALS = 100
 
 class TestSampling:
     def test_uniform_composition_sums(self):
-        rng = np.random.default_rng(0)
+        rng = TrialStream(0)
         for total in (1, 5, 50):
             for bins in (1, 2, 5):
                 parts = uniform_composition(rng, total, bins)
@@ -64,14 +65,14 @@ class TestSampling:
                 assert all(p >= 0 for p in parts)
 
     def test_sample_matrix_valid(self):
-        rng = np.random.default_rng(3)
+        rng = TrialStream(3)
         for c in (2, 3, 6):
             m = sample_matrix(rng, c)
             assert m.class_count == c
             assert all(5 <= s <= 50 for s in m.row_sums)
 
     def test_sample_scaling_integral_and_nonconstant(self):
-        rng = np.random.default_rng(4)
+        rng = TrialStream(4)
         for _ in range(30):
             m = sample_matrix(rng, 3)
             factors = sample_scaling(rng, m)
@@ -92,6 +93,94 @@ class TestSampling:
             ]
             assert audit._scaling_candidates(row) == tuple(per_cell)
         assert audit._scaling_candidates([0, 0, 0]) == audit._SCALING_CANDIDATES
+
+
+def _numpy_composition(rng, total, bins):
+    """``uniform_composition`` as it drew through numpy's ``Generator``."""
+    if bins == 1:
+        return (total,)
+    slots = total + bins - 1
+    edges = [-1, *sorted(rng.choice(slots, size=bins - 1, replace=False).tolist()), slots]
+    return tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def _numpy_sample_matrix(rng, class_count):
+    """``sample_matrix`` as it drew through numpy's ``Generator``."""
+    rows = []
+    for _ in range(class_count):
+        total = int(rng.integers(5, 51))
+        rows.append(_numpy_composition(rng, total, class_count))
+    return ConfusionMatrix(tuple(rows))
+
+
+def _numpy_sample_scaling(rng, m):
+    """``sample_scaling`` as it drew through numpy's ``Generator``."""
+    factors = []
+    for row in m.counts:
+        valid = audit._scaling_candidates(row)
+        factors.append(valid[int(rng.integers(len(valid)))])
+    if len(set(factors)) == 1:
+        row_idx = int(rng.integers(m.class_count))
+        alternatives = [b for b in audit._INTEGER_CANDIDATES if b != factors[row_idx]]
+        factors[row_idx] = alternatives[int(rng.integers(len(alternatives)))]
+    return tuple(factors)
+
+
+# plain seeds, [seed, trial] lists as condition 1 builds them, and seeds of 2^32 and above
+STREAM_SEEDS = [*range(150), *([1729, t] for t in range(100)), [7, 2**32 + 5], 2**32, 2**63 + 11]
+
+
+class TestTrialStream:
+    """The stream draws what numpy's ``default_rng(seed)`` draws, call for call."""
+
+    @staticmethod
+    def assert_aligned(stream, rng):
+        # one more draw after a mixed sequence shows both streams stand at the same word
+        assert stream.integers(1000) == int(rng.integers(1000))
+
+    def test_integers_match_generator(self):
+        bounds = [
+            (1,), (2,), (3,), (5, 51), (7,), (60,), (-4, 9), (1000,), (3, 4),
+            (2**31 + 1,), (2**32 - 1,), (2**32,), (10**9, 10**9 + 2**31 - 3), (5,),
+        ]
+        for seed in STREAM_SEEDS:
+            stream, rng = TrialStream(seed), np.random.default_rng(seed)
+            for args in bounds:
+                assert stream.integers(*args) == int(rng.integers(*args)), (seed, args)
+            self.assert_aligned(stream, rng)
+
+    def test_compositions_match_generator_choice(self):
+        shapes = [(0, 2), (1, 5), (5, 2), (50, 3), (3, 9), (44, 20), (9_000, 1_001)]
+        for seed in STREAM_SEEDS:
+            stream, rng = TrialStream(seed), np.random.default_rng(seed)
+            for total, bins in shapes:
+                parts = uniform_composition(stream, total, bins)
+                assert parts == _numpy_composition(rng, total, bins), (seed, total, bins)
+                assert stream.integers(3) == int(rng.integers(3))  # interleave a plain draw
+            self.assert_aligned(stream, rng)
+
+    def test_composition_at_ten_thousand_slots_matches_generator_choice(self):
+        # the largest population numpy still samples by Floyd's loop
+        for seed in range(5):
+            stream, rng = TrialStream(seed), np.random.default_rng(seed)
+            assert uniform_composition(stream, 9_990, 11) == _numpy_composition(rng, 9_990, 11)
+            assert uniform_composition(stream, 49, 9_951) == _numpy_composition(rng, 49, 9_951)
+            self.assert_aligned(stream, rng)
+
+    @pytest.mark.parametrize("class_count", range(2, 21))
+    def test_matrices_and_scalings_match_the_generator_reference(self, class_count):
+        for trial in range(25):
+            stream, rng = TrialStream([1729, trial]), np.random.default_rng([1729, trial])
+            for _ in range(2):
+                m = sample_matrix(stream, class_count)
+                assert m == _numpy_sample_matrix(rng, class_count)
+                assert sample_scaling(stream, m) == _numpy_sample_scaling(rng, m)
+            self.assert_aligned(stream, rng)
+
+    @pytest.mark.parametrize("args", [(0,), (5, 5), (5, 4), (2**32 + 1,), (-1, 2**32)])
+    def test_integers_rejects_an_empty_or_too_wide_range(self, args):
+        with pytest.raises(ValueError, match="must hold 1 to 2\\*\\*32 values"):
+            TrialStream(0).integers(*args)
 
 
 class TestCondition1:

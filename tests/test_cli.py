@@ -201,6 +201,12 @@ class TestAudit:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: class-count range must contain values >= 2\n")
 
+    @pytest.mark.parametrize("raw", ["2..", "a..3", "..3", "2..3..4", "2,x"])
+    def test_malformed_class_count_range_is_input_error(self, raw, capsys):
+        assert main(["audit", "--index", "acsa", "--cond", "2", "--c", raw]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: bad class-count range {raw!r}\n")
+
     def test_class_count_applies_to_multiclass_rows_only(self, capsys):
         code = main(["audit", "--all", "--cond", "1", "--class-count", "5", "--trials", "10"])
         assert code == EXIT_OK
