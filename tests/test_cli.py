@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: subcommands, formats, diagnostics, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -19,7 +22,7 @@ from imbindex.lab import ResultRow, SummaryRow
 from imbindex.registry import DEFAULT_SEED, default_seed
 from imbindex.values import IndexValue
 
-from conftest import SPEC_DIR
+from conftest import REPO_ROOT, SPEC_DIR
 
 
 @pytest.fixture()
@@ -185,10 +188,10 @@ class TestAudit:
 
     def test_c_range_default_is_the_audit_default(self, monkeypatch, capsys):
         from imbindex import audit as audit_mod
-        from imbindex.cli import _build_parser, _parse_c_range
+        from imbindex.cli import _build_parser, _parse_ints
 
         args = _build_parser().parse_args(["audit", "--all"])
-        assert _parse_c_range(args.c_range) == audit_mod.DEFAULT_C_RANGE
+        assert _parse_ints(args.c_range, "class-count range") == audit_mod.DEFAULT_C_RANGE
         monkeypatch.setattr(audit_mod, "DEFAULT_C_RANGE", (2, 5))
         assert main(["audit", "--index", "acsa", "--cond", "2"]) == EXIT_OK
         table = json.loads(capsys.readouterr().out)[0]["condition2"]["table"]
@@ -206,6 +209,27 @@ class TestAudit:
         assert main(["audit", "--index", "acsa", "--cond", "2", "--c", raw]) == EXIT_INPUT
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: bad class-count range {raw!r}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["audit", "--all", "--cond", "1,x"], "error: bad condition list '1,x'\n"),
+        (["audit", "--all", "--cond", "3..1"], "error: empty condition list '3..1'\n"),
+        (["bounds", "auroc_ova", "3", "--profile", "2,x"], "error: bad profile '2,x'\n"),
+    ])
+    def test_malformed_integer_list_names_its_flag(self, argv, message, capsys):
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("raw", ["3", "3,3", "4..4"])
+    def test_check_paper_needs_two_class_counts_for_condition2(self, raw, capsys):
+        # one class count cannot show whether the bounds depend on C
+        assert main(["audit", "--all", "--cond", "2", "--c", raw, "--check-paper"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: --check-paper needs at least two class "
+                                       f"counts for condition 2, got class-count range {raw!r}\n")
+
+    def test_single_class_count_audits_without_check_paper(self, capsys):
+        assert main(["audit", "--index", "acsa", "--cond", "2", "--c", "3"]) == EXIT_OK
+        table = json.loads(capsys.readouterr().out)[0]["condition2"]["table"]
+        assert [row["class_count"] for row in table] == [3]
 
     def test_class_count_applies_to_multiclass_rows_only(self, capsys):
         code = main(["audit", "--all", "--cond", "1", "--class-count", "5", "--trials", "10"])
@@ -450,6 +474,46 @@ class TestUsageAndSeed:
         monkeypatch.setenv("IMBINDEX_SEED", "not_a_number")
         with pytest.raises(ValueError):
             default_seed()
+
+
+def _fresh_interpreter(code: str, **env: str) -> list[str]:
+    """Stdout words of ``python -c code`` with src on the path and no inherited
+    ``OPENBLAS_NUM_THREADS``; ``env`` adds variables."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    environ.update(PYTHONPATH=str(REPO_ROOT / "src"), **env)
+    result = subprocess.run([sys.executable, "-c", code], env=environ,
+                            capture_output=True, text=True, check=True)
+    return result.stdout.split()
+
+
+_THREADS = (
+    "import os, pathlib, imbindex.cli; "
+    "status = pathlib.Path('/proc/self/status'); "
+    "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset')); "
+    "print([l.split()[1] for l in status.read_text().splitlines() "
+    "if l.startswith('Threads:')][0] if status.exists() else 'unknown')"
+)
+
+
+class TestStartup:
+    """The CLI keeps numpy's OpenBLAS single-threaded; the library sets nothing."""
+
+    def test_package_import_loads_no_numpy_and_sets_nothing(self):
+        # numpy loaded by ``imbindex`` itself would start OpenBLAS before the CLI's setting
+        code = (
+            "import os, sys, imbindex; print('numpy' in sys.modules); "
+            "import imbindex.audit, imbindex.lab; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))"
+        )
+        assert _fresh_interpreter(code) == ["False", "unset"]
+
+    def test_cli_import_runs_one_thread(self):
+        value, threads = _fresh_interpreter(_THREADS)
+        assert value == "1"
+        assert threads in ("1", "unknown")
+
+    def test_preset_value_is_kept(self):
+        assert _fresh_interpreter(_THREADS, OPENBLAS_NUM_THREADS="3")[0] == "3"
 
 
 class TestUnusablePaths:
