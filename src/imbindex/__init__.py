@@ -18,11 +18,9 @@ from .confusion import (
     NonSquareError,
     TooFewClassesError,
     UnknownLabelError,
-    ZeroClassCountError,
     apply_scaling,
     ingest_labels,
     to_fraction,
-    validate,
 )
 from .multiclass import lambda_c
 from .registry import (
@@ -33,10 +31,10 @@ from .registry import (
     ProfileRequiredError,
     UnknownIndexError,
     applicable_index_ids,
+    bounds_exact,
     evaluate,
     exact,
     get_index,
-    theoretical_bounds,
 )
 from .values import IndexValue
 
@@ -56,20 +54,18 @@ __all__ = [
     "TooFewClassesError",
     "UnknownIndexError",
     "UnknownLabelError",
-    "ZeroClassCountError",
     "ALL_INDEX_IDS",
     "BINARY_INDEX_IDS",
     "MULTI_INDEX_IDS",
     "DEFAULT_SEED",
     "apply_scaling",
     "applicable_index_ids",
+    "bounds_exact",
     "evaluate",
     "exact",
     "get_index",
     "ingest_labels",
     "lambda_c",
-    "theoretical_bounds",
     "to_fraction",
-    "validate",
     "__version__",
 ]

@@ -67,7 +67,7 @@ from .registry import (
 
 DEFAULT_TRIALS = 500
 DEFAULT_CLASS_COUNT = 3
-DEFAULT_BUDGET = 2_000_000
+_ENUMERATION_LIMIT = 2_000_000  # the most matrices enumerate_extremal will visit
 DEFAULT_C_RANGE = (2, 3, 4)
 
 VERDICT_INVARIANT = "Invariant"
@@ -100,7 +100,7 @@ EXPECTED_VERDICTS: dict[str, tuple[str, str, str]] = {
 
 
 class BudgetExceededError(RuntimeError):
-    """Exhaustive enumeration would exceed the configured matrix budget."""
+    """Exhaustive enumeration would visit more matrices than :func:`enumerate_extremal` allows."""
 
 
 class BoundCrossedError(MatrixError):
@@ -414,23 +414,19 @@ def _result(index_id, row_sums, low, high, undefined_count: int) -> ExtremalResu
     )
 
 
-def enumerate_extremal(
-    index_id: str,
-    row_sums: Sequence[int],
-    budget: int = DEFAULT_BUDGET,
-) -> ExtremalResult:
+def enumerate_extremal(index_id: str, row_sums: Sequence[int]) -> ExtremalResult:
     """Exact extrema of an index over all matrices with the given row sums, by enumeration.
 
     Every matrix of :func:`iter_matrices` goes through the exact oracle; each
     witness is the first matrix in that order whose key is the extremum.
     A two-class index is accepted only at C = 2.  Raises
-    :class:`BudgetExceededError` when there are more than ``budget`` matrices.
+    :class:`BudgetExceededError` when there are more than 2,000,000 matrices.
     This is the reference :func:`certify_extremal` is tested against.
     """
     size = enumeration_size(row_sums)
-    if size > budget:
+    if size > _ENUMERATION_LIMIT:
         raise BudgetExceededError(
-            f"row sums {tuple(row_sums)} require {size} matrices, budget is {budget}"
+            f"row sums {tuple(row_sums)} require {size} matrices, the limit is {_ENUMERATION_LIMIT}"
         )
     bounds_exact(index_id, len(row_sums), profile=row_sums)  # validates the id and the rows
     low = high = None

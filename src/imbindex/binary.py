@@ -9,7 +9,9 @@ that restore the immunity.
 Each index is a formula over a two-class matrix's cells that returns a bare
 number; :func:`imbindex.registry.evaluate` checks the class count and turns
 a zero denominator, raised by :func:`~imbindex.values.nonzero`, into an
-undefined value.
+undefined value.  ``auroc``, the mean of the two class accuracies, has no
+formula here: its registry row names :func:`imbindex.multiclass.acsa`, which
+gives the same float on every two-class matrix.
 """
 
 from __future__ import annotations
@@ -23,12 +25,6 @@ def gmean2(cells) -> float:
     """Geometric mean of the positive- and negative-class accuracies."""
     (tp, fn), (fp, tn) = cells.counts
     return math.sqrt((tp / (tp + fn)) * (tn / (fp + tn)))
-
-
-def auroc(cells) -> float:
-    """Arithmetic mean of the two class accuracies (discrete two-class AUROC)."""
-    (tp, fn), (fp, tn) = cells.counts
-    return 0.5 * (tp / (tp + fn) + tn / (fp + tn))
 
 
 def precision(cells) -> float:

@@ -30,13 +30,13 @@ from .confusion import ingest_labels
 from .registry import (
     ALL_INDEX_IDS,
     BINARY_INDEX_IDS,
+    DEFAULT_SEED,
     MULTI_INDEX_IDS,
     UnknownIndexError,
     applicable_index_ids,
-    default_seed,
+    bounds_exact,
     evaluate,
     get_index,
-    theoretical_bounds,
 )
 
 EXIT_OK = 0
@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which conditions to audit, e.g. 1 or 1,3 (default 1,2,3)",
     )
     p_audit.add_argument("--trials", type=int, default=audit_mod.DEFAULT_TRIALS)
-    p_audit.add_argument("--seed", type=int, default=None)
+    p_audit.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_audit.add_argument(
         "--class-count", type=int, default=audit_mod.DEFAULT_CLASS_COUNT,
         help="class count for randomized multi-class sampling and the collapse family "
@@ -204,9 +204,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    seed = args.seed if args.seed is not None else default_seed()
-    if seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {seed}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     conditions = _parse_ints(args.conditions, "condition list")
     c_range = _parse_ints(args.c_range, "class-count range")
     if args.check_paper and 2 in conditions and len(set(c_range)) < 2:
@@ -218,7 +217,7 @@ def _cmd_audit(args) -> int:
         index_ids,
         conditions=conditions,
         trials=args.trials,
-        seed=seed,
+        seed=args.seed,
         class_count=args.class_count,
         c_range=c_range,
     )
@@ -240,7 +239,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_bounds(args) -> int:
     profile = _parse_ints(args.profile, "profile") if args.profile else None
-    lo, hi = theoretical_bounds(args.index, args.class_count, profile)
+    lo, hi = map(float, bounds_exact(args.index, args.class_count, profile))
     print(f"{lo:.6g} {hi:.6g}")
     return EXIT_OK
 

@@ -51,10 +51,6 @@ class DimensionMismatchError(MatrixError):
     """Operands have incompatible class counts."""
 
 
-class ZeroClassCountError(MatrixError):
-    """A per-class count is zero or negative."""
-
-
 class NonIntegerScalingError(MatrixError):
     """A row scaling would produce non-integer cell counts."""
 
@@ -148,11 +144,6 @@ class ConfusionMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.counts]
-
-
-def validate(grid: Sequence[Sequence[int]]) -> ConfusionMatrix:
-    """Validate a count grid and return it as a :class:`ConfusionMatrix`."""
-    return ConfusionMatrix(tuple(tuple(row) for row in grid))
 
 
 def even_error_matrix(

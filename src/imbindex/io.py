@@ -27,8 +27,8 @@ def _is_int(token: str) -> bool:
 def read_matrix_csv(path) -> tuple[ConfusionMatrix, tuple[str, ...] | None]:
     """Read a confusion matrix: one row per true class, integers only.
 
-    An optional first row of class labels is detected by the presence of any
-    non-integer token.  Returns the validated matrix and the labels (or None).
+    An optional first row of distinct class labels is detected by the presence
+    of any non-integer token.  Returns the validated matrix and the labels (or None).
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -38,6 +38,9 @@ def read_matrix_csv(path) -> tuple[ConfusionMatrix, tuple[str, ...] | None]:
     labels: tuple[str, ...] | None = None
     if not all(_is_int(cell) for cell in raw[0]):
         labels = tuple(cell.strip() for cell in raw[0])
+        repeated = [label for i, label in enumerate(labels) if label in labels[:i]]
+        if repeated:
+            raise MatrixError(f"{path}: header repeats the label {repeated[0]!r}")
         raw = raw[1:]
         if not raw:
             raise MatrixError(f"{path}: header row but no count rows")

@@ -200,18 +200,13 @@ def rescale_matrix_to_rrt(m: ConfusionMatrix, target) -> ConfusionMatrix:
 
 
 def rescale_matrix_to_counts(m: ConfusionMatrix, per_class_counts: Sequence[int]) -> ConfusionMatrix:
-    """Exactly rescale each row to the requested per-class count."""
+    """Exactly rescale each row to the requested per-class count, which
+    :func:`~imbindex.confusion.apply_scaling` rejects unless positive."""
     if len(per_class_counts) != m.class_count:
         raise MatrixError(
             f"{len(per_class_counts)} target counts for a {m.class_count}-class matrix"
         )
-    factors = []
-    for target, current in zip(per_class_counts, m.row_sums):
-        target = int(target)
-        if target <= 0:
-            raise MatrixError("target counts must be positive")
-        factors.append(Fraction(target, current))
-    return apply_scaling(m, factors)
+    return apply_scaling(m, [Fraction(int(t), n) for t, n in zip(per_class_counts, m.row_sums)])
 
 
 def synthetic_multiclass_confusion(
@@ -393,6 +388,18 @@ def _two_class_rule(field: str, indices: Sequence[str], class_count: int, what: 
         )
 
 
+def _matrix_schedule_rule(field: str, entry, class_count: int) -> None:
+    """Reject a schedule entry that cannot rescale a ``class_count``-class
+    matrix: a count list of another length, a ratio on more than two classes,
+    or an entry that is not positive."""
+    if isinstance(entry, tuple) and len(entry) != class_count:
+        raise SpecError(f"{field}: {list(entry)} has {len(entry)} counts for {class_count} classes")
+    if not isinstance(entry, tuple) and class_count != 2:
+        raise SpecError(f"{field}: ratio {entry} needs a 2-class matrix, got {class_count} classes")
+    if min(entry if isinstance(entry, tuple) else (entry,)) <= 0:
+        raise SpecError(f"{field}: entries must be positive")
+
+
 def _point_sweep(raw: dict, where: str, schedule_field: str) -> dict:
     """The :class:`PointSweep` fields a ``type1_sweep`` and a point dataset
     share, checked by one rule: a non-empty schedule of positive ratios, at
@@ -474,6 +481,8 @@ def load_spec(source) -> ExperimentSpec:
             class_count = _int(s.get("class_count", len(profile)), f"{spot}.class_count")
             if class_count != len(profile):
                 raise SpecError(f"{spot}.profile: {len(profile)} counts for C={class_count}")
+            if any(n <= 0 for n in profile):
+                raise SpecError(f"{spot}.profile: counts must be positive")
             if class_count in first_step:
                 raise SpecError(
                     f"{first_step[class_count]} and {spot} share the class count {class_count}"
@@ -487,6 +496,9 @@ def load_spec(source) -> ExperimentSpec:
         )
         if not sweep:
             raise SpecError("spec.accuracy_sweep: at least one accuracy required")
+        for accuracy in sweep:
+            if not 0 <= accuracy <= 1:
+                raise SpecError(f"spec.accuracy_sweep: {accuracy} is outside [0, 1]")
         indices = _index_list(raw, "spec")
         for s_idx, profile in enumerate(steps):
             _two_class_rule("spec.indices", indices, len(profile), f"spec.steps[{s_idx}]")
@@ -522,6 +534,8 @@ def load_spec(source) -> ExperimentSpec:
                 )
                 if not schedule:
                     raise SpecError(f"{field}: must be non-empty")
+                for entry in schedule:
+                    _matrix_schedule_rule(field, entry, matrix.class_count)
                 datasets.append(MatrixStabilityDataset(dataset_id, matrix, schedule, indices))
             elif mode == "point":
                 threshold = _number(_need(d, "threshold", spot), f"{spot}.threshold")

@@ -1,4 +1,4 @@
-"""The per-index table, evaluator dispatch, closed-form bounds, and package-wide defaults.
+"""The per-index table, evaluator dispatch, closed-form bounds, and the default seed.
 
 Every fact about an index lives in its :class:`IndexSpec` row: whether it is
 two-class only, its float formula and its exact oracle, its closed-form lower
@@ -16,23 +16,16 @@ once per matrix.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import binary, multiclass
 from . import exact as oracle
-from .confusion import (
-    ConfusionMatrix,
-    DimensionMismatchError,
-    MatrixError,
-    ZeroClassCountError,
-)
+from .confusion import ConfusionMatrix, DimensionMismatchError, MatrixError
 from .values import IndexValue, Undefined
 
 DEFAULT_SEED = 1729
-SEED_ENV_VAR = "IMBINDEX_SEED"
 
 
 class UnknownIndexError(ValueError):
@@ -123,7 +116,7 @@ class IndexSpec:
 
 _SPECS = (
     IndexSpec("gmean2", True, binary.gmean2, oracle._gmean, key_value=_root_value),
-    IndexSpec("auroc", True, binary.auroc, oracle._acsa),
+    IndexSpec("auroc", True, multiclass.acsa, oracle._acsa),  # the two-class acsa
     IndexSpec("precision", True, binary.precision, oracle._precision),
     IndexSpec("recall", True, binary.recall, oracle._recall),
     IndexSpec("specificity", True, binary.specificity, oracle._specificity),
@@ -214,18 +207,8 @@ def bounds_exact(
                 f"profile has {len(profile)} counts but class_count is {class_count}"
             )
         if min(profile) <= 0:
-            raise ZeroClassCountError("profile counts must be positive")
+            raise MatrixError("profile counts must be positive")
     return spec.lower_bound(class_count, profile), Fraction(1)
-
-
-def theoretical_bounds(
-    index_id: str,
-    class_count: int,
-    profile: Sequence[int] | None = None,
-) -> tuple[float, float]:
-    """Float view of :func:`bounds_exact`."""
-    lo, hi = bounds_exact(index_id, class_count, profile)
-    return float(lo), float(hi)
 
 
 def applicable_index_ids(class_count: int) -> tuple[str, ...]:
@@ -234,16 +217,3 @@ def applicable_index_ids(class_count: int) -> tuple[str, ...]:
         return ALL_INDEX_IDS
     return MULTI_INDEX_IDS
 
-
-def default_seed() -> int:
-    """Fixed default seed, overridable through the environment."""
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    if seed < 0:
-        raise ValueError(f"{SEED_ENV_VAR} must be non-negative, got {seed}")
-    return seed

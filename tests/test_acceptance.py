@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from imbindex import evaluate, exact, theoretical_bounds
+from imbindex import bounds_exact, evaluate, exact
 from imbindex.audit import (
     TrialStream,
     audit_condition3,
@@ -74,7 +74,7 @@ def test_enumeration_oracle_matches_closed_form():
     elapsed = time.perf_counter() - start
     assert result.matrix_count == 900
     assert elapsed < 1.0, f"enumeration took {elapsed:.3f}s"
-    lo, _ = theoretical_bounds("auroc_ova", 3, profile=(2, 3, 4))
+    lo, _ = bounds_exact("auroc_ova", 3, profile=(2, 3, 4))
     assert abs(result.min_value - lo) <= 1e-12
     assert result.exact_min == Fraction(2, 9)
     assert result.min_matrix.to_lists() == [[0, 0, 2], [0, 0, 3], [0, 4, 0]]
@@ -180,5 +180,5 @@ def test_class_count_effect():
     ovo = [mins[(str(c), "auroc_ovo")] for c in (3, 5, 10)]
     assert all(a < b for a, b in zip(ovo, ovo[1:])), ovo
     for c in (3, 5, 10):
-        assert theoretical_bounds("n_auroc_ova", c)[0] == 0.0
+        assert bounds_exact("n_auroc_ova", c)[0] == 0.0
         assert mins[(str(c), "acsa")] == pytest.approx(0.6, abs=1e-12)

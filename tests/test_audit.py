@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from imbindex import MatrixError, apply_scaling, evaluate, exact, validate
+from imbindex import MatrixError, apply_scaling, evaluate, exact
 from imbindex import audit
 from imbindex.audit import (
     BoundCrossedError,
@@ -48,7 +48,7 @@ from imbindex.registry import (
     INDEX_SPECS,
     MULTI_INDEX_IDS,
     applicable_index_ids,
-    theoretical_bounds,
+    bounds_exact,
 )
 from conftest import matrices_with_scaling
 
@@ -307,7 +307,7 @@ class TestCondition2:
             assert (row.theoretical_min, row.theoretical_max) == (0.0, 1.0)
         found = enumerate_extremal("acsa", (3, 3, 3, 3))
         assert (found.min_value, found.max_value) == (0.0, 1.0)
-        assert theoretical_bounds("acsa", 4, (3, 3, 3, 3)) == (0.0, 1.0)
+        assert bounds_exact("acsa", 4, (3, 3, 3, 3)) == (0.0, 1.0)
 
     def test_auroc_ovo_floor_grows_with_class_count(self):
         result = audit_condition2_many(["auroc_ovo"], c_range=(2, 3, 4))["auroc_ovo"]
@@ -361,7 +361,7 @@ class TestCondition2:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            enumerate_extremal("acsa", (6,) * 6, budget=1000)
+            enumerate_extremal("acsa", (6,) * 6)
 
     def test_binary_index_not_applicable(self):
         results = audit_condition2_many(["precision", "acsa"], c_range=(2, 3))
@@ -435,8 +435,6 @@ class TestEnumeration:
         assert result.min_value == 0.0 and result.max_value == 1.0
 
     def test_three_class_extrema_equal_closed_forms_exactly(self):
-        from imbindex.registry import bounds_exact
-
         rows = (3, 3, 3)
         for index_id in ("acsa", "auroc_ovo", "auroc_ova"):
             result = enumerate_extremal(index_id, rows)

@@ -7,13 +7,14 @@ formulas (see imbindex.exact), independent of the float implementations.
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from imbindex import DimensionMismatchError, evaluate, exact, validate
+from imbindex import ConfusionMatrix, DimensionMismatchError, evaluate, exact
 
 from conftest import matrices_with_scaling, two_class_matrices
 
-BASE = validate([[8, 2], [10, 90]])
+BASE = ConfusionMatrix([[8, 2], [10, 90]])
 TOL = 1e-12
 
 INVARIANT_BINARY = ("gmean2", "auroc", "recall", "specificity", "m_precision", "m_aurpc")
@@ -45,56 +46,57 @@ class TestFrozenValues:
 
 class TestEdgeCases:
     def test_perfect_classifier(self):
-        m = validate([[50, 0], [0, 100]])
+        m = ConfusionMatrix([[50, 0], [0, 100]])
         for index_id in ("gmean2", "auroc", "precision", "recall", "specificity",
                          "aurpc", "m_precision", "m_aurpc"):
             assert evaluate(index_id, m).value == pytest.approx(1.0, abs=TOL)
 
     def test_zero_true_positives_kills_gmean(self):
-        assert evaluate("gmean2", validate([[0, 10], [0, 90]])).value == 0.0
+        assert evaluate("gmean2", ConfusionMatrix([[0, 10], [0, 90]])).value == 0.0
 
     def test_everything_misclassified(self):
-        assert evaluate("auroc", validate([[0, 10], [90, 0]])).value == 0.0
+        assert evaluate("auroc", ConfusionMatrix([[0, 10], [90, 0]])).value == 0.0
 
     def test_coin_flip_symmetry(self):
-        assert evaluate("auroc", validate([[5, 5], [50, 50]])).value == pytest.approx(0.5, abs=TOL)
+        m = ConfusionMatrix([[5, 5], [50, 50]])
+        assert evaluate("auroc", m).value == pytest.approx(0.5, abs=TOL)
 
     def test_precision_undefined_without_positive_predictions(self):
-        iv = evaluate("precision", validate([[0, 10], [0, 100]]))
+        iv = evaluate("precision", ConfusionMatrix([[0, 10], [0, 100]]))
         assert not iv.defined and "no positive predictions" in iv.reason
 
     def test_precision_one_without_false_positives(self):
-        assert evaluate("precision", validate([[10, 0], [0, 100]])).value == 1.0
+        assert evaluate("precision", ConfusionMatrix([[10, 0], [0, 100]])).value == 1.0
 
     def test_aurpc_propagates_undefined(self):
-        assert not evaluate("aurpc", validate([[0, 10], [0, 100]])).defined
+        assert not evaluate("aurpc", ConfusionMatrix([[0, 10], [0, 100]])).defined
 
     def test_m_precision_undefined(self):
-        iv = evaluate("m_precision", validate([[0, 10], [0, 100]]))
+        iv = evaluate("m_precision", ConfusionMatrix([[0, 10], [0, 100]]))
         assert not iv.defined
 
     def test_m_precision_equals_precision_on_balanced_rows(self):
-        m = validate([[7, 3], [4, 6]])
+        m = ConfusionMatrix([[7, 3], [4, 6]])
         assert evaluate("m_precision", m).value == pytest.approx(
             evaluate("precision", m).value, abs=TOL
         )
 
     def test_requires_two_classes(self):
-        m3 = validate([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        m3 = ConfusionMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(DimensionMismatchError):
             evaluate("gmean2", m3)
 
 
 class TestMixInvariance:
     def test_m_aurpc_invariant_under_row_scaling(self):
-        scaled = validate([[16, 4], [10, 90]])
+        scaled = ConfusionMatrix([[16, 4], [10, 90]])
         assert evaluate("m_aurpc", scaled).value == pytest.approx(
             evaluate("m_aurpc", BASE).value, abs=TOL
         )
 
     def test_precision_and_aurpc_change_under_majority_growth(self):
         # doubling the majority row moves precision from 8/18 to 8/28
-        scaled = validate([[8, 2], [20, 180]])
+        scaled = ConfusionMatrix([[8, 2], [20, 180]])
         assert evaluate("precision", scaled).value != evaluate("precision", BASE).value
         assert evaluate("aurpc", scaled).value != evaluate("aurpc", BASE).value
         assert exact("precision", scaled).key != exact("precision", BASE).key
@@ -156,3 +158,14 @@ class TestProperties:
             assert iv.defined == (ev is not None)
             if iv.defined:
                 assert iv.value == pytest.approx(ev.value, abs=TOL)
+
+    @given(st.lists(st.one_of(st.integers(0, 9), st.integers(0, 2**70)), min_size=4, max_size=4)
+           .filter(lambda c: c[0] + c[1] > 0 and c[2] + c[3] > 0))
+    @example([2**70, 1, 1, 2**70])
+    @example([1, 2**70 - 1, 2**53 + 1, 3])
+    def test_auroc_is_the_two_class_formula_bit_for_bit(self, cells):
+        # auroc's row names multiclass.acsa, (0 + a + b) / 2; this is the
+        # two-class formula it replaced, so the float may not move by one ulp
+        tp, fn, fp, tn = cells
+        reference = 0.5 * (tp / (tp + fn) + tn / (fp + tn))
+        assert evaluate("auroc", ConfusionMatrix([[tp, fn], [fp, tn]])).value == reference

@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import pytest
 
-from imbindex import validate
+from imbindex import ConfusionMatrix
 from imbindex.audit import (
     BoundRow,
     Condition1Result,
@@ -19,7 +19,6 @@ from imbindex.audit import (
 from imbindex.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from imbindex.io import read_matrix_csv, write_matrix_csv
 from imbindex.lab import ResultRow, SummaryRow
-from imbindex.registry import DEFAULT_SEED, default_seed
 from imbindex.values import IndexValue
 
 from conftest import REPO_ROOT, SPEC_DIR
@@ -28,7 +27,7 @@ from conftest import REPO_ROOT, SPEC_DIR
 @pytest.fixture()
 def base_matrix_csv(tmp_path):
     path = tmp_path / "base.csv"
-    write_matrix_csv(path, validate([[8, 2], [10, 90]]))
+    write_matrix_csv(path, ConfusionMatrix([[8, 2], [10, 90]]))
     return path
 
 
@@ -50,7 +49,7 @@ class TestEval:
 
     def test_multiclass_diagonal_all_ones(self, tmp_path, capsys):
         path = tmp_path / "diag.csv"
-        write_matrix_csv(path, validate([[3, 0, 0], [0, 3, 0], [0, 0, 3]]))
+        write_matrix_csv(path, ConfusionMatrix([[3, 0, 0], [0, 3, 0], [0, 0, 3]]))
         code = main(["eval", "--matrix", str(path)])
         out = capsys.readouterr().out
         assert code == EXIT_OK
@@ -59,7 +58,7 @@ class TestEval:
 
     def test_undefined_prints_literal_token(self, tmp_path, capsys):
         path = tmp_path / "undef.csv"
-        write_matrix_csv(path, validate([[0, 10], [0, 100]]))
+        write_matrix_csv(path, ConfusionMatrix([[0, 10], [0, 100]]))
         code = main(["eval", "--matrix", str(path), "--indices", "precision"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
@@ -72,6 +71,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert "row 1" in err
+
+    def test_repeated_header_label_is_input_error(self, tmp_path, capsys):
+        # a repeated class would be written back by --save-matrix as it came in
+        path = tmp_path / "twice.csv"
+        path.write_text("a,b,a\n3,0,0\n0,3,0\n0,0,3\n")
+        saved = tmp_path / "saved.csv"
+        code = main(["eval", "--matrix", str(path), "--save-matrix", str(saved)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {path}: header repeats the label 'a'\n"
+        assert not saved.exists()
 
     def test_json_format_full_precision(self, base_matrix_csv, capsys):
         code = main(["eval", "--matrix", str(base_matrix_csv), "--indices", "gmean2",
@@ -94,7 +103,7 @@ class TestEval:
                      "--save-matrix", str(saved)])
         assert code == EXIT_OK
         matrix, labels = read_matrix_csv(saved)
-        assert matrix == validate([[1, 1], [0, 2]])
+        assert matrix == ConfusionMatrix([[1, 1], [0, 2]])
         assert labels == ("A", "B")
 
     def test_output_file(self, base_matrix_csv, tmp_path):
@@ -428,7 +437,7 @@ class TestOutputSchema:
             if (witness := report["condition1"]["witness"]) is not None:
                 witnesses += 1
                 assert list(witness) == names(Condition1Witness)
-                validate(witness["matrix"])  # a matrix is written as its rows
+                ConfusionMatrix(witness["matrix"])  # a matrix is written as its rows
             for row in report["condition2"]["table"]:
                 bound_rows += 1
                 assert list(row) == names(BoundRow)
@@ -456,24 +465,6 @@ class TestUsageAndSeed:
 
     def test_help_exits_clean(self):
         assert main(["--help"]) == EXIT_OK
-
-    def test_seed_env_override(self, monkeypatch):
-        monkeypatch.setenv("IMBINDEX_SEED", "42")
-        assert default_seed() == 42
-        monkeypatch.delenv("IMBINDEX_SEED")
-        assert default_seed() == DEFAULT_SEED
-
-    def test_negative_seed_env_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("IMBINDEX_SEED", "-5")
-        with pytest.raises(ValueError, match="^IMBINDEX_SEED must be non-negative, got -5$"):
-            default_seed()
-        assert main(["audit", "--index", "acsa", "--cond", "1"]) == EXIT_INPUT
-        assert capsys.readouterr().err == "error: IMBINDEX_SEED must be non-negative, got -5\n"
-
-    def test_bad_seed_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("IMBINDEX_SEED", "not_a_number")
-        with pytest.raises(ValueError):
-            default_seed()
 
 
 def _fresh_interpreter(code: str, **env: str) -> list[str]:

@@ -26,7 +26,6 @@ from imbindex import (
     apply_scaling,
     ingest_labels,
     to_fraction,
-    validate,
 )
 from imbindex.io import read_label_pairs, read_matrix_csv, write_matrix_csv
 
@@ -35,36 +34,36 @@ from conftest import confusion_matrices, matrices_with_scaling
 
 class TestValidate:
     def test_identity_layout(self):
-        m = validate([[5, 0], [0, 5]])
+        m = ConfusionMatrix([[5, 0], [0, 5]])
         assert m.row_sums == (5, 5)
         assert m.col_sums == (5, 5)
         assert m.total == 10
 
     def test_skewed_sums(self):
-        m = validate([[8, 2], [10, 90]])
+        m = ConfusionMatrix([[8, 2], [10, 90]])
         assert m.row_sums == (10, 100)
         assert m.col_sums == (18, 92)
         assert m.total == 110
 
     def test_empty_row_rejected(self):
         with pytest.raises(EmptyRowError, match="row 1"):
-            validate([[0, 0], [3, 4]])
+            ConfusionMatrix([[0, 0], [3, 4]])
 
     def test_non_square_rejected(self):
         with pytest.raises(NonSquareError):
-            validate([[1, 2, 3], [4, 5, 6]])
+            ConfusionMatrix([[1, 2, 3], [4, 5, 6]])
 
     def test_single_class_rejected(self):
         with pytest.raises(TooFewClassesError):
-            validate([[7]])
+            ConfusionMatrix([[7]])
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeEntryError, match="row 2, column 1"):
-            validate([[1, 2], [-3, 4]])
+            ConfusionMatrix([[1, 2], [-3, 4]])
 
     def test_float_entry_rejected(self):
         with pytest.raises(NegativeEntryError):
-            validate([[1.5, 2], [3, 4]])
+            ConfusionMatrix([[1.5, 2], [3, 4]])
 
     @pytest.mark.parametrize(
         "cell",
@@ -74,13 +73,13 @@ class TestValidate:
     )
     def test_non_integer_entry_rejected(self, cell):
         with pytest.raises(NegativeEntryError, match="row 1, column 1: .* is not an integer"):
-            validate([[cell, 2], [3, 4]])
+            ConfusionMatrix([[cell, 2], [3, 4]])
 
     def test_numpy_ints_accepted(self):
-        m = validate(np.array([[3, 1], [2, 4]]))
+        m = ConfusionMatrix(np.array([[3, 1], [2, 4]]))
         assert m.counts == ((3, 1), (2, 4))
         assert type(m.counts[0][0]) is int
-        m = validate([[np.int64(4), np.uint8(2)], [np.int32(1), 5]])
+        m = ConfusionMatrix([[np.int64(4), np.uint8(2)], [np.int32(1), 5]])
         assert m.counts == ((4, 2), (1, 5))
         assert all(type(v) is int for row in m.counts for v in row)
 
@@ -102,15 +101,15 @@ class TestValidate:
         # other cell in row-major order is still checked and named alone
         grid = [[1, 2, 3], [4, 5, cell], [-7, 8.5, 9]]
         with pytest.raises(NegativeEntryError, match=f"^row 2, column 3: {re.escape(message)}$"):
-            validate(grid)
+            ConfusionMatrix(grid)
         with pytest.raises(NegativeEntryError, match=f"^row 1, column 2: {re.escape(message)}$"):
-            validate([[np.int64(1), cell], [0, 1]])
+            ConfusionMatrix([[np.int64(1), cell], [0, 1]])
 
     def test_every_stored_cell_is_a_plain_int(self):
         class Count(int):
             pass
 
-        m = validate([[Count(3), np.int16(1), 0], [2, 2, 2], [np.uint64(7), 0, Count(0)]])
+        m = ConfusionMatrix([[Count(3), np.int16(1), 0], [2, 2, 2], [np.uint64(7), 0, Count(0)]])
         assert m.counts == ((3, 1, 0), (2, 2, 2), (7, 0, 0))
         assert m.row_sums == (4, 6, 7)
         assert {type(v) for row in m.counts for v in row} == {int}
@@ -118,35 +117,35 @@ class TestValidate:
 
 class TestRowScaling:
     def test_integer_scaling(self):
-        m = validate([[8, 2], [10, 90]])
+        m = ConfusionMatrix([[8, 2], [10, 90]])
         scaled = apply_scaling(m, (2, 1))
         assert scaled.counts == ((16, 4), (10, 90))
 
     def test_rational_scaling(self):
-        m = validate([[8, 2], [10, 90]])
+        m = ConfusionMatrix([[8, 2], [10, 90]])
         scaled = apply_scaling(m, ("1/2", "1/5"))
         assert scaled.counts == ((4, 1), (2, 18))
 
     def test_non_integer_result_rejected(self):
-        m = validate([[8, 2], [10, 90]])
+        m = ConfusionMatrix([[8, 2], [10, 90]])
         with pytest.raises(
             NonIntegerScalingError, match=r"^row 1, column 1: 1/3 \* 8 is not an integer$"
         ):
             apply_scaling(m, (Fraction(1, 3), 1))
 
     def test_factor_count_mismatch(self):
-        m = validate([[8, 2], [10, 90]])
+        m = ConfusionMatrix([[8, 2], [10, 90]])
         with pytest.raises(DimensionMismatchError, match="^3 factors for a 2-class matrix$"):
             apply_scaling(m, (1, 2, 3))
 
     def test_non_positive_factor_rejected(self):
-        m = validate([[8, 2], [10, 90]])
+        m = ConfusionMatrix([[8, 2], [10, 90]])
         with pytest.raises(MatrixError, match="^scaling factor 0 is not positive$") as err:
             apply_scaling(m, (Fraction(0), Fraction(1)))
         assert type(err.value) is MatrixError
 
     def test_checks_run_in_order(self):
-        m = validate([[8, 2], [10, 90]])
+        m = ConfusionMatrix([[8, 2], [10, 90]])
         # the count is checked before positivity, positivity before integrality
         with pytest.raises(DimensionMismatchError):
             apply_scaling(m, (0, Fraction(1, 3), 1))
@@ -156,7 +155,7 @@ class TestRowScaling:
             apply_scaling(m, (Fraction(1, 3), -1))
 
     def test_large_counts_stay_exact(self):
-        m = validate([[2**60 + 2, 4], [3, 2**61]])
+        m = ConfusionMatrix([[2**60 + 2, 4], [3, 2**61]])
         scaled = apply_scaling(m, ("1/2", 3))
         assert scaled.counts == ((2**59 + 1, 2), (9, 3 * 2**61))
 
@@ -198,7 +197,7 @@ class TestIngestLabels:
             ingest_labels([("A", "A"), ("B", "B")], ["A", "A"])
 
     def test_pairs_realizing_target_matrix(self):
-        target = validate([[8, 2], [10, 90]])
+        target = ConfusionMatrix([[8, 2], [10, 90]])
         pairs = []
         labels = ["pos", "neg"]
         for i, row in enumerate(target.counts):
@@ -237,14 +236,14 @@ class TestToFraction:
 class TestMatrixCsv:
     def test_roundtrip_no_header(self, tmp_path):
         path = tmp_path / "m.csv"
-        m = validate([[8, 2], [10, 90]])
+        m = ConfusionMatrix([[8, 2], [10, 90]])
         write_matrix_csv(path, m)
         loaded, labels = read_matrix_csv(path)
         assert loaded == m and labels is None
 
     def test_roundtrip_with_header(self, tmp_path):
         path = tmp_path / "m.csv"
-        m = validate([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        m = ConfusionMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         write_matrix_csv(path, m, labels=("a", "b", "c"))
         loaded, labels = read_matrix_csv(path)
         assert loaded == m and labels == ("a", "b", "c")
@@ -253,7 +252,7 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3,4\n")
         with pytest.raises(MatrixError, match="1 labels for 2 classes"):
-            write_matrix_csv(path, validate([[5, 6], [7, 8]]), labels=("a",))
+            write_matrix_csv(path, ConfusionMatrix([[5, 6], [7, 8]]), labels=("a",))
         assert path.read_text() == "1,2\n3,4\n"
 
     def test_bad_cell_named_in_error(self, tmp_path):
@@ -292,7 +291,7 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
         loaded, labels = read_matrix_csv(path)
-        assert loaded == validate([[1, 2], [3, 4]]) and labels is None
+        assert loaded == ConfusionMatrix([[1, 2], [3, 4]]) and labels is None
 
 
 # References for the parity test: a reader that lists every row, and a tally

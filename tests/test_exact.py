@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from imbindex import ALL_INDEX_IDS, applicable_index_ids, exact, get_index, validate
+from imbindex import ALL_INDEX_IDS, applicable_index_ids, exact, get_index
 from imbindex.confusion import ConfusionMatrix
 
 EXACT_SOURCE = Path(__file__).resolve().parent.parent / "src" / "imbindex" / "exact.py"
@@ -159,7 +159,7 @@ def _random_matrix(rng: random.Random, c: int) -> ConfusionMatrix:
             allowed = [j for j in range(c) if j != empty_column]
             row[rng.choice(allowed)] = rng.getrandbits(rng.randint(0, 60)) or 1
         rows.append(row)
-    return validate(rows)
+    return ConfusionMatrix(rows)
 
 
 def _cases():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from imbindex import DimensionMismatchError, MatrixError, evaluate, validate
+from imbindex import ConfusionMatrix, DimensionMismatchError, MatrixError, evaluate
 from imbindex.confusion import IntegralityError
 from conftest import SPEC_DIR
 from imbindex import lab
@@ -233,11 +233,11 @@ class TestPointResampling:
 
 class TestMatrixRescaling:
     def test_reference_rescale(self):
-        m = validate([[8, 2], [10, 90]])
+        m = ConfusionMatrix([[8, 2], [10, 90]])
         assert rescale_matrix_to_rrt(m, 2).to_lists() == [[8, 2], [2, 18]]
 
     def test_ratio_schedule_stays_integral(self):
-        m = validate([[8, 2], [10, 90]])
+        m = ConfusionMatrix([[8, 2], [10, 90]])
         for ratio in (1, 2, 4, 6, 8, 10):
             out = rescale_matrix_to_rrt(m, ratio)
             assert out.row_sums == (10, 10 * ratio)
@@ -245,14 +245,14 @@ class TestMatrixRescaling:
     def test_non_integral_rescale_rejected(self):
         from imbindex import NonIntegerScalingError
 
-        m = validate([[8, 2], [10, 90]])
+        m = ConfusionMatrix([[8, 2], [10, 90]])
         with pytest.raises(NonIntegerScalingError):
             rescale_matrix_to_rrt(m, "1/2")
         with pytest.raises(IntegralityError):
             rescale_matrix_to_rrt(m, "1/3")  # fractional target count
 
     def test_counts_rescale(self):
-        m = validate([[8, 1, 1], [1, 8, 1], [2, 2, 6]])
+        m = ConfusionMatrix([[8, 1, 1], [1, 8, 1], [2, 2, 6]])
         out = rescale_matrix_to_counts(m, (20, 10, 30))
         assert out.row_sums == (20, 10, 30)
         assert out.counts[0] == (16, 2, 2)
@@ -260,7 +260,7 @@ class TestMatrixRescaling:
     def test_counts_rescale_rejects_non_integral(self):
         from imbindex import NonIntegerScalingError
 
-        m = validate([[8, 1, 1], [1, 8, 1], [2, 2, 6]])
+        m = ConfusionMatrix([[8, 1, 1], [1, 8, 1], [2, 2, 6]])
         with pytest.raises(
             NonIntegerScalingError, match=r"^row 1, column 2: 3/2 \* 1 is not an integer$"
         ):
@@ -405,7 +405,7 @@ class TestStability:
     def test_error_cells_recorded_as_undefined(self):
         dataset = MatrixStabilityDataset(
             dataset_id="undef",
-            matrix=validate([[0, 5], [0, 5]]),
+            matrix=ConfusionMatrix([[0, 5], [0, 5]]),
             schedule=(Fraction(1),),
             indices=("precision", "gmean2"),
         )
@@ -419,8 +419,8 @@ class TestStability:
         # the row builder calls each formula directly; registry.evaluate is
         # the reference for every value and undefined reason
         cells = [
-            (0, "s", "1", validate([[0, 5], [0, 5]])),
-            (1, "s", "2", validate([[8, 2], [10, 90]])),
+            (0, "s", "1", ConfusionMatrix([[0, 5], [0, 5]])),
+            (1, "s", "2", ConfusionMatrix([[8, 2], [10, 90]])),
             (2, "s", "3", UnachievableRRTError("ratio 3 unreachable")),
         ]
         ids = ("precision", "gmean2", "aurpc", "m_precision", "specificity")
@@ -735,6 +735,49 @@ class TestSpecFieldTypes:
             load_spec(dict(type2_raw(), accuracy_sweep=[value]))
 
 
+class TestStaticSpecRules:
+    """An accuracy, a profile or a matrix-mode schedule entry that no run
+    could use is rejected at load, naming its field; a ratio that
+    subsampling cannot reach stays an undefined cell."""
+
+    @pytest.mark.parametrize("value, shown", [("3/2", "3/2"), (-0.2, "-1/5")])
+    def test_accuracy_outside_unit_interval(self, value, shown):
+        message = rf"^spec\.accuracy_sweep: {shown} is outside \[0, 1\]$"
+        with pytest.raises(SpecError, match=message):
+            load_spec(dict(type2_raw(), accuracy_sweep=["3/5", value]))
+        spec = load_spec(dict(type2_raw(), accuracy_sweep=["0", "1"]))
+        assert spec.accuracy_sweep == (0, 1)
+
+    @pytest.mark.parametrize("profile", [[10, 0, 10], [10, 10, -3]])
+    def test_profile_count_not_positive(self, profile):
+        message = r"^spec\.steps\[0\]\.profile: counts must be positive$"
+        with pytest.raises(SpecError, match=message):
+            load_spec(type2_raw(profile=profile))
+
+    TRI = [[5, 1, 1], [1, 5, 1], [1, 1, 5]]
+
+    @pytest.mark.parametrize("matrix, entry, message", [
+        pytest.param(TRI, [7, 7], r"\[7, 7\] has 2 counts for 3 classes", id="short"),
+        pytest.param(TRI, [7, 7, 7, 7], r"\[7, 7, 7, 7\] has 4 counts for 3 classes", id="long"),
+        pytest.param(TRI, "2", r"ratio 2 needs a 2-class matrix, got 3 classes", id="ratio"),
+        pytest.param(TRI, [7, 0, 7], r"entries must be positive", id="zero-count"),
+        pytest.param(TRI, [7, -7, 7], r"entries must be positive", id="negative-count"),
+        pytest.param([[8, 2], [10, 90]], [10, 0], r"entries must be positive", id="two-class"),
+        pytest.param([[8, 2], [10, 90]], "0", r"entries must be positive", id="zero-ratio"),
+    ])
+    def test_matrix_schedule_entry(self, matrix, entry, message):
+        raw = matrix_raw([[14, 21, 7][:len(matrix)], entry], matrix=matrix, indices=["acsa"])
+        with pytest.raises(SpecError, match=rf"^spec\.datasets\[0\]\.schedule: {message}$"):
+            load_spec(raw)
+
+    def test_unreachable_ratio_stays_an_undefined_cell(self):
+        # 1/3 of the 2-point minority row is not a whole count: a run-time cell error
+        raw = matrix_raw(["1", "1/3"], matrix=[[1, 1], [5, 5]], indices=["acsa"])
+        rows = run_experiment(load_spec(raw)).rows
+        assert [r.value is None for r in rows] == [False, True]
+        assert rows[1].status.startswith("IntegralityError: ")
+
+
 class TestTwoClassRule:
     """A two-class index on more than two classes is rejected at load, naming
     the field, the id and the class count; a spec built directly fails when
@@ -762,7 +805,7 @@ class TestTwoClassRule:
         assert load_spec(raw).indices == ("acsa", "specificity")
 
     def test_specs_built_directly_fail_at_run_time(self):
-        tri = validate([[5, 1, 1], [1, 5, 1], [1, 1, 5]])
+        tri = ConfusionMatrix([[5, 1, 1], [1, 5, 1], [1, 1, 5]])
         dataset = MatrixStabilityDataset("tri", tri, ((14, 21, 7),), ("acsa", "precision"))
         growth = Type2GrowthSpec("t2", ((10, 10, 10),), (Fraction(3, 5),), ("acsa", "recall"))
         for spec in (RRTStabilitySpec("m", (dataset,), 0), growth):
@@ -807,7 +850,7 @@ class TestPointSweepErrorCells:
 class TestResultFiles:
     def test_csv_outputs_and_digest(self, tmp_path):
         dataset = MatrixStabilityDataset(
-            "undef", validate([[0, 5], [0, 5]]),
+            "undef", ConfusionMatrix([[0, 5], [0, 5]]),
             (Fraction(1), Fraction(2)), ("precision", "gmean2"),
         )
         result = run_experiment(RRTStabilitySpec("files", (dataset,), 0))

@@ -13,18 +13,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from imbindex import IndexValue, evaluate, exact, validate
+from imbindex import ConfusionMatrix, IndexValue, evaluate, exact
 from imbindex.multiclass import lambda_c
 from imbindex.registry import (
     ProfileRequiredError,
     UnknownIndexError,
     bounds_exact,
-    theoretical_bounds,
 )
 
 from conftest import REPO_ROOT, confusion_matrices, matrices_with_scaling, two_class_matrices
 
-TRI = validate([[8, 1, 1], [1, 8, 1], [2, 2, 6]])
+TRI = ConfusionMatrix([[8, 1, 1], [1, 8, 1], [2, 2, 6]])
 TOL = 1e-12
 
 MULTI_IDS = ("gmean_c", "acsa", "auroc_ovo", "auroc_ova", "n_auroc_ova",
@@ -60,28 +59,28 @@ class TestFrozenValues:
 
 class TestGmeanAndAcsa:
     def test_perfect_diagonal(self):
-        m = validate([[4, 0, 0], [0, 4, 0], [0, 0, 4]])
+        m = ConfusionMatrix([[4, 0, 0], [0, 4, 0], [0, 0, 4]])
         for index_id in MULTI_IDS:
             assert evaluate(index_id, m).value == pytest.approx(1.0, abs=TOL)
 
     def test_zero_diagonal_entry_kills_gmean(self):
-        assert evaluate("gmean_c", validate([[0, 5, 5], [1, 8, 1], [2, 2, 6]])).value == 0.0
+        assert evaluate("gmean_c", ConfusionMatrix([[0, 5, 5], [1, 8, 1], [2, 2, 6]])).value == 0.0
 
     def test_all_off_diagonal_acsa_zero(self):
-        assert evaluate("acsa", validate([[0, 5, 5], [5, 0, 5], [5, 5, 0]])).value == 0.0
+        assert evaluate("acsa", ConfusionMatrix([[0, 5, 5], [5, 0, 5], [5, 5, 0]])).value == 0.0
 
     def test_acsa_reduces_to_auroc_for_two_classes(self):
-        m = validate([[8, 2], [10, 90]])
+        m = ConfusionMatrix([[8, 2], [10, 90]])
         assert evaluate("acsa", m).value == pytest.approx(evaluate("auroc", m).value, abs=TOL)
 
 
 class TestAurocOvo:
     def test_zero_diagonal_floor_three_classes(self):
-        m = validate([[0, 5, 5], [5, 0, 5], [5, 5, 0]])
+        m = ConfusionMatrix([[0, 5, 5], [5, 0, 5], [5, 5, 0]])
         assert evaluate("auroc_ovo", m).value == pytest.approx(0.25, abs=TOL)
 
     def test_perfect_is_one(self):
-        m = validate([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+        m = ConfusionMatrix([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
         assert evaluate("auroc_ovo", m).value == pytest.approx(1.0, abs=TOL)
 
     @given(confusion_matrices(max_classes=6))
@@ -93,11 +92,11 @@ class TestAurocOvo:
 
 class TestAurocOva:
     def test_worst_case_profile_2_3_4(self):
-        m = validate([[0, 0, 2], [0, 0, 3], [0, 4, 0]])
+        m = ConfusionMatrix([[0, 0, 2], [0, 0, 3], [0, 4, 0]])
         assert evaluate("auroc_ova", m).value == pytest.approx(2 / 9, abs=TOL)
 
     def test_balanced_sixty_percent(self):
-        m = validate([[6, 2, 2], [2, 6, 2], [2, 2, 6]])
+        m = ConfusionMatrix([[6, 2, 2], [2, 6, 2], [2, 2, 6]])
         assert evaluate("auroc_ova", m).value == pytest.approx(0.70, abs=TOL)
 
 
@@ -107,7 +106,7 @@ class TestNAurocOva:
         assert lambda_c(10) == pytest.approx(0.4, abs=TOL)
 
     def test_two_class_normalization_is_identity(self):
-        m = validate([[8, 2], [10, 90]])
+        m = ConfusionMatrix([[8, 2], [10, 90]])
         assert evaluate("n_auroc_ova", m).value == pytest.approx(
             evaluate("auroc_ova", m).value, abs=TOL
         )
@@ -141,20 +140,20 @@ class TestUndefinedReasons:
         ],
     )
     def test_reason(self, index_id, counts, reason):
-        assert evaluate(index_id, validate(counts)) == IndexValue(index_id, None, reason)
+        assert evaluate(index_id, ConfusionMatrix(counts)) == IndexValue(index_id, None, reason)
 
 
 class TestAurpcOva:
     def test_undefined_when_class_never_predicted(self):
-        iv = evaluate("aurpc_ova", validate([[0, 5, 5], [0, 5, 5], [0, 5, 5]]))
+        iv = evaluate("aurpc_ova", ConfusionMatrix([[0, 5, 5], [0, 5, 5], [0, 5, 5]]))
         assert not iv.defined and "never predicted" in iv.reason
 
     def test_m_variant_undefined_reason(self):
-        iv = evaluate("m_aurpc_ova", validate([[0, 5, 5], [0, 5, 5], [0, 5, 5]]))
+        iv = evaluate("m_aurpc_ova", ConfusionMatrix([[0, 5, 5], [0, 5, 5], [0, 5, 5]]))
         assert not iv.defined and "rate column" in iv.reason
 
     def test_m_variant_invariant_under_row_doubling(self):
-        doubled_row3 = validate([[8, 1, 1], [1, 8, 1], [4, 4, 12]])
+        doubled_row3 = ConfusionMatrix([[8, 1, 1], [1, 8, 1], [4, 4, 12]])
         assert evaluate("m_aurpc_ova", doubled_row3).value == pytest.approx(
             evaluate("m_aurpc_ova", TRI).value, abs=TOL
         )
@@ -165,34 +164,34 @@ class TestAurpcOva:
 
 class TestTheoreticalBounds:
     def test_ovo_three_classes(self):
-        assert theoretical_bounds("auroc_ovo", 3) == (0.25, 1.0)
+        assert bounds_exact("auroc_ovo", 3) == (0.25, 1.0)
 
     def test_ovo_eleven_classes(self):
-        lo, hi = theoretical_bounds("auroc_ovo", 11)
+        lo, hi = bounds_exact("auroc_ovo", 11)
         assert lo == pytest.approx(0.45, abs=TOL) and hi == 1.0
 
     def test_ova_with_profile(self):
-        lo, hi = theoretical_bounds("auroc_ova", 3, profile=(2, 3, 4))
+        lo, hi = bounds_exact("auroc_ova", 3, profile=(2, 3, 4))
         assert lo == pytest.approx(2 / 9, abs=TOL) and hi == 1.0
 
     def test_ova_profile_sorted_internally(self):
-        assert theoretical_bounds("auroc_ova", 3, (4, 2, 3)) == theoretical_bounds(
+        assert bounds_exact("auroc_ova", 3, (4, 2, 3)) == bounds_exact(
             "auroc_ova", 3, (2, 3, 4)
         )
 
     def test_ova_requires_profile(self):
         with pytest.raises(ProfileRequiredError):
-            theoretical_bounds("auroc_ova", 3)
+            bounds_exact("auroc_ova", 3)
 
     def test_unit_range_ids_stay_unit(self):
         for index_id in ("gmean_c", "acsa", "aurpc_ova", "m_aurpc_ova", "n_auroc_ova"):
             for c in (2, 5, 9):
-                assert theoretical_bounds(index_id, c) == (0.0, 1.0)
+                assert bounds_exact(index_id, c) == (0.0, 1.0)
 
     def test_binary_ids_only_at_two_classes(self):
-        assert theoretical_bounds("precision", 2) == (0.0, 1.0)
+        assert bounds_exact("precision", 2) == (0.0, 1.0)
         with pytest.raises(Exception):
-            theoretical_bounds("precision", 3)
+            bounds_exact("precision", 3)
 
     def test_unknown_id_is_unknown_index_error(self):
         # the id is looked up before the class count is checked
@@ -223,12 +222,12 @@ class TestProperties:
                 assert -TOL <= iv.value <= 1 + TOL
 
     @given(confusion_matrices())
-    def test_values_within_theoretical_bounds(self, m):
+    def test_values_within_closed_form_bounds(self, m):
         profile = m.row_sums
         for index_id in MULTI_IDS:
             iv = evaluate(index_id, m)
             if iv.defined:
-                lo, hi = theoretical_bounds(index_id, m.class_count, profile)
+                lo, hi = bounds_exact(index_id, m.class_count, profile)
                 assert lo - TOL <= iv.value <= hi + TOL
 
     @given(two_class_matrices())
@@ -238,7 +237,7 @@ class TestProperties:
         # one-vs-all recall/precision mean equals the average of the direct
         # two-class value and its class-swapped mirror
         (tp, fn), (fp, tn) = m.counts
-        mirror = validate([[tn, fp], [fn, tp]])
+        mirror = ConfusionMatrix([[tn, fp], [fn, tp]])
         direct, mirrored = evaluate("aurpc", m), evaluate("aurpc", mirror)
         ova = evaluate("aurpc_ova", m)
         if direct.defined and mirrored.defined:
@@ -262,7 +261,7 @@ def test_import_loads_no_numpy():
     # evaluating one matrix needs no numpy; only the enumeration and the lab load it
     code = (
         "import sys, imbindex; "
-        "imbindex.evaluate('acsa', imbindex.validate([[1, 0], [0, 1]])); "
+        "imbindex.evaluate('acsa', imbindex.ConfusionMatrix([[1, 0], [0, 1]])); "
         "print('numpy' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
