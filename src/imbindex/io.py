@@ -54,7 +54,10 @@ def read_matrix_csv(path) -> tuple[ConfusionMatrix, tuple[str, ...] | None]:
                 )
             parsed.append(int(cell))
         grid.append(tuple(parsed))
-    matrix = ConfusionMatrix(tuple(grid))
+    try:
+        matrix = ConfusionMatrix(tuple(grid))
+    except MatrixError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     if labels is not None and len(labels) != matrix.class_count:
         raise MatrixError(
             f"{path}: header has {len(labels)} labels for {matrix.class_count} classes"

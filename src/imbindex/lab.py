@@ -11,12 +11,14 @@ A point set is a dict from each label to its ``(n, 2)`` float64 points in
 generation order, or to their x column alone, the one coordinate the
 vertical-line classifiers read.
 
-Experiments are declarative (frozen dataclass specs, loadable from JSON) and
-deterministic: trial ``t`` of an experiment with seed ``s`` draws all its
-randomness from a stream derived from ``(s, t)``.  A ``type1_sweep`` spec and
-a point dataset of an ``rrt_stability`` spec both parse into one
-:class:`PointSweep` and run by one loop; only their streams differ, ``(s, t)``
-for the spec and ``(s, d, t)`` for the dataset at position ``d``.
+Experiments are declarative (frozen dataclasses, loadable from JSON) and
+deterministic.  Every spec loads into one :class:`Experiment`, a name and a
+tuple of sweeps that one loop runs in order.  A ``type1_sweep`` spec and a
+point dataset of an ``rrt_stability`` spec both parse into one
+:class:`PointSweep`, which carries its random stream: ``(s,)`` for the spec
+with seed ``s`` and ``(s, d)`` for the dataset at position ``d``.  Trial
+``t`` draws all its randomness from that stream extended by ``t``.  Growth
+sweeps and matrix datasets draw nothing at random.
 """
 
 from __future__ import annotations
@@ -209,28 +211,6 @@ def rescale_matrix_to_counts(m: ConfusionMatrix, per_class_counts: Sequence[int]
     return apply_scaling(m, [Fraction(int(t), n) for t, n in zip(per_class_counts, m.row_sums)])
 
 
-def synthetic_multiclass_confusion(
-    class_count: int,
-    accuracy,
-    profile: Sequence[int],
-) -> ConfusionMatrix:
-    """Matrix with per-class accuracy ``accuracy`` and uniform off-diagonal errors.
-
-    ``accuracy * n_i`` must be an integer for every class (pick profiles
-    accordingly); the off-diagonal remainder of each row goes to the
-    lowest-indexed other class.
-    """
-    accuracy = to_fraction(accuracy)
-    if not 0 <= accuracy <= 1:
-        raise MatrixError(f"accuracy {accuracy} outside [0, 1]")
-    profile = tuple(int(v) for v in profile)
-    if len(profile) != class_count:
-        raise MatrixError(f"profile has {len(profile)} counts, class_count is {class_count}")
-    if any(n_i <= 0 for n_i in profile):
-        raise MatrixError("profile counts must be positive")
-    return even_error_matrix([accuracy] * class_count, profile)
-
-
 # ---------------------------------------------------------------------------
 # experiment specs
 
@@ -241,8 +221,10 @@ class PointSweep:
     them to every test-mix ratio of ``schedule`` (``n(majority) / n(other)``),
     and tallies each subsample with every ``(setting, threshold)`` classifier.
 
-    A point dataset of an ``rrt_stability`` spec is one, with the single
-    classifier ``(id, threshold)``.
+    A ``type1_sweep`` spec is one, threshold ``t`` being the classifier
+    ``("t=<t:g>", t)``; so is a point dataset of an ``rrt_stability`` spec,
+    with the single classifier ``(id, threshold)``.  Trial ``t`` draws from
+    ``stream + (t,)``.
     """
 
     generators: tuple[GaussianClassSpec, ...]
@@ -253,23 +235,14 @@ class PointSweep:
     classifiers: tuple[tuple[str, float], ...]
     trials: int
     indices: tuple[str, ...]
+    stream: tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class Type1SweepSpec(PointSweep):
-    """Two-class threshold sweep over a schedule of test-mix ratios; threshold
-    ``t`` is the classifier ``("t=<t:g>", t)``."""
-
-    experiment: str
-    seed: int
-
-
-@dataclass(frozen=True)
-class Type2GrowthSpec:
+class GrowthSweep:
     """Accuracy-profiled matrices over a growing class count; each step is the
     per-class test counts of its class count."""
 
-    experiment: str
     steps: tuple[tuple[int, ...], ...]
     accuracy_sweep: tuple[Fraction, ...]
     indices: tuple[str, ...]
@@ -290,16 +263,12 @@ class MatrixStabilityDataset:
 
 
 @dataclass(frozen=True)
-class RRTStabilitySpec:
-    """Index stability across a test-mix schedule, per dataset: each a
-    :class:`MatrixStabilityDataset` or a :class:`PointSweep`."""
+class Experiment:
+    """What every spec loads into: its sweeps, run in order, and the name that
+    heads every row and prefixes the output files."""
 
     experiment: str
-    datasets: tuple
-    seed: int
-
-
-ExperimentSpec = Type1SweepSpec | Type2GrowthSpec | RRTStabilitySpec
+    sweeps: tuple[PointSweep | MatrixStabilityDataset | GrowthSweep, ...]
 
 
 def _need(obj: dict, key: str, where: str):
@@ -358,14 +327,14 @@ def _generators(obj: dict, where: str) -> tuple[GaussianClassSpec, ...]:
     out = []
     for g_idx, g in enumerate(_list(obj, "generators", where, dict)):
         spot = f"{where}.generators[{g_idx}]"
-        out.append(
-            GaussianClassSpec(
-                label=str(_need(g, "label", spot)),
-                mean=_pair(g, "mean", spot),
-                variances=_pair(g, "variances", spot),
-                sample_count=_int(_need(g, "sample_count", spot), f"{spot}.sample_count"),
-            )
+        args = (
+            str(_need(g, "label", spot)), _pair(g, "mean", spot), _pair(g, "variances", spot),
+            _int(_need(g, "sample_count", spot), f"{spot}.sample_count"),
         )
+        try:
+            out.append(GaussianClassSpec(*args))
+        except SpecError as exc:
+            raise SpecError(f"{spot}: {exc}") from None
     return tuple(out)
 
 
@@ -430,7 +399,7 @@ def _point_sweep(raw: dict, where: str, schedule_field: str) -> dict:
                 schedule=schedule)
 
 
-def load_spec(source) -> ExperimentSpec:
+def load_spec(source) -> Experiment:
     """Parse an experiment spec from a dict or a JSON file path."""
     raw = json.loads(Path(source).read_text()) if isinstance(source, (str, Path)) else source
     if not isinstance(raw, dict):
@@ -463,15 +432,10 @@ def load_spec(source) -> ExperimentSpec:
                     f"spec.thresholds: {first[name]!r} and {t!r} share the classifier name {name!r}"
                 )
             first[name] = t
-        return Type1SweepSpec(
-            experiment=experiment,
-            classifiers=classifiers,
-            indices=_index_list(raw, "spec"),
-            seed=seed,
-            **sweep,
-        )
+        sweeps = [PointSweep(classifiers=classifiers, indices=_index_list(raw, "spec"),
+                             stream=(seed,), **sweep)]
 
-    if kind == "type2_growth":
+    elif kind == "type2_growth":
         # the class count keys a step's rows, so two steps may not share one
         steps = []
         first_step: dict[int, str] = {}
@@ -491,33 +455,29 @@ def load_spec(source) -> ExperimentSpec:
             steps.append(profile)
         if not steps:
             raise SpecError("spec.steps: at least one step required")
-        sweep = tuple(
+        accuracies = tuple(
             _ratio(a, "spec.accuracy_sweep") for a in _list(raw, "accuracy_sweep", "spec")
         )
-        if not sweep:
+        if not accuracies:
             raise SpecError("spec.accuracy_sweep: at least one accuracy required")
-        for accuracy in sweep:
+        for accuracy in accuracies:
             if not 0 <= accuracy <= 1:
                 raise SpecError(f"spec.accuracy_sweep: {accuracy} is outside [0, 1]")
         indices = _index_list(raw, "spec")
         for s_idx, profile in enumerate(steps):
             _two_class_rule("spec.indices", indices, len(profile), f"spec.steps[{s_idx}]")
-        return Type2GrowthSpec(
-            experiment=experiment,
-            steps=tuple(steps),
-            accuracy_sweep=sweep,
-            indices=indices,
-        )
+        sweeps = [GrowthSweep(tuple(steps), accuracies, indices)]
 
-    if kind == "rrt_stability":
-        datasets, ids = [], set()
+    elif kind == "rrt_stability":
+        # the id names a dataset's setting, so two datasets may not share one
+        sweeps, first_id = [], {}
         for d_idx, d in enumerate(_list(raw, "datasets", "spec", dict)):
             spot = f"spec.datasets[{d_idx}]"
             mode = str(_need(d, "mode", spot))
             dataset_id = str(_need(d, "id", spot))
-            if dataset_id in ids:
-                raise SpecError("spec.datasets: dataset ids must be unique")
-            ids.add(dataset_id)
+            if dataset_id in first_id:
+                raise SpecError(f"{first_id[dataset_id]} and {spot} share the id {dataset_id!r}")
+            first_id[dataset_id] = spot
             indices = _index_list(d, spot)
             if mode == "matrix":
                 rows = tuple(tuple(r) for r in _list(d, "matrix", spot, list))
@@ -536,23 +496,19 @@ def load_spec(source) -> ExperimentSpec:
                     raise SpecError(f"{field}: must be non-empty")
                 for entry in schedule:
                     _matrix_schedule_rule(field, entry, matrix.class_count)
-                datasets.append(MatrixStabilityDataset(dataset_id, matrix, schedule, indices))
+                sweeps.append(MatrixStabilityDataset(dataset_id, matrix, schedule, indices))
             elif mode == "point":
                 threshold = _number(_need(d, "threshold", spot), f"{spot}.threshold")
-                datasets.append(
-                    PointSweep(
-                        classifiers=((dataset_id, threshold),),
-                        indices=indices,
-                        **_point_sweep(d, spot, "schedule"),
-                    )
-                )
+                sweeps.append(PointSweep(classifiers=((dataset_id, threshold),), indices=indices,
+                                         stream=(seed, d_idx), **_point_sweep(d, spot, "schedule")))
             else:
                 raise SpecError(f"{spot}.mode: expected 'matrix' or 'point', got {mode!r}")
-        if not datasets:
+        if not sweeps:
             raise SpecError("spec.datasets: at least one dataset required")
-        return RRTStabilitySpec(experiment=experiment, datasets=tuple(datasets), seed=seed)
 
-    raise SpecError(f"spec.kind: unknown kind {kind!r}")
+    else:
+        raise SpecError(f"spec.kind: unknown kind {kind!r}")
+    return Experiment(experiment, tuple(sweeps))
 
 
 # ---------------------------------------------------------------------------
@@ -688,22 +644,23 @@ def _schedule_key(entry) -> str:
     return str(entry)
 
 
-def _point_cells(stream: tuple, sweep: PointSweep):
-    """Cells of a point sweep: trial ``t`` draws its points from ``stream +
-    (t,)`` and its subsample for schedule entry ``s`` from ``stream + (t, s)``.
-    The classifiers read only x, so each class is resampled as its x column,
-    copied out once per trial: every tally reads contiguous memory, and the
-    ``(n, 2)`` points are freed before the first subsample."""
+def _point_cells(sweep: PointSweep):
+    """Cells of a point sweep: trial ``t`` draws its points from
+    ``sweep.stream + (t,)`` and its subsample for schedule entry ``s`` from
+    ``sweep.stream + (t, s)``.  The classifiers read only x, so each class is
+    resampled as its x column, copied out once per trial: every tally reads
+    contiguous memory, and the ``(n, 2)`` points are freed before the first
+    subsample."""
     for trial in range(sweep.trials):
         points = generate_gaussian_dataset(
-            sweep.generators, np.random.default_rng([*stream, trial])
+            sweep.generators, np.random.default_rng([*sweep.stream, trial])
         )
         xs = {label: np.ascontiguousarray(xy[:, 0]) for label, xy in points.items()}
         del points
         for s_idx, ratio in enumerate(sweep.schedule):
             resampled = _attempt(
                 resample_points_to_rrt, xs, ratio, sweep.majority_label,
-                np.random.default_rng([*stream, trial, s_idx]),
+                np.random.default_rng([*sweep.stream, trial, s_idx]),
             )
             for setting, threshold in sweep.classifiers:
                 matrix = resampled if isinstance(resampled, MatrixError) else _attempt(
@@ -714,14 +671,14 @@ def _point_cells(stream: tuple, sweep: PointSweep):
 
 
 def _schedule_result(
-    experiment: str, stream: tuple, sweep: PointSweep | MatrixStabilityDataset
+    experiment: str, sweep: PointSweep | MatrixStabilityDataset
 ) -> tuple[list[ResultRow], list[SummaryRow]]:
-    """Rows of a sweep over a test-mix schedule (a point sweep drawing from
-    ``stream``, or an exactly rescaled matrix), and its summary: per (setting,
-    index, schedule entry) the mean over trials, then per (setting, index) the
-    standard deviation of those means over the schedule."""
+    """Rows of a sweep over a test-mix schedule (resampled points or an exactly
+    rescaled matrix), and its summary: per (setting, index, schedule entry)
+    the mean over trials, then per (setting, index) the standard deviation of
+    those means over the schedule."""
     if isinstance(sweep, PointSweep):
-        cells = _point_cells(stream, sweep)
+        cells = _point_cells(sweep)
         settings = [setting for setting, _threshold in sweep.classifiers]
     else:
         cells = (
@@ -771,45 +728,43 @@ def _schedule_result(
     return rows, summary
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Run a declarative experiment; per-cell failures become undefined rows."""
-    if isinstance(spec, Type1SweepSpec):
-        rows, summary = _schedule_result(spec.experiment, (spec.seed,), spec)
-    elif isinstance(spec, Type2GrowthSpec):
-        cells = (
-            (0, f"a={accuracy}", str(len(profile)),
-             _attempt(synthetic_multiclass_confusion, len(profile), accuracy, profile))
-            for profile in spec.steps
-            for accuracy in spec.accuracy_sweep
-        )
-        rows = _result_rows(spec.experiment, cells, spec.indices)
-        summary = _min_summary(spec, rows)
-    elif isinstance(spec, RRTStabilitySpec):
-        rows, summary = [], []
-        for d_idx, dataset in enumerate(spec.datasets):
-            dataset_rows, dataset_summary = _schedule_result(
-                spec.experiment, (spec.seed, d_idx), dataset
+def run_experiment(spec: Experiment) -> ExperimentResult:
+    """Run every sweep of an experiment in order; per-cell failures become
+    undefined rows.  A growth cell is :func:`even_error_matrix` with the
+    cell's accuracy on every row."""
+    rows, summary = [], []
+    for sweep in spec.sweeps:
+        if isinstance(sweep, GrowthSweep):
+            cells = (
+                (0, f"a={accuracy}", str(len(profile)),
+                 _attempt(even_error_matrix, (accuracy,) * len(profile), profile))
+                for profile in sweep.steps
+                for accuracy in sweep.accuracy_sweep
             )
-            rows.extend(dataset_rows)
-            summary.extend(dataset_summary)
-    else:
-        raise SpecError(f"unknown experiment spec type {type(spec).__name__}")
+            sweep_rows = _result_rows(spec.experiment, cells, sweep.indices)
+            sweep_summary = _min_summary(spec.experiment, sweep, sweep_rows)
+        else:
+            sweep_rows, sweep_summary = _schedule_result(spec.experiment, sweep)
+        rows.extend(sweep_rows)
+        summary.extend(sweep_summary)
     return ExperimentResult(spec.experiment, tuple(rows), tuple(summary))
 
 
-def _min_summary(spec: Type2GrowthSpec, rows: Sequence[ResultRow]) -> list[SummaryRow]:
+def _min_summary(
+    experiment: str, sweep: GrowthSweep, rows: Sequence[ResultRow]
+) -> list[SummaryRow]:
     """Per (class count, index): the minimum over the accuracy sweep."""
     defined: dict[tuple[str, str], list[float]] = {}
     for r in rows:
         if r.value is not None:
             defined.setdefault((r.rrt_or_c, r.index), []).append(r.value)
     summary: list[SummaryRow] = []
-    for profile in spec.steps:
+    for profile in sweep.steps:
         rrt_or_c = str(len(profile))
-        for index_id in spec.indices:
+        for index_id in sweep.indices:
             values = defined.get((rrt_or_c, index_id), [])
             summary.append(
-                SummaryRow(spec.experiment, "sweep", index_id, rrt_or_c, "min",
+                SummaryRow(experiment, "sweep", index_id, rrt_or_c, "min",
                            min(values, default=None),
                            STATUS_OK if values else "undefined on entire sweep")
             )

@@ -110,7 +110,7 @@ def test_collapse_limits():
 def test_two_class_precision_reproduction():
     start = time.perf_counter()
     spec = load_spec(SPEC_DIR / "example1_type1.json")
-    assert spec.trials == 20
+    assert spec.sweeps[0].trials == 20
     result = run_experiment(spec)
     elapsed = time.perf_counter() - start
     means = result.means()
@@ -125,7 +125,7 @@ def test_two_class_precision_reproduction():
                               "at C=3 and 0.77+-0.01 at C=6 with mean accuracy "
                               "exactly 0.60")
 def test_growth_reproduction_exact():
-    from imbindex.lab import synthetic_multiclass_confusion
+    from imbindex.confusion import even_error_matrix
 
     spec = load_spec(SPEC_DIR / "example1_type2.json")
     result = run_experiment(spec)
@@ -135,7 +135,7 @@ def test_growth_reproduction_exact():
     profile = (5000, 1500, 4000, 500, 3500, 4500)
     targets = {3: Fraction(70, 100), 6: Fraction(77, 100)}
     for c, target in targets.items():
-        m = synthetic_multiclass_confusion(c, "3/5", profile[:c])
+        m = even_error_matrix([Fraction(3, 5)] * c, profile[:c])
         assert abs(exact("auroc_ova", m).key - target) <= Fraction(1, 100)
         assert abs(mins[(str(c), "auroc_ova")] - float(target)) <= 0.01 + 1e-12
         assert exact("acsa", m).key == Fraction(3, 5)

@@ -72,6 +72,18 @@ class TestEval:
         assert code == EXIT_INPUT
         assert "row 1" in err
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("1,2\n3,4,5\n", "row 2 has 3 entries, expected 2", id="ragged"),
+        pytest.param("1,-3\n3,4\n", "row 1, column 2: entry -3 is negative", id="negative"),
+        pytest.param("1,2\n0,0\n", "row 2 sums to zero (class has no test points)",
+                     id="empty-row"),
+    ])
+    def test_invalid_grid_names_the_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["eval", "--matrix", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_repeated_header_label_is_input_error(self, tmp_path, capsys):
         # a repeated class would be written back by --save-matrix as it came in
         path = tmp_path / "twice.csv"

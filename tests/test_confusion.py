@@ -261,6 +261,12 @@ class TestMatrixCsv:
         with pytest.raises(MatrixError, match="row 2, column 2"):
             read_matrix_csv(path)
 
+    def test_invalid_grid_keeps_its_error_class_and_names_the_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4,5\n")
+        with pytest.raises(NonSquareError, match=rf"^{re.escape(str(path))}: row 2 has 3 entries"):
+            read_matrix_csv(path)
+
     def test_superscript_digit_named_in_error(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3,\u00b2\n", encoding="utf-8")

@@ -11,18 +11,17 @@ import numpy as np
 import pytest
 
 from imbindex import ConfusionMatrix, DimensionMismatchError, MatrixError, evaluate
-from imbindex.confusion import IntegralityError
+from imbindex.confusion import IntegralityError, even_error_matrix
 from conftest import SPEC_DIR
 from imbindex import lab
 from imbindex.lab import (
+    Experiment,
     GaussianClassSpec,
+    GrowthSweep,
     MatrixStabilityDataset,
     PointSweep,
     ResultRow,
-    RRTStabilitySpec,
     SpecError,
-    Type1SweepSpec,
-    Type2GrowthSpec,
     UnachievableRRTError,
     generate_gaussian_dataset,
     load_spec,
@@ -30,7 +29,6 @@ from imbindex.lab import (
     rescale_matrix_to_rrt,
     resample_points_to_rrt,
     run_experiment,
-    synthetic_multiclass_confusion,
     threshold_classifier_confusion,
 )
 
@@ -269,35 +267,34 @@ class TestMatrixRescaling:
 
 class TestSyntheticMatrices:
     def test_uniform_three_class(self):
-        m = synthetic_multiclass_confusion(3, "3/5", (10, 10, 10))
+        m = even_error_matrix([Fraction(3, 5)] * 3, (10, 10, 10))
         assert m.to_lists() == [[6, 2, 2], [2, 6, 2], [2, 2, 6]]
 
     def test_perfect_accuracy_is_diagonal(self):
-        m = synthetic_multiclass_confusion(3, 1, (10, 20, 30))
+        m = even_error_matrix([Fraction(1)] * 3, (10, 20, 30))
         assert evaluate("gmean_c", m).value == 1.0
         assert m.counts[0] == (10, 0, 0)
 
     def test_hexagon_profile_reference_values(self):
         profile = (5000, 1500, 4000, 500, 3500, 4500)
-        m = synthetic_multiclass_confusion(6, "3/5", profile)
+        m = even_error_matrix([Fraction(3, 5)] * 6, profile)
         assert evaluate("auroc_ova", m).value == pytest.approx(0.76, abs=1e-12)
         assert evaluate("acsa", m).value == pytest.approx(0.6, abs=1e-12)
 
     def test_remainder_to_lowest_indexed_class(self):
-        m = synthetic_multiclass_confusion(4, "3/5", (5000, 1500, 4000, 500))
+        m = even_error_matrix([Fraction(3, 5)] * 4, (5000, 1500, 4000, 500))
         # row 0 spreads 2000 errors as 666 each plus remainder 2
         assert m.counts[0] == (3000, 668, 666, 666)
         assert m.row_sums == (5000, 1500, 4000, 500)
 
     def test_integrality_guard(self):
         with pytest.raises(IntegralityError):
-            synthetic_multiclass_confusion(3, "3/5", (10, 10, 11))
+            even_error_matrix([Fraction(3, 5)] * 3, (10, 10, 11))
 
 
 class TestType1Sweep:
     def build_spec(self, trials=3, thresholds=(4.0,), schedule=("1", "10")):
-        return Type1SweepSpec(
-            experiment="t1",
+        return Experiment("t1", (PointSweep(
             generators=small_generators(2000),
             positive_label="right",
             positive_side="greater",
@@ -306,8 +303,8 @@ class TestType1Sweep:
             schedule=tuple(Fraction(s) for s in schedule),
             indices=("precision", "m_precision", "gmean2"),
             trials=trials,
-            seed=1729,
-        )
+            stream=(1729,),
+        ),))
 
     def test_precision_falls_with_ratio_while_gmean_holds(self):
         result = run_experiment(self.build_spec())
@@ -331,12 +328,11 @@ class TestType1Sweep:
 class TestType2Growth:
     def test_ova_value_grows_with_class_count_at_fixed_accuracy(self):
         hexagon = (5000, 1500, 4000, 500, 3500, 4500)
-        spec = Type2GrowthSpec(
-            experiment="t2",
+        spec = Experiment("t2", (GrowthSweep(
             steps=tuple(hexagon[:c] for c in (3, 4, 5, 6)),
             accuracy_sweep=(Fraction(3, 5),),
             indices=("auroc_ova", "acsa"),
-        )
+        ),))
         result = run_experiment(spec)
         mins = result.mins()
         ova = [mins[(str(c), "auroc_ova")] for c in (3, 4, 5, 6)]
@@ -348,17 +344,16 @@ class TestType2Growth:
     def test_min_summary_matches_a_rescan_per_key(self, accuracies):
         # at C = 3 only accuracy 1 gives integer counts, so without it every
         # C = 3 cell is an error row and the minimum is undefined
-        spec = Type2GrowthSpec(
-            experiment="t2",
+        spec = Experiment("t2", (GrowthSweep(
             steps=((10, 10, 11), (10, 20, 30, 40), (30, 10)),
             accuracy_sweep=tuple(Fraction(a) for a in accuracies),
             indices=("aurpc_ova", "acsa", "aurpc_ova"),  # an id twice gives two equal rows
-        )
+        ),))
         result = run_experiment(spec)
         expected = []
-        for profile in spec.steps:
+        for profile in spec.sweeps[0].steps:
             c = str(len(profile))
-            for index_id in spec.indices:
+            for index_id in spec.sweeps[0].indices:
                 values = [r.value for r in result.rows
                           if r.rrt_or_c == c and r.index == index_id and r.value is not None]
                 expected.append(("min", c, index_id, min(values, default=None),
@@ -409,7 +404,7 @@ class TestStability:
             schedule=(Fraction(1),),
             indices=("precision", "gmean2"),
         )
-        spec = RRTStabilitySpec(experiment="u", datasets=(dataset,), seed=0)
+        spec = Experiment("u", (dataset,))
         result = run_experiment(spec)
         statuses = {(r.index): r.status for r in result.rows}
         assert statuses["precision"] != "ok"
@@ -474,8 +469,28 @@ class TestSpecLoading:
                  "schedule": ["1"], "indices": ["gmean2"]},
             ],
         }
-        with pytest.raises(SpecError, match="unique"):
+        message = r"^spec\.datasets\[0\] and spec\.datasets\[1\] share the id 'd'$"
+        with pytest.raises(SpecError, match=message):
             load_spec(raw)
+
+    def test_repeated_id_names_both_positions_across_modes(self):
+        raw = point_raw()
+        raw["datasets"] += [matrix_raw(["1"])["datasets"][0], dict(raw["datasets"][0])]
+        message = r"^spec\.datasets\[0\] and spec\.datasets\[2\] share the id 'pts'$"
+        with pytest.raises(SpecError, match=message):
+            load_spec(raw)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("variances", [0.25, 0.0], "class 'left': variances must be positive"),
+        ("variances", [-1.0, 0.25], "class 'left': variances must be positive"),
+        ("sample_count", 0, "class 'left': sample_count must be >= 1"),
+    ])
+    def test_generator_rule_names_the_generator(self, field, value, message):
+        generators = [GENERATORS_RAW[0], dict(GENERATORS_RAW[1], **{field: value})]
+        with pytest.raises(SpecError, match=rf"^spec\.generators\[1\]: {message}$"):
+            load_spec(type1_raw(generators=generators))
+        with pytest.raises(SpecError, match=rf"^spec\.datasets\[0\]\.generators\[1\]: {message}$"):
+            load_spec(point_raw(generators=generators))
 
 
 GENERATORS_RAW = [
@@ -545,13 +560,15 @@ class TestPointSweepValidation:
             load_spec(point_raw(**{field: value}))
 
     def test_both_forms_parse_into_one_point_sweep(self):
-        type1 = load_spec(type1_raw(thresholds=[4, 5]))
-        (dataset,) = load_spec(point_raw()).datasets
-        assert type(dataset) is PointSweep and isinstance(type1, PointSweep)
-        shared = [f.name for f in dataclasses.fields(PointSweep) if f.name != "classifiers"]
+        (type1,) = load_spec(type1_raw(thresholds=[4, 5])).sweeps
+        (dataset,) = load_spec(point_raw()).sweeps
+        assert type(dataset) is PointSweep and type(type1) is PointSweep
+        shared = [f.name for f in dataclasses.fields(PointSweep)
+                  if f.name not in ("classifiers", "stream")]
         assert {n: getattr(type1, n) for n in shared} == {n: getattr(dataset, n) for n in shared}
         assert type1.classifiers == (("t=4", 4.0), ("t=5", 5.0))
         assert dataset.classifiers == (("pts", 4.0),)
+        assert (type1.stream, dataset.stream) == ((5,), (5, 0))
 
     def test_generators_sharing_a_label_are_stacked(self):
         generators = [*GENERATORS_RAW, dict(GENERATORS_RAW[1], mean=[2.0, 3.0])]
@@ -660,9 +677,9 @@ class TestSpecFieldTypes:
     def test_negative_seed(self, raw):
         with pytest.raises(SpecError, match=r"^spec\.seed: must be >= 0$"):
             load_spec({**raw, "seed": -1})
-        spec = load_spec({**raw, "seed": 0})
-        if not isinstance(spec, Type2GrowthSpec):  # a growth run draws nothing at random
-            assert spec.seed == 0
+        (sweep,) = load_spec({**raw, "seed": 0}).sweeps
+        if isinstance(sweep, PointSweep):  # growth and matrix runs draw nothing at random
+            assert sweep.stream[0] == 0
 
     @pytest.mark.parametrize(
         "value", ["abc", True, None, math.nan, -math.inf, 10**400],
@@ -680,11 +697,11 @@ class TestSpecFieldTypes:
                 load_spec(type1_raw(generators=generators))
 
     def test_numbers_accept_ints_and_floats(self):
-        spec = load_spec(type1_raw(thresholds=[3, 4.5]))
+        spec = load_spec(type1_raw(thresholds=[3, 4.5])).sweeps[0]
         assert spec.classifiers == (("t=3", 3.0), ("t=4.5", 4.5))
         assert [type(t) for _setting, t in spec.classifiers] == [float, float]
         assert spec.generators[0].mean == (7.5, 3.0)
-        (classifier,) = load_spec(point_raw(threshold=4)).datasets[0].classifiers
+        (classifier,) = load_spec(point_raw(threshold=4)).sweeps[0].classifiers
         assert classifier == ("pts", 4.0) and type(classifier[1]) is float
 
     def test_sample_count(self):
@@ -705,7 +722,7 @@ class TestSpecFieldTypes:
             load_spec(type2_raw(class_count=4))
         raw = type2_raw()
         del raw["steps"][0]["class_count"]
-        assert load_spec(raw).steps == ((10, 10, 10),)
+        assert load_spec(raw).sweeps[0].steps == ((10, 10, 10),)
 
     def test_type2_steps_with_one_class_count_rejected(self):
         # the class count keys a step's summary rows, so two steps at C = 3
@@ -746,7 +763,7 @@ class TestStaticSpecRules:
         with pytest.raises(SpecError, match=message):
             load_spec(dict(type2_raw(), accuracy_sweep=["3/5", value]))
         spec = load_spec(dict(type2_raw(), accuracy_sweep=["0", "1"]))
-        assert spec.accuracy_sweep == (0, 1)
+        assert spec.sweeps[0].accuracy_sweep == (0, 1)
 
     @pytest.mark.parametrize("profile", [[10, 0, 10], [10, 10, -3]])
     def test_profile_count_not_positive(self, profile):
@@ -802,13 +819,13 @@ class TestTwoClassRule:
         with pytest.raises(SpecError, match=message):
             load_spec(raw)
         raw["steps"] = [{"profile": [10, 10]}]
-        assert load_spec(raw).indices == ("acsa", "specificity")
+        assert load_spec(raw).sweeps[0].indices == ("acsa", "specificity")
 
     def test_specs_built_directly_fail_at_run_time(self):
         tri = ConfusionMatrix([[5, 1, 1], [1, 5, 1], [1, 1, 5]])
         dataset = MatrixStabilityDataset("tri", tri, ((14, 21, 7),), ("acsa", "precision"))
-        growth = Type2GrowthSpec("t2", ((10, 10, 10),), (Fraction(3, 5),), ("acsa", "recall"))
-        for spec in (RRTStabilitySpec("m", (dataset,), 0), growth):
+        growth = GrowthSweep(((10, 10, 10),), (Fraction(3, 5),), ("acsa", "recall"))
+        for spec in (Experiment("m", (dataset,)), Experiment("t2", (growth,))):
             with pytest.raises(DimensionMismatchError, match=f"^{self.MESSAGE}$"):
                 run_experiment(spec)
 
@@ -853,7 +870,7 @@ class TestResultFiles:
             "undef", ConfusionMatrix([[0, 5], [0, 5]]),
             (Fraction(1), Fraction(2)), ("precision", "gmean2"),
         )
-        result = run_experiment(RRTStabilitySpec("files", (dataset,), 0))
+        result = run_experiment(Experiment("files", (dataset,)))
         long_path, summary_path = result.write_csv(tmp_path)
         long_text = long_path.read_text()
         assert "experiment,trial,setting,rrt_or_c,index,value,status" in long_text
