@@ -29,7 +29,8 @@ id along a given family.  :func:`audit_all` composes the three.
 Determinism contract: every audit derives the randomness of trial ``t`` from
 ``(seed, t)`` alone, so trials are order-independent and a report is exactly
 reproducible from its recorded seed.  In condition 1, trial ``t``'s draws are
-the words of a PCG64 generator seeded from ``[seed, t]``, taken as Lemire
+the words of a PCG64 generator seeded from ``[seed, t]`` as numpy seeds it,
+computed from PCG64's published algorithm without numpy, and taken as Lemire
 bounded integers and Floyd samples (:class:`TrialStream`); up to C = 9,951
 they are the draws numpy's ``Generator`` would make from the same seed.  They
 depend only on ``(seed, t, C)`` and are shared by every index audited at
@@ -45,8 +46,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .confusion import (
     ConfusionMatrix,
@@ -115,21 +114,22 @@ class BoundCrossedError(MatrixError):
 class TrialStream:
     """One trial's random draws, computed straight from its PCG64 words.
 
-    ``TrialStream(seed)`` seeds ``np.random.PCG64(seed)`` as
-    ``np.random.default_rng(seed)`` does and hands out each 64-bit word as two
-    32-bit halves, low half first, as numpy's ``next_uint32`` does.
-    :meth:`integers` turns those halves into bounded integers by Lemire's
-    method with 32-bit rejection (Lemire 2019), so it returns what
-    ``Generator.integers`` returns for the same bounds and consumes the same
-    halves.  The stream then rests only on PCG64's words, which numpy's
-    compatibility policy (NEP 19) keeps stable; ``Generator`` methods are not
-    covered by that policy.
+    ``TrialStream(seed)`` computes, without numpy, the words of the generator
+    ``np.random.default_rng(seed)`` builds, ``PCG64(seed)``, from the
+    published algorithms (:func:`_pcg64_seeded`, :func:`_pcg64_halves`), and
+    hands out each 64-bit word as two 32-bit halves, low half first, as
+    numpy's ``next_uint32`` does.  :meth:`integers` turns those halves into
+    bounded integers by Lemire's method with 32-bit rejection (Lemire 2019),
+    so it returns what ``Generator.integers`` returns for the same bounds and
+    consumes the same halves.  The stream then rests only on PCG64's words,
+    which numpy's compatibility policy (NEP 19) keeps stable; ``Generator``
+    methods are not covered by that policy.
     """
 
     __slots__ = ("_next",)
 
     def __init__(self, seed: int | Sequence[int]) -> None:
-        self._next = _halves(np.random.PCG64(seed)).__next__
+        self._next = _pcg64_halves(*_pcg64_seeded(seed)).__next__
 
     def integers(self, low: int, high: int | None = None) -> int:
         """Uniform integer in ``[low, high)``, or in ``[0, low)`` when ``high`` is None.
@@ -151,12 +151,94 @@ class TrialStream:
         return low + (m >> 32)
 
 
-def _halves(bits: np.random.PCG64) -> Iterator[int]:
-    """The 32-bit halves of ``bits``'s words, low half first, read 16 words at a time."""
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_keys(constant: int, multiplier: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The ``(xor, multiply)`` keys of a SeedSequence hash's first ``count`` calls.
+
+    Each call xors its value with the running constant, advances the constant
+    by ``multiplier`` and multiplies by the new one; the keys depend on nothing
+    else, so they are computed once.
+    """
+    constants = [constant]
+    for _ in range(count):
+        constants.append(constants[-1] * multiplier & _MASK32)
+    return tuple(zip(constants, constants[1:]))
+
+
+def _hash(value: int, keys: tuple[int, int]) -> int:
+    """SeedSequence's hash of the 32-bit ``value`` under one call's keys."""
+    value = (value ^ keys[0]) * keys[1] & _MASK32
+    return value ^ value >> 16
+
+
+@lru_cache(maxsize=16)
+def _mix_plan(entropy_words: int) -> tuple[tuple, tuple]:
+    """How SeedSequence mixes ``entropy_words`` words into its 4-word pool.
+
+    First the keys that hash the first four words (zeros past the entropy)
+    into the pool; then one ``(source, target, keys)`` step per mix, which
+    hashes word ``source`` under ``keys`` and mixes it into pool word
+    ``target``.  Sources 0 to 3 are the pool words, each mixed into every
+    other; sources from 4 on are the entropy words past the fourth, each
+    mixed into every pool word.
+    """
+    order = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    order += [(src, dst) for src in range(4, entropy_words) for dst in range(4)]
+    keys = _hash_keys(0x43B0D7E5, 0x931E8875, 4 + len(order))
+    return keys[:4], tuple((*step, k) for step, k in zip(order, keys[4:]))
+
+
+_STATE_KEYS = _hash_keys(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _pcg64_seeded(seed: int | Sequence[int]) -> tuple[int, int]:
+    """The 128-bit state and increment of numpy's ``PCG64(seed)`` once seeded.
+
+    Seeding follows numpy's ``SeedSequence``: each integer of ``seed`` becomes
+    its 32-bit words, least significant first and at least one (a negative one
+    raises ``ValueError``, as in numpy), and the words are mixed into a 4-word
+    pool (:func:`_mix_plan`).  ``generate_state(4, uint64)`` hashes the pool,
+    cycled twice, into PCG64's initial state and stream, which ``srandom``
+    enters (O'Neill 2014).
+    """
+    entropy = []
+    for n in [seed] if isinstance(seed, int) else seed:
+        if n < 0:
+            raise ValueError(f"seed integers must be non-negative, got {n}")
+        entropy.append(n & _MASK32)
+        while n := n >> 32:
+            entropy.append(n & _MASK32)
+    first, steps = _mix_plan(len(entropy))
+    words = [_hash(w, k) for w, k in zip(entropy[:4] + [0] * (4 - len(entropy)), first)]
+    words += entropy[4:]
+    for src, dst, keys in steps:
+        mixed = (0xCA01F9DD * words[dst] - 0x4973F715 * _hash(words[src], keys)) & _MASK32
+        words[dst] = mixed ^ mixed >> 16
+    h = [_hash(w, k) for w, k in zip(words[:4] * 2, _STATE_KEYS)]
+    start = (h[0] | h[1] << 32) << 64 | h[2] | h[3] << 32
+    inc = ((h[4] | h[5] << 32) << 65 | (h[6] | h[7] << 32) << 1 | 1) & _MASK128
+    return ((inc + start) * _PCG64_MULTIPLIER + inc) & _MASK128, inc
+
+
+def _pcg64_halves(state: int, inc: int) -> Iterator[int]:
+    """The 32-bit halves of the PCG64 words that follow ``state``, low half first.
+
+    Each word is PCG64's XSL-RR output: after a step of the 128-bit LCG, the
+    xor of the state's two 64-bit halves, rotated right by the state's top
+    six bits.
+    """
+    multiplier, mask128, mask32 = _PCG64_MULTIPLIER, _MASK128, _MASK32  # locals: read per word
     while True:
-        for word in bits.random_raw(16).tolist():
-            yield word & 0xFFFFFFFF
-            yield word >> 32
+        state = (state * multiplier + inc) & mask128
+        # the halves' xor fills bits 0-63 and again 64-127, so the bits from the
+        # rotation on are the word rotated; the halves never read past bit 63
+        word = (state ^ state >> 64 ^ state << 64) >> (state >> 122)
+        yield word & mask32
+        yield word >> 32 & mask32
 
 
 def uniform_composition(rng: TrialStream, total: int, bins: int) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 # OpenBLAS reads this once, as numpy loads, and nothing here calls BLAS: one thread
-# spares start-up the worker pool.  It must precede the first numpy import (audit).
+# spares start-up the worker pool.  It must precede the first numpy import (lab).
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import audit as audit_mod

@@ -271,6 +271,14 @@ class Experiment:
     sweeps: tuple[PointSweep | MatrixStabilityDataset | GrowthSweep, ...]
 
 
+def _known(obj: dict, where: str, *fields: str) -> None:
+    """Reject a key of ``obj`` that is not among ``fields``, naming its path: a
+    misspelt optional field would otherwise fall back to its default unseen."""
+    for key in obj:
+        if key not in fields:
+            raise SpecError(f"{where}.{key}: unknown field")
+
+
 def _need(obj: dict, key: str, where: str):
     if key not in obj:
         raise SpecError(f"{where}.{key}: missing required field")
@@ -327,6 +335,7 @@ def _generators(obj: dict, where: str) -> tuple[GaussianClassSpec, ...]:
     out = []
     for g_idx, g in enumerate(_list(obj, "generators", where, dict)):
         spot = f"{where}.generators[{g_idx}]"
+        _known(g, spot, "label", "mean", "variances", "sample_count")
         args = (
             str(_need(g, "label", spot)), _pair(g, "mean", spot), _pair(g, "variances", spot),
             _int(_need(g, "sample_count", spot), f"{spot}.sample_count"),
@@ -367,6 +376,12 @@ def _matrix_schedule_rule(field: str, entry, class_count: int) -> None:
         raise SpecError(f"{field}: ratio {entry} needs a 2-class matrix, got {class_count} classes")
     if min(entry if isinstance(entry, tuple) else (entry,)) <= 0:
         raise SpecError(f"{field}: entries must be positive")
+
+
+# the fields a ``type1_sweep`` and a point dataset share, besides their schedule
+_POINT_SWEEP_FIELDS = (
+    "generators", "positive_label", "positive_side", "majority_label", "trials", "indices",
+)
 
 
 def _point_sweep(raw: dict, where: str, schedule_field: str) -> dict:
@@ -418,7 +433,9 @@ def load_spec(source) -> Experiment:
     if seed < 0:
         raise SpecError("spec.seed: must be >= 0")
 
+    top_level = ("kind", "experiment", "seed")
     if kind == "type1_sweep":
+        _known(raw, "spec", *top_level, "rrt_schedule", "thresholds", *_POINT_SWEEP_FIELDS)
         sweep = _point_sweep(raw, "spec", "rrt_schedule")
         thresholds = tuple(_number(t, "spec.thresholds") for t in _list(raw, "thresholds", "spec"))
         if not thresholds:
@@ -436,11 +453,13 @@ def load_spec(source) -> Experiment:
                              stream=(seed,), **sweep)]
 
     elif kind == "type2_growth":
+        _known(raw, "spec", *top_level, "steps", "accuracy_sweep", "indices")
         # the class count keys a step's rows, so two steps may not share one
         steps = []
         first_step: dict[int, str] = {}
         for s_idx, s in enumerate(_list(raw, "steps", "spec", dict)):
             spot = f"spec.steps[{s_idx}]"
+            _known(s, spot, "class_count", "profile")
             profile = tuple(_int(v, f"{spot}.profile") for v in _list(s, "profile", spot))
             class_count = _int(s.get("class_count", len(profile)), f"{spot}.class_count")
             if class_count != len(profile):
@@ -469,6 +488,7 @@ def load_spec(source) -> Experiment:
         sweeps = [GrowthSweep(tuple(steps), accuracies, indices)]
 
     elif kind == "rrt_stability":
+        _known(raw, "spec", *top_level, "datasets")
         # the id names a dataset's setting, so two datasets may not share one
         sweeps, first_id = [], {}
         for d_idx, d in enumerate(_list(raw, "datasets", "spec", dict)):
@@ -480,6 +500,7 @@ def load_spec(source) -> Experiment:
             first_id[dataset_id] = spot
             indices = _index_list(d, spot)
             if mode == "matrix":
+                _known(d, spot, "id", "mode", "indices", "matrix", "schedule")
                 rows = tuple(tuple(r) for r in _list(d, "matrix", spot, list))
                 try:
                     matrix = ConfusionMatrix(rows)
@@ -498,6 +519,7 @@ def load_spec(source) -> Experiment:
                     _matrix_schedule_rule(field, entry, matrix.class_count)
                 sweeps.append(MatrixStabilityDataset(dataset_id, matrix, schedule, indices))
             elif mode == "point":
+                _known(d, spot, "id", "mode", "threshold", "schedule", *_POINT_SWEEP_FIELDS)
                 threshold = _number(_need(d, "threshold", spot), f"{spot}.threshold")
                 sweeps.append(PointSweep(classifiers=((dataset_id, threshold),), indices=indices,
                                          stream=(seed, d_idx), **_point_sweep(d, spot, "schedule")))

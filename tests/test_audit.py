@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -176,6 +177,23 @@ class TestTrialStream:
                 assert m == _numpy_sample_matrix(rng, class_count)
                 assert sample_scaling(stream, m) == _numpy_sample_scaling(rng, m)
             self.assert_aligned(stream, rng)
+
+    # the last three hold more than four 32-bit words, past SeedSequence's pool
+    @pytest.mark.parametrize("seed", [
+        0, [0, 0], *([1729, t] for t in (0, 1, 499)), 2**64, 2**130,
+        [2**200 + 3, 2**33, 9], [5, 6, 7, 8, 9],
+    ])
+    def test_words_match_numpy_pcg64(self, seed):
+        halves = list(itertools.islice(audit._pcg64_halves(*audit._pcg64_seeded(seed)), 80))
+        words = [low | high << 32 for low, high in zip(halves[::2], halves[1::2])]
+        assert words == np.random.PCG64(seed).random_raw(40).tolist()
+
+    @pytest.mark.parametrize("seed", [-1, [1729, -1]])
+    def test_negative_seed_rejected_as_numpy_does(self, seed):
+        with pytest.raises(ValueError):
+            np.random.PCG64(seed)
+        with pytest.raises(ValueError, match="non-negative"):
+            TrialStream(seed)
 
     @pytest.mark.parametrize("args", [(0,), (5, 5), (5, 4), (2**32 + 1,), (-1, 2**32)])
     def test_integers_rejects_an_empty_or_too_wide_range(self, args):

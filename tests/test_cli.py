@@ -373,6 +373,17 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_misspelt_field_is_input_error(self, tmp_path, capsys):
+        # "trails" would otherwise leave trials at its default of 1
+        raw = json.loads((SPEC_DIR / "example1_type1.json").read_text())
+        raw["trails"] = raw.pop("trials")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw))
+        code = main(["simulate", str(spec_path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: spec.trails: unknown field\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_invalid_matrix_names_its_field(self, tmp_path, capsys):
         raw = json.loads((SPEC_DIR / "rrt_stability_matrix.json").read_text())
         raw["datasets"][0]["matrix"] = [[0, 0], [1, 1]]
@@ -509,6 +520,22 @@ class TestStartup:
             "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))"
         )
         assert _fresh_interpreter(code) == ["False", "unset"]
+
+    def test_audit_import_loads_no_numpy(self):
+        assert _fresh_interpreter("import sys, imbindex.audit; print('numpy' in sys.modules)") == [
+            "False"
+        ]
+
+    def test_paper_audit_never_loads_numpy_random(self):
+        # condition 1 computes PCG64's words itself; numpy is loaded only for the lab
+        code = (
+            "import contextlib, io, sys\n"
+            "from imbindex import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['audit', '--all', '--check-paper'])\n"
+            "print(code, 'numpy.random' in sys.modules)"
+        )
+        assert _fresh_interpreter(code) == ["0", "False"]
 
     def test_cli_import_runs_one_thread(self):
         value, threads = _fresh_interpreter(_THREADS)

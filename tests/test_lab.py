@@ -448,6 +448,27 @@ class TestSpecLoading:
                        "majority_label": "b", "thresholds": [1], "rrt_schedule": ["1"],
                        "indices": ["gmean2"]})
 
+    @pytest.mark.parametrize("name, path, field", [
+        ("example1_type1", (), "trails"),
+        ("example1_type1", ("generators", 1), "sample_size"),
+        ("example1_type2", (), "trials"),
+        ("example1_type2", ("steps", 2), "classes"),
+        ("rrt_stability_matrix", (), "seeds"),
+        ("rrt_stability_matrix", ("datasets", 1), "threshold"),
+        ("rrt_stability_point", ("datasets", 0), "matrix"),
+        ("rrt_stability_point", ("datasets", 0, "generators", 0), "labels"),
+    ], ids=["type1", "generator", "type2", "step", "rrt", "matrix-dataset", "point-dataset",
+            "dataset-generator"])
+    def test_unknown_field_names_its_path(self, name, path, field):
+        raw = json.loads((SPEC_DIR / f"{name}.json").read_text())
+        obj = raw
+        for step in path:
+            obj = obj[step]
+        obj[field] = 1
+        where = "spec" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        with pytest.raises(SpecError, match=rf"^{re.escape(where)}\.{field}: unknown field$"):
+            load_spec(raw)
+
     def test_unknown_kind(self):
         with pytest.raises(SpecError, match="spec.kind"):
             load_spec({"kind": "nope", "experiment": "x"})
