@@ -21,10 +21,11 @@ certificates are tested against.
 Condition 3 (single-class collapse): when one class's accuracy is driven to
 zero along a collapse family, the index limit must stay strictly above the
 index's global lower bound, otherwise the index forgets every other class.
+Audited along one built-in family per class count: class 0's accuracy is
+epsilon = 1/C, then 1/100 and 1/10^4 where they lie below 1/C.
 
-The condition-1 and condition-2 audits take a list of index ids and return
-one result per distinct id, in first-appearance order; condition 3 audits one
-id along a given family.  :func:`audit_all` composes the three.
+Each condition's audit takes a list of index ids and returns one result per
+distinct id, in first-appearance order.  :func:`audit_all` composes the three.
 
 Determinism contract: every audit derives the randomness of trial ``t`` from
 ``(seed, t)`` alone, so trials are order-independent and a report is exactly
@@ -52,7 +53,6 @@ from .confusion import (
     MatrixError,
     apply_scaling,
     even_error_matrix,
-    to_fraction,
 )
 from .io import to_json
 from .registry import (
@@ -689,68 +689,31 @@ def audit_condition2_many(
 # condition 3
 
 
-@dataclass(frozen=True)
-class CollapseFamily:
-    """Matrices where one class's accuracy is ``eps`` and all others ``1 - eps``.
+def _collapse_family(class_count: int) -> tuple[tuple[Fraction, ...], tuple[ConfusionMatrix, ...]]:
+    """The epsilons and matrices of the collapse family at ``class_count``.
 
-    Off-diagonal mass in each row is split evenly over the other classes, with
-    the integer remainder assigned to the lowest-indexed other class.
+    Class 0's accuracy is epsilon and every other class's is ``1 - epsilon``,
+    for epsilon 1/C and then whichever of 1/100 and 1/10^4 lie below 1/C, so
+    the schedule strictly decreases at every C.  Every row sums to C * 10^4,
+    which keeps every count integral; each row's errors are split evenly over
+    the other classes, the remainder going to the lowest-indexed one.
     """
-
-    class_count: int
-    collapsed_class: int
-    epsilons: tuple[Fraction, ...]
-    matrices: tuple[ConfusionMatrix, ...]
-
-
-def build_collapse_family(
-    class_count: int,
-    collapsed_class: int,
-    epsilons: Sequence,
-    row_sums: Sequence[int],
-) -> CollapseFamily:
-    """Construct the collapse family for a decreasing epsilon schedule.
-
-    Every ``eps * row_sum`` and ``(1 - eps) * row_sum`` must be an integer;
-    choose row sums as multiples of the epsilon denominators.  The schedule
-    must strictly decrease and start at or below ``1 / class_count``.
-    """
-    if class_count < 2:
-        raise MatrixError("class_count must be at least 2")
-    if not 0 <= collapsed_class < class_count:
-        raise MatrixError(f"collapsed_class {collapsed_class} out of range")
-    eps = tuple(to_fraction(e) for e in epsilons)
-    if not eps:
-        raise MatrixError("epsilon schedule is empty")
-    if any(e <= 0 for e in eps):
-        raise MatrixError("epsilons must be positive")
-    if eps[0] > Fraction(1, class_count):
-        raise MatrixError(
-            f"first epsilon {eps[0]} exceeds 1/{class_count}, the collapse entry point"
-        )
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise MatrixError("epsilon schedule must strictly decrease")
-    sums = tuple(int(s) for s in row_sums)
-    if len(sums) != class_count or any(s <= 0 for s in sums):
-        raise MatrixError(f"row sums {sums} invalid for {class_count} classes")
-
-    matrices = tuple(
-        even_error_matrix(
-            [e if r == collapsed_class else 1 - e for r in range(class_count)], sums
-        )
-        for e in eps
+    first = Fraction(1, class_count)
+    epsilons = (first, *(e for e in (Fraction(1, 100), Fraction(1, 10_000)) if e < first))
+    row_sums = (class_count * 10_000,) * class_count
+    return epsilons, tuple(
+        even_error_matrix([e] + [1 - e] * (class_count - 1), row_sums) for e in epsilons
     )
-    return CollapseFamily(class_count, collapsed_class, eps, matrices)
 
 
 @dataclass(frozen=True)
 class Condition3Result:
-    """The verdict along a collapse family and the float values it rests on.
+    """The verdict along the collapse family and the float values it rests on.
 
     ``empirical_limit`` is the float value at the family's last member, the
-    one with the smallest epsilon, not the limit itself: the default family
-    is not split evenly at epsilon 1/10^4, so ``m_aurpc_ova`` reads 0.62696
-    there at C = 3 against the even-split limit 23/36.
+    one with the smallest epsilon, not the limit itself: the family is not
+    split evenly at epsilon 1/10^4, so ``m_aurpc_ova`` reads 0.62696 there at
+    C = 3 against the even-split limit 23/36.  ``collapsed_class`` is always 0.
     """
 
     verdict: str
@@ -768,57 +731,60 @@ class Condition3Result:
         return cls(VERDICT_NOT_APPLICABLE, 0, 0, (), (), None, None, None, None)
 
 
-def default_collapse_family(class_count: int, collapsed_class: int = 0) -> CollapseFamily:
-    """Family with epsilons 1/C, 1/100, 1/10000; row sums C*10^4 keep all integral."""
-    eps = (Fraction(1, class_count), Fraction(1, 100), Fraction(1, 10000))
-    return build_collapse_family(
-        class_count, collapsed_class, eps, (class_count * 10_000,) * class_count
-    )
+def audit_condition3(
+    index_ids: Sequence[str], class_count: int = DEFAULT_CLASS_COUNT
+) -> dict[str, Condition3Result]:
+    """Decide, for each distinct index in first-appearance order, whether its
+    limit along the collapse family at ``class_count`` stays above its floor.
 
-
-def audit_condition3(index_id: str, family: CollapseFamily) -> Condition3Result:
-    """Decide whether an index's limit along a collapse family stays above its floor.
-
-    The verdict is exact.  An index with a closed-form collapse limit
-    collapses when that limit equals its lower bound.  An index with a strict
-    collapse floor is informative once the exact oracle puts every family
-    member above that floor; a member at or below it, or a floor below the
-    lower bound, raises :class:`BoundCrossedError`.  An index with neither
-    fact, every two-class index among them, is NotApplicable.  The float
-    series along the family is recorded as the empirical evidence.
+    The family is built once per call.  The verdict is exact.  An index with
+    a closed-form collapse limit collapses when that limit equals its lower
+    bound.  An index with a strict collapse floor is informative once the
+    exact oracle puts every family member above that floor; a member at or
+    below it, or a floor below the lower bound, raises
+    :class:`BoundCrossedError`.  An index with neither fact, every two-class
+    index among them, is NotApplicable.  The float series along the family
+    is recorded as the empirical evidence.
     """
-    spec = get_index(index_id)
-    if spec.collapse_limit is None and spec.collapse_floor is None:
-        return Condition3Result.not_applicable()
-    c = family.class_count
-    lo, _hi = bounds_exact(index_id, c, profile=family.matrices[0].row_sums)
-    values = tuple(evaluate(index_id, m).require() for m in family.matrices)
-    limit = spec.collapse_limit(c) if spec.collapse_limit else None
-    floor = spec.collapse_floor(c) if spec.collapse_floor else None
-    if floor is not None:
-        if floor < lo:
-            raise BoundCrossedError(
-                f"{index_id} at C={c}: collapse floor {floor} lies below the lower bound {lo}"
-            )
-        for eps, m in zip(family.epsilons, family.matrices):
-            found = exact(index_id, m)
-            if found is None or found.key <= floor:
-                value = "undefined" if found is None else found.key
+    if class_count < 2:
+        raise MatrixError("class_count must be at least 2")
+    specs = {i: get_index(i) for i in index_ids}
+    c = class_count
+    epsilons, family = _collapse_family(c)
+    results = {}
+    for index_id, spec in specs.items():
+        if spec.collapse_limit is None and spec.collapse_floor is None:
+            results[index_id] = Condition3Result.not_applicable()
+            continue
+        lo, _hi = bounds_exact(index_id, c, profile=family[0].row_sums)
+        values = tuple(evaluate(index_id, m).require() for m in family)
+        limit = spec.collapse_limit(c) if spec.collapse_limit else None
+        floor = spec.collapse_floor(c) if spec.collapse_floor else None
+        if floor is not None:
+            if floor < lo:
                 raise BoundCrossedError(
-                    f"{index_id} at C={c}, epsilon {eps}: exact value {value} "
-                    f"is not above the collapse floor {floor}"
+                    f"{index_id} at C={c}: collapse floor {floor} lies below the lower bound {lo}"
                 )
-    return Condition3Result(
-        verdict=VERDICT_COLLAPSES if limit == lo else VERDICT_INFORMATIVE,
-        class_count=c,
-        collapsed_class=family.collapsed_class,
-        epsilons=family.epsilons,
-        values=values,
-        empirical_limit=values[-1],
-        theoretical_limit=None if limit is None else float(limit),
-        lower_bound=float(lo),
-        strict_floor=None if floor is None else float(floor),
-    )
+            for eps, m in zip(epsilons, family):
+                found = exact(index_id, m)
+                if found is None or found.key <= floor:
+                    value = "undefined" if found is None else found.key
+                    raise BoundCrossedError(
+                        f"{index_id} at C={c}, epsilon {eps}: exact value {value} "
+                        f"is not above the collapse floor {floor}"
+                    )
+        results[index_id] = Condition3Result(
+            verdict=VERDICT_COLLAPSES if limit == lo else VERDICT_INFORMATIVE,
+            class_count=c,
+            collapsed_class=0,
+            epsilons=epsilons,
+            values=values,
+            empirical_limit=values[-1],
+            theoretical_limit=None if limit is None else float(limit),
+            lower_bound=float(lo),
+            strict_floor=None if floor is None else float(floor),
+        )
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +819,7 @@ def audit_all(
     """Run the requested condition audits for each distinct index (default: every audited index).
 
     ``class_count`` is the class count of condition 1 for the multi-class
-    indices and of the one default collapse family condition 3 runs along.
+    indices and of the collapse family condition 3 runs along.
     """
     conditions = set(conditions)
     if not conditions:
@@ -863,15 +829,10 @@ def audit_all(
     if class_count < 2:
         raise MatrixError("class_count must be at least 2")
     ids = tuple(dict.fromkeys(EXPECTED_VERDICTS if index_ids is None else index_ids))
-    family = default_collapse_family(class_count) if 3 in conditions else None
+    cond3 = audit_condition3(ids, class_count) if 3 in conditions else {}
     cond2 = audit_condition2_many(ids, c_range) if 2 in conditions else {}
     cond1 = audit_condition1(ids, trials, seed, class_count) if 1 in conditions else {}
-    return [
-        AuditReport(
-            i, seed, cond1.get(i), cond2.get(i), audit_condition3(i, family) if family else None
-        )
-        for i in ids
-    ]
+    return [AuditReport(i, seed, cond1.get(i), cond2.get(i), cond3.get(i)) for i in ids]
 
 
 def conformance_mismatches(reports: Sequence[AuditReport]) -> list[str]:

@@ -14,7 +14,6 @@ from imbindex import bounds_exact, evaluate, exact
 from imbindex.audit import (
     TrialStream,
     audit_condition3,
-    build_collapse_family,
     enumerate_extremal,
     sample_matrix,
 )
@@ -86,20 +85,21 @@ def test_enumeration_oracle_matches_closed_form():
 def test_collapse_limits():
     for c in (3, 10):
         eps = (Fraction(1, c), Fraction(1, 100), Fraction(1, 10_000))
-        family = build_collapse_family(c, 0, eps, (c * 10_000,) * c)
+        results = audit_condition3(["gmean_c", "acsa", "m_aurpc_ova"], c)
 
-        gmean = audit_condition3("gmean_c", family)
+        gmean = results["gmean_c"]
         assert gmean.verdict == "Collapses"
         slack = 10 ** (-4 / c)
         assert 0.0 <= gmean.values[-1] <= slack
 
-        mean_acc = audit_condition3("acsa", family)
+        mean_acc = results["acsa"]
+        assert mean_acc.epsilons == eps
         assert mean_acc.verdict == "Informative"
         for e, value in zip(eps, mean_acc.values):
             closed = (c - 1) / c + float(e) * (2 - c) / c
             assert abs(value - closed) <= 1e-9
 
-        corrected = audit_condition3("m_aurpc_ova", family)
+        corrected = results["m_aurpc_ova"]
         assert corrected.verdict == "Informative"
         floor = 3 * (c - 1) / (4 * c)
         assert all(v > floor for v in corrected.values)

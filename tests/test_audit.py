@@ -1,4 +1,4 @@
-"""Condition audits: sampling, verdicts, enumeration oracle, collapse families."""
+"""Condition audits: sampling, verdicts, enumeration oracle, the collapse family."""
 
 import dataclasses
 import hashlib
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from imbindex import MatrixError, apply_scaling, evaluate, exact
+from imbindex import MatrixError, UnknownIndexError, apply_scaling, evaluate, exact
 from imbindex import audit
 from imbindex.audit import (
     BoundCrossedError,
@@ -31,10 +31,8 @@ from imbindex.audit import (
     audit_condition1,
     audit_condition2_many,
     audit_condition3,
-    build_collapse_family,
     certify_extremal,
     conformance_mismatches,
-    default_collapse_family,
     enumerate_extremal,
     enumeration_size,
     iter_matrices,
@@ -43,7 +41,7 @@ from imbindex.audit import (
     sample_scaling,
     uniform_composition,
 )
-from imbindex.confusion import ConfusionMatrix, IntegralityError
+from imbindex.confusion import ConfusionMatrix
 from imbindex.io import to_json
 from imbindex.registry import (
     INDEX_SPECS,
@@ -508,42 +506,35 @@ class TestBatchedScanParity:
 
 class TestCollapseFamily:
     def test_reference_construction(self):
-        fam = build_collapse_family(
-            3, 0, (Fraction(1, 3), Fraction(1, 10), Fraction(1, 100)), (300, 300, 300)
-        )
-        diagonals = [m.counts[0][0] for m in fam.matrices]
-        assert diagonals == [100, 30, 3]
-        for m, eps in zip(fam.matrices, fam.epsilons):
-            assert m.row_sums == (300, 300, 300)
-            assert Fraction(m.counts[1][1], 300) == 1 - eps
-
-    def test_two_class_family_valid(self):
-        fam = build_collapse_family(2, 1, (Fraction(1, 2), Fraction(1, 10)), (10, 10))
-        assert fam.matrices[0].counts[1][1] == 5
-
-    def test_integrality_failure(self):
-        with pytest.raises(IntegralityError):
-            build_collapse_family(3, 0, (Fraction(1, 7),), (10, 10, 10))
-
-    def test_schedule_must_decrease(self):
-        with pytest.raises(MatrixError):
-            build_collapse_family(3, 0, (Fraction(1, 10), Fraction(1, 10)), (100,) * 3)
-
-    def test_entry_point_capped_at_one_over_c(self):
-        with pytest.raises(MatrixError):
-            build_collapse_family(4, 0, (Fraction(1, 2),), (4, 4, 4, 4))
+        epsilons, matrices = audit._collapse_family(3)
+        assert epsilons == (Fraction(1, 3), Fraction(1, 100), Fraction(1, 10000))
+        assert [m.counts[0][0] for m in matrices] == [10_000, 300, 3]
+        for m, eps in zip(matrices, epsilons):
+            assert m.row_sums == (30_000, 30_000, 30_000)
+            assert Fraction(m.counts[1][1], 30_000) == 1 - eps
 
     def test_remainder_goes_to_lowest_other_class(self):
-        fam = build_collapse_family(3, 0, (Fraction(1, 10000),), (30000,) * 3)
-        row = fam.matrices[0].counts[0]
+        _epsilons, matrices = audit._collapse_family(3)
         # 29997 off-diagonal points split as 14999 + 14998
-        assert row == (3, 14999, 14998)
+        assert matrices[-1].counts[0] == (3, 14999, 14998)
+
+    def test_two_class_family_starts_balanced(self):
+        epsilons, matrices = audit._collapse_family(2)
+        assert epsilons[0] == Fraction(1, 2)
+        assert matrices[0].to_lists() == [[10_000, 10_000], [10_000, 10_000]]
+
+    @pytest.mark.parametrize("c", [2, 3, 10, 99, 100, 101, 150])
+    def test_schedule_starts_at_one_over_c_and_decreases(self, c):
+        epsilons, matrices = audit._collapse_family(c)
+        assert epsilons[0] == Fraction(1, c)
+        assert all(b < a for a, b in zip(epsilons, epsilons[1:]))
+        assert len(matrices) == len(epsilons)
 
 
 class TestCondition3:
     def test_gmean_collapses_to_floor(self):
         for c in (3, 10):
-            result = audit_condition3("gmean_c", default_collapse_family(c))
+            result = audit_condition3(["gmean_c"], c)["gmean_c"]
             assert result.verdict == VERDICT_COLLAPSES
             assert result.theoretical_limit == 0.0
             values = list(result.values)
@@ -552,7 +543,7 @@ class TestCondition3:
 
     def test_acsa_informative_with_exact_series(self):
         for c in (3, 10):
-            result = audit_condition3("acsa", default_collapse_family(c))
+            result = audit_condition3(["acsa"], c)["acsa"]
             assert result.verdict == VERDICT_INFORMATIVE
             assert result.theoretical_limit == pytest.approx((c - 1) / c, abs=1e-12)
             for eps, value in zip(result.epsilons, result.values):
@@ -561,7 +552,7 @@ class TestCondition3:
 
     def test_m_aurpc_ova_stays_above_strict_floor(self):
         for c in (3, 10):
-            result = audit_condition3("m_aurpc_ova", default_collapse_family(c))
+            result = audit_condition3(["m_aurpc_ova"], c)["m_aurpc_ova"]
             assert result.verdict == VERDICT_INFORMATIVE
             floor = 3 * (c - 1) / (4 * c)
             assert result.strict_floor == pytest.approx(floor, abs=1e-12)
@@ -569,7 +560,7 @@ class TestCondition3:
 
     def test_index_without_limit_or_floor_not_applicable(self):
         for index_id, c in (("auroc_ova", 3), ("precision", 2)):
-            result = audit_condition3(index_id, default_collapse_family(c))
+            result = audit_condition3([index_id], c)[index_id]
             assert result == Condition3Result.not_applicable()
 
     def test_limit_is_compared_exactly(self, monkeypatch):
@@ -578,7 +569,7 @@ class TestCondition3:
             INDEX_SPECS["acsa"], collapse_limit=lambda c: Fraction(1, 10**12)
         )
         monkeypatch.setitem(INDEX_SPECS, "acsa", spec)
-        result = audit_condition3("acsa", default_collapse_family(3))
+        result = audit_condition3(["acsa"], 3)["acsa"]
         assert result.verdict == VERDICT_INFORMATIVE
 
     def test_family_value_at_or_below_the_floor_raises(self, monkeypatch):
@@ -589,7 +580,7 @@ class TestCondition3:
             match=r"m_aurpc_ova at C=3, epsilon 1/3: exact value \d+/\d+ "
             r"is not above the collapse floor 1",
         ):
-            audit_condition3("m_aurpc_ova", default_collapse_family(3))
+            audit_condition3(["m_aurpc_ova"], 3)
 
     def test_floor_below_the_lower_bound_raises(self, monkeypatch):
         spec = dataclasses.replace(
@@ -600,7 +591,64 @@ class TestCondition3:
             BoundCrossedError,
             match=r"m_aurpc_ova at C=3: collapse floor -1/10 lies below the lower bound 0",
         ):
-            audit_condition3("m_aurpc_ova", default_collapse_family(3))
+            audit_condition3(["m_aurpc_ova"], 3)
+
+
+    def test_each_distinct_id_once_in_order(self, monkeypatch):
+        built = []
+        real = audit._collapse_family
+
+        def recording(class_count):
+            built.append(class_count)
+            return real(class_count)
+
+        monkeypatch.setattr(audit, "_collapse_family", recording)
+        results = audit_condition3(["m_aurpc_ova", "precision", "gmean_c", "m_aurpc_ova"])
+        assert built == [3]
+        assert list(results) == ["m_aurpc_ova", "precision", "gmean_c"]
+        assert results == audit_condition3(["m_aurpc_ova", "precision", "gmean_c"])
+        for index_id, result in results.items():
+            assert audit_condition3([index_id]) == {index_id: result}
+
+    def test_repeated_id_audited_once(self, monkeypatch):
+        calls = []
+        real = audit.evaluate
+
+        def recording(index_id, m):
+            calls.append(index_id)
+            return real(index_id, m)
+
+        monkeypatch.setattr(audit, "evaluate", recording)
+        assert list(audit_condition3(["acsa", "acsa"])) == ["acsa"]
+        assert calls == ["acsa"] * 3
+
+    def test_unknown_id_raises(self):
+        with pytest.raises(UnknownIndexError, match="^unknown index 'nope'"):
+            audit_condition3(["acsa", "nope"])
+
+    def test_class_count_below_two_rejected(self):
+        with pytest.raises(MatrixError, match="class_count must be at least 2"):
+            audit_condition3(["acsa"], class_count=1)
+
+    def test_hundred_classes_drop_the_epsilons_not_below_one_over_c(self):
+        results = audit_condition3(list(EXPECTED_VERDICTS), 100)
+        for index_id, result in results.items():
+            assert result.verdict == EXPECTED_VERDICTS[index_id][2]
+            if result.verdict != VERDICT_NOT_APPLICABLE:
+                assert result.epsilons == (Fraction(1, 100), Fraction(1, 10000))
+                assert len(result.values) == 2
+
+    # sha256 of the condition-3 audit JSON of every audited index, recorded at b963473
+    @pytest.mark.parametrize(
+        "class_count, digest",
+        [
+            (10, "07bc5072f2367b8612118eda77084eb7de986163cc0563596a6363cbd4d0d356"),
+            (2, "ee0f04f910480c5888190307558720897c2f59b63fe28c6299a3b1c2e8a1bcfc"),
+        ],
+    )
+    def test_json_matches_recorded_digest(self, class_count, digest):
+        text = reports_to_json(audit_all(conditions=(3,), class_count=class_count))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestReports:

@@ -259,6 +259,15 @@ class TestAudit:
         assert rows["gmean2"]["class_count"] == 2
         assert rows["acsa"]["class_count"] == 5
 
+    def test_condition3_at_a_hundred_classes(self, capsys):
+        code = main(["audit", "--all", "--cond", "3", "--class-count", "100", "--check-paper"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK
+        assert err == "verdicts match the expected table for 13 indices\n"
+        rows = {r["index"]: r["condition3"] for r in json.loads(out)}
+        assert rows["gmean_c"]["epsilons"] == ["1/100", "1/10000"]
+        assert rows["gmean_c"]["class_count"] == 100
+
     @pytest.mark.parametrize("conditions", ["1,3", "3"])
     @pytest.mark.parametrize("class_count", ["0", "1"])
     def test_class_count_below_two_is_input_error(self, conditions, class_count, capsys):
