@@ -35,8 +35,11 @@ computed from PCG64's published algorithm without numpy, and taken as Lemire
 bounded integers and Floyd samples (:class:`TrialStream`); up to C = 9,951
 they are the draws numpy's ``Generator`` would make from the same seed.  They
 depend only on ``(seed, t, C)`` and are shared by every index audited at
-class count ``C``.  When a violation exists the stored witness is the one
-with the lowest trial number.
+class count ``C``.  Each trial is seeded once: every class count reads its
+words from the start through its own cursor, and each scaling reads them
+through a cursor copied right after its matrix (:meth:`TrialStream.copy`).
+When a violation exists the stored witness is the one with the lowest trial
+number.
 """
 
 from __future__ import annotations
@@ -123,13 +126,25 @@ class TrialStream:
     so it returns what ``Generator.integers`` returns for the same bounds and
     consumes the same halves.  The stream then rests only on PCG64's words,
     which numpy's compatibility policy (NEP 19) keeps stable; ``Generator``
-    methods are not covered by that policy.
+    methods are not covered by that policy.  :meth:`copy` gives a second
+    cursor on the same halves, so a trial is seeded once however many
+    cursors read it.
     """
 
     __slots__ = ("_next",)
 
     def __init__(self, seed: int | Sequence[int]) -> None:
         self._next = _pcg64_halves(*_pcg64_seeded(seed)).__next__
+
+    def copy(self) -> TrialStream:
+        """A cursor at this stream's position; from here each advances without moving the other.
+
+        Both read one buffer, an ``itertools.tee`` of the iterator behind ``_next``,
+        so each word is computed once.
+        """
+        other = TrialStream.__new__(TrialStream)
+        self._next, other._next = (it.__next__ for it in itertools.tee(self._next.__self__))
+        return other
 
     def integers(self, low: int, high: int | None = None) -> int:
         """Uniform integer in ``[low, high)``, or in ``[0, low)`` when ``high`` is None.
@@ -297,7 +312,7 @@ def sample_scaling(rng: TrialStream, m: ConfusionMatrix) -> tuple[Fraction, ...]
     for row in m.counts:
         valid = _scaling_candidates(row)
         factors.append(valid[rng.integers(len(valid))])
-    if len(set(factors)) == 1:
+    if factors.count(factors[0]) == len(factors):  # unlike a set, hashes no Fraction
         row_idx = rng.integers(m.class_count)
         alternatives = [b for b in _INTEGER_CANDIDATES if b != factors[row_idx]]
         factors[row_idx] = alternatives[rng.integers(len(alternatives))]
@@ -335,20 +350,21 @@ _MAX_DRAWS = 200  # draws per trial before an index counts as never defined
 
 def _draw_defined(
     rng: TrialStream,
-    drawn: list[ConfusionMatrix],
+    drawn: list[tuple[ConfusionMatrix, TrialStream]],
     spec: IndexSpec,
     class_count: int,
 ) -> tuple[int, Fraction]:
     """First position ``j`` of the trial's draws ``m_0, m_1, ...`` where the index
     is defined, and the index's exact key there.
 
-    ``drawn`` holds the matrices already drawn from ``rng`` in this trial; it
+    ``drawn`` holds the matrices already drawn from ``rng`` in this trial, each
+    with a cursor copied right after it, from which its scaling is drawn; it
     grows only when every drawn matrix is undefined for the index.
     """
     for j in range(_MAX_DRAWS):
         if j == len(drawn):
-            drawn.append(sample_matrix(rng, class_count))
-        key = spec.exact(drawn[j])
+            drawn.append((sample_matrix(rng, class_count), rng.copy()))
+        key = spec.exact(drawn[j][0])
         if key is not None:
             return j, key
     raise RuntimeError(f"{spec.index_id} undefined on {_MAX_DRAWS} consecutive sampled matrices")
@@ -363,16 +379,16 @@ def audit_condition1(
     """Randomized row-scaling invariance audit with exact-rational confirmation.
 
     Each distinct index gets one result, in first-appearance order.  Two-class
-    indices run at C = 2, the others at ``class_count``.  Trial ``t`` at
-    class count C draws from a stream seeded by ``(seed, t)``, and every
-    index audited at C shares those draws: each still-active index
-    takes the first draw ``m_j`` on which it is defined, and each distinct
-    ``j`` gets one scaling, drawn from the stream state right after ``m_j``.
-    So every index sees exactly the matrix and scaling a trial run for it
-    alone would draw.  The exact oracle is the only arbiter: Violated on the
-    first exact disagreement (lowest trial index), after which the index
-    draws no more trials; Invariant when every trial agrees exactly.  The
-    largest float drift is reported, never judged.
+    indices run at C = 2, the others at ``class_count``.  Trial ``t`` is
+    seeded once, by ``(seed, t)``, and each class count C reads it through its
+    own cursor from the start, so every index audited at C shares those
+    draws: each still-active index takes the first draw ``m_j`` on which it is
+    defined, and each distinct ``j`` gets one scaling, read from the cursor
+    copied right after ``m_j``.  So every index sees exactly the matrix and
+    scaling a trial run for it alone would draw.  The exact oracle is the
+    only arbiter: Violated on the first exact disagreement (lowest trial
+    index), after which the index draws no more trials; Invariant when every
+    trial agrees exactly.  The largest float drift is reported, never judged.
     """
     if class_count < 2:
         raise MatrixError("class_count must be at least 2")
@@ -381,30 +397,25 @@ def audit_condition1(
     if trials < 1:
         raise ValueError("trials must be at least 1")
 
+    groups = {c: [i for i in class_of if class_of[i] == c] for c in class_of.values()}
     resampled = dict.fromkeys(class_of, 0)
     drift = dict.fromkeys(class_of, 0.0)
     witnesses: dict[str, Condition1Witness] = {}
-    for c in set(class_of.values()):
-        group = [i for i in class_of if class_of[i] == c]
-        for trial in range(trials):
-            active = [i for i in group if i not in witnesses]
-            if not active:
-                break
-            rng = TrialStream([seed, trial])
-            drawn: list[ConfusionMatrix] = []
-            picks = {i: _draw_defined(rng, drawn, specs[i], c) for i in active}
+    for trial in range(trials):
+        if len(witnesses) == len(class_of):
+            break
+        stream = TrialStream([seed, trial])
+        for c, group in groups.items():
+            rng = stream.copy()
+            drawn: list[tuple[ConfusionMatrix, TrialStream]] = []
+            picks = {i: _draw_defined(rng, drawn, specs[i], c) for i in group if i not in witnesses}
             scalings = {}
             for j in {j for j, _key in picks.values()}:
-                stream = rng
-                if j < len(drawn) - 1:  # rare: replay the trial's stream through m_j
-                    stream = TrialStream([seed, trial])
-                    for _ in range(j + 1):
-                        sample_matrix(stream, c)
-                factors = sample_scaling(stream, drawn[j])
-                scalings[j] = factors, apply_scaling(drawn[j], factors)
+                factors = sample_scaling(drawn[j][1], drawn[j][0])
+                scalings[j] = factors, apply_scaling(drawn[j][0], factors)
             for index_id, (j, exact_before) in picks.items():
                 spec = specs[index_id]
-                m, (factors, scaled) = drawn[j], scalings[j]
+                m, (factors, scaled) = drawn[j][0], scalings[j]
                 resampled[index_id] += j
                 exact_after = spec.exact(scaled)
                 value_before = float(spec.formula(m))

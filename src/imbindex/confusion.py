@@ -109,7 +109,7 @@ class ConfusionMatrix:
     row_sums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = [tuple(row) for row in self.counts]
+        rows = tuple(map(tuple, self.counts))
         class_count = len(rows)
         if class_count < 2:
             raise TooFewClassesError(f"need at least 2 classes, got {class_count}")
@@ -118,15 +118,15 @@ class ConfusionMatrix:
                 raise NonSquareError(
                     f"row {i + 1} has {len(row)} entries, expected {class_count}"
                 )
-        for i, row in enumerate(rows):
-            # a row of non-negative plain ints is kept as it is, in one pass
-            if not all(type(v) is int and v >= 0 for v in row):
-                rows[i] = tuple(_check_cell(v, i, j) for j, v in enumerate(row))
-        rows = tuple(rows)
+        # one pass keeps a grid of plain non-negative ints; any other is checked cell by cell
+        if not all(type(v) is int and v >= 0 for row in rows for v in row):
+            rows = tuple(
+                tuple(_check_cell(v, i, j) for j, v in enumerate(row)) for i, row in enumerate(rows)
+            )
         row_sums = tuple(map(sum, rows))
-        for i, row_sum in enumerate(row_sums):
-            if row_sum == 0:
-                raise EmptyRowError(f"row {i + 1} sums to zero (class has no test points)")
+        if 0 in row_sums:
+            i = row_sums.index(0)
+            raise EmptyRowError(f"row {i + 1} sums to zero (class has no test points)")
         object.__setattr__(self, "counts", rows)
         object.__setattr__(self, "row_sums", row_sums)
 
@@ -179,24 +179,26 @@ def apply_scaling(matrix: ConfusionMatrix, factors: Sequence) -> ConfusionMatrix
     :class:`DimensionMismatchError` on a wrong factor count, then
     :class:`MatrixError` on a factor that is not positive, then
     :class:`NonIntegerScalingError` on the first cell that would stop being an
-    integer.  The cell check runs in integers: ``v * p % q`` for a factor ``p/q``.
+    integer.  The cell check runs in integers, ``v * p % q`` for a factor ``p/q``,
+    and is skipped for an integer factor, which keeps every cell an integer.
     """
-    factors = tuple(to_fraction(f) for f in factors)
+    factors = tuple(map(to_fraction, factors))
     if len(factors) != matrix.class_count:
         raise DimensionMismatchError(
             f"{len(factors)} factors for a {matrix.class_count}-class matrix"
         )
     for f in factors:
-        if f <= 0:
+        if f.numerator <= 0:  # a Fraction's denominator is positive
             raise MatrixError(f"scaling factor {f} is not positive")
     rows = []
     for i, (f, row) in enumerate(zip(factors, matrix.counts)):
         p, q = f.numerator, f.denominator
-        for j, v in enumerate(row):
-            if v * p % q:
-                raise NonIntegerScalingError(
-                    f"row {i + 1}, column {j + 1}: {f} * {v} is not an integer"
-                )
+        if q != 1:
+            for j, v in enumerate(row):
+                if v * p % q:
+                    raise NonIntegerScalingError(
+                        f"row {i + 1}, column {j + 1}: {f} * {v} is not an integer"
+                    )
         rows.append(tuple(v * p // q for v in row))
     return ConfusionMatrix(tuple(rows))
 

@@ -10,8 +10,10 @@ Each registry row names its oracle function here; it returns the index's
 key, or ``None`` when the index is undefined on the matrix.
 
 Each oracle cross-multiplies over the cells and the margins with ``+``, ``-``
-and ``*`` only, and tests a denominator for an exact zero before it divides;
-only the final ``Fraction(num, den)`` divides out the common factor.
+and ``*``, and tests a denominator for an exact zero before it divides; a sum
+of ratios (:func:`_sum_ratios`) keeps its denominator at the least common
+multiple of its terms', and the final ``Fraction(num, den)`` divides out
+whatever common factor is left.
 
 The geometric-mean indices are irrational in general, so their key is the
 *product* of class accuracies; the map ``x -> x**(1/C)`` is strictly
@@ -22,7 +24,7 @@ the index values.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from operator import mul
 from typing import Sequence
 
@@ -30,10 +32,14 @@ from .confusion import ConfusionMatrix
 
 
 def _sum_ratios(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
-    """``sum(nums[k] / dens[k])`` as ``(num, den)``, with ``den`` the product of ``dens``."""
+    """``sum(nums[k] / dens[k])`` as ``(num, den)``, with ``den`` the lcm of ``dens``.
+
+    Dividing out ``gcd(den, d)`` at each step keeps ``den`` from growing as the product of ``dens``.
+    """
     num, den = 0, 1
     for n, d in zip(nums, dens):
-        num, den = num * d + n * den, den * d
+        g = gcd(den, d)
+        num, den = num * (d // g) + n * (den // g), den // g * d
     return num, den
 
 

@@ -102,11 +102,9 @@ def aurpc_ova(cells) -> float:
 
 def m_aurpc_ova(cells) -> float:
     """Rate-corrected ``aurpc_ova``: column counts replaced by column sums of row rates."""
-    c = cells.class_count
-    rates = [[cells.counts[i][j] / cells.row_sums[i] for j in range(c)] for i in range(c)]
+    rates = [[v / r for v in row] for row, r in zip(cells.counts, cells.row_sums)]
     total = 0.0
-    for i in range(c):
-        column = _add(rates[j][i] for j in range(c))
-        predicted = nonzero(column, f"rate column {i + 1} sums to zero")
+    for i, column in enumerate(zip(*rates)):
+        predicted = nonzero(_add(column), f"rate column {i + 1} sums to zero")
         total = total + (rates[i][i] / predicted + rates[i][i])
-    return total / (2 * c)
+    return total / (2 * cells.class_count)

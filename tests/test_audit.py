@@ -44,6 +44,7 @@ from imbindex.audit import (
 from imbindex.confusion import ConfusionMatrix
 from imbindex.io import to_json
 from imbindex.registry import (
+    DEFAULT_SEED,
     INDEX_SPECS,
     MULTI_INDEX_IDS,
     applicable_index_ids,
@@ -186,6 +187,23 @@ class TestTrialStream:
         words = [low | high << 32 for low, high in zip(halves[::2], halves[1::2])]
         assert words == np.random.PCG64(seed).random_raw(40).tolist()
 
+    @pytest.mark.parametrize("skip", [0, 1, 7, 200])
+    def test_copy_reads_the_same_halves_independently(self, skip):
+        # integers(2**32) returns the next half as it is
+        seed = [1729, 3]
+        halves = list(itertools.islice(audit._pcg64_halves(*audit._pcg64_seeded(seed)), skip + 40))
+        stream = TrialStream(seed)
+        for _ in range(skip):
+            stream.integers(2**32)
+        copy = stream.copy()
+        read = lambda s, k: [s.integers(2**32) for _ in range(k)]
+        assert read(stream, 5) == halves[skip : skip + 5]
+        assert read(copy, 20) == halves[skip : skip + 20]
+        again = copy.copy()
+        assert read(stream, 15) == halves[skip + 5 : skip + 20]
+        assert read(again, 20) == halves[skip + 20 : skip + 40]
+        assert read(copy, 20) == halves[skip + 20 : skip + 40]
+
     @pytest.mark.parametrize("seed", [-1, [1729, -1]])
     def test_negative_seed_rejected_as_numpy_does(self, seed):
         with pytest.raises(ValueError):
@@ -262,6 +280,14 @@ class TestCondition1:
         result = audit_condition1(["m_precision"], trials=500, seed=7)["m_precision"]
         assert result.resampled_undefined == 2
 
+    def test_each_trial_seeded_once(self, monkeypatch):
+        # the two-class and the three-class ids read one seeding of each trial
+        seeds = []
+        seeded = audit._pcg64_seeded
+        monkeypatch.setattr(audit, "_pcg64_seeded", lambda seed: seeds.append(seed) or seeded(seed))
+        audit_condition1(list(EXPECTED_VERDICTS), trials=20)
+        assert seeds == [[DEFAULT_SEED, t] for t in range(20)]
+
     @pytest.mark.parametrize("seed", [1729, 7, 99])
     @pytest.mark.parametrize("class_count", [None, 4])
     def test_shared_trials_match_separate_audits(self, seed, class_count, monkeypatch):
@@ -291,7 +317,7 @@ class TestCondition1:
         assert results["precision"].witness.trial == 0
         assert results["m_precision"].verdict == VERDICT_INVARIANT
         if seed == 7:
-            # a resampled trial: the other indices' scaling replays the stream
+            # a resampled trial: the other indices' scaling reads the cursor after m_j
             assert results["m_precision"].resampled_undefined == 2
             assert results["gmean2"].resampled_undefined == 0
 
@@ -637,6 +663,12 @@ class TestCondition3:
             if result.verdict != VERDICT_NOT_APPLICABLE:
                 assert result.epsilons == (Fraction(1, 100), Fraction(1, 10000))
                 assert len(result.values) == 2
+
+    def test_m_aurpc_ova_informative_at_three_hundred_classes(self):
+        # its oracle sums C column ratios; an unreduced sum made this take seconds
+        result = audit_condition3(["m_aurpc_ova"], 300)["m_aurpc_ova"]
+        assert result.verdict == VERDICT_INFORMATIVE
+        assert result.epsilons == (Fraction(1, 300), Fraction(1, 10000))
 
     # sha256 of the condition-3 audit JSON of every audited index, recorded at b963473
     @pytest.mark.parametrize(

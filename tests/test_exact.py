@@ -8,12 +8,17 @@ condition-2 certificates.
 """
 
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from imbindex import ALL_INDEX_IDS, applicable_index_ids, exact, get_index
 from imbindex.confusion import ConfusionMatrix
+from imbindex.exact import _sum_ratios
 
 EXACT_SOURCE = Path(__file__).resolve().parent.parent / "src" / "imbindex" / "exact.py"
 
@@ -206,3 +211,11 @@ def test_oracle_is_independent_of_the_float_formulas():
             imported.update(alias.name for alias in node.names)
     for name in imported:
         assert "binary" not in name and "multiclass" not in name, name
+
+
+@given(st.lists(st.tuples(st.integers(-(2**70), 2**70), st.integers(1, 2**70)), max_size=12))
+def test_sum_ratios_is_the_fraction_sum_over_the_lcm(terms):
+    nums, dens = [n for n, _d in terms], [d for _n, d in terms]
+    num, den = _sum_ratios(nums, dens)
+    assert Fraction(num, den) == sum(map(Fraction, nums, dens))
+    assert den == math.lcm(1, *dens)
