@@ -171,54 +171,23 @@ _MASK128 = (1 << 128) - 1
 _PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def _hash_keys(constant: int, multiplier: int, count: int) -> tuple[tuple[int, int], ...]:
-    """The ``(xor, multiply)`` keys of a SeedSequence hash's first ``count`` calls.
-
-    Each call xors its value with the running constant, advances the constant
-    by ``multiplier`` and multiplies by the new one; the keys depend on nothing
-    else, so they are computed once.
-    """
-    constants = [constant]
-    for _ in range(count):
-        constants.append(constants[-1] * multiplier & _MASK32)
-    return tuple(zip(constants, constants[1:]))
-
-
-def _hash(value: int, keys: tuple[int, int]) -> int:
-    """SeedSequence's hash of the 32-bit ``value`` under one call's keys."""
-    value = (value ^ keys[0]) * keys[1] & _MASK32
-    return value ^ value >> 16
-
-
-@lru_cache(maxsize=16)
-def _mix_plan(entropy_words: int) -> tuple[tuple, tuple]:
-    """How SeedSequence mixes ``entropy_words`` words into its 4-word pool.
-
-    First the keys that hash the first four words (zeros past the entropy)
-    into the pool; then one ``(source, target, keys)`` step per mix, which
-    hashes word ``source`` under ``keys`` and mixes it into pool word
-    ``target``.  Sources 0 to 3 are the pool words, each mixed into every
-    other; sources from 4 on are the entropy words past the fourth, each
-    mixed into every pool word.
-    """
-    order = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
-    order += [(src, dst) for src in range(4, entropy_words) for dst in range(4)]
-    keys = _hash_keys(0x43B0D7E5, 0x931E8875, 4 + len(order))
-    return keys[:4], tuple((*step, k) for step, k in zip(order, keys[4:]))
-
-
-_STATE_KEYS = _hash_keys(0x8B51F9DD, 0x58F38DED, 8)
+# SeedSequence mixes each pool word into every other pool word, in this order
+_POOL_MIX = tuple((src, dst) for src in range(4) for dst in range(4) if src != dst)
 
 
 def _pcg64_seeded(seed: int | Sequence[int]) -> tuple[int, int]:
     """The 128-bit state and increment of numpy's ``PCG64(seed)`` once seeded.
 
-    Seeding follows numpy's ``SeedSequence``: each integer of ``seed`` becomes
-    its 32-bit words, least significant first and at least one (a negative one
-    raises ``ValueError``, as in numpy), and the words are mixed into a 4-word
-    pool (:func:`_mix_plan`).  ``generate_state(4, uint64)`` hashes the pool,
-    cycled twice, into PCG64's initial state and stream, which ``srandom``
-    enters (O'Neill 2014).
+    Seeding follows numpy's ``SeedSequence`` loop by loop: each integer of
+    ``seed`` becomes its 32-bit words, least significant first and at least
+    one (a negative one raises ``ValueError``, as in numpy).  ``mix_entropy``
+    hashes the first four words (zeros past the entropy) into a 4-word pool,
+    mixes each pool word into every other, then mixes each entropy word past
+    the fourth into every pool word; each hash (``hashmix``) xors its word
+    with a running constant, advances the constant by ``MULT_A`` and
+    multiplies by the new one.  ``generate_state(4, uint64)`` hashes the
+    pool, cycled twice, the same way from ``INIT_B`` by ``MULT_B``, into
+    PCG64's initial state and stream, which ``srandom`` enters (O'Neill 2014).
     """
     entropy = []
     for n in [seed] if isinstance(seed, int) else seed:
@@ -227,13 +196,25 @@ def _pcg64_seeded(seed: int | Sequence[int]) -> tuple[int, int]:
         entropy.append(n & _MASK32)
         while n := n >> 32:
             entropy.append(n & _MASK32)
-    first, steps = _mix_plan(len(entropy))
-    words = [_hash(w, k) for w, k in zip(entropy[:4] + [0] * (4 - len(entropy)), first)]
-    words += entropy[4:]
-    for src, dst, keys in steps:
-        mixed = (0xCA01F9DD * words[dst] - 0x4973F715 * _hash(words[src], keys)) & _MASK32
-        words[dst] = mixed ^ mixed >> 16
-    h = [_hash(w, k) for w, k in zip(words[:4] * 2, _STATE_KEYS)]
+    # hashmix: the xor reads the constant before ``:=`` advances it
+    const, mult_a, pool = 0x43B0D7E5, 0x931E8875, []  # INIT_A, MULT_A
+    for value in entropy[:4] + [0] * (4 - len(entropy)):
+        value = (value ^ const) * (const := const * mult_a & _MASK32) & _MASK32
+        pool.append(value ^ value >> 16)
+    for src, dst in _POOL_MIX:
+        value = (pool[src] ^ const) * (const := const * mult_a & _MASK32) & _MASK32
+        # mix, by MIX_MULT_L and MIX_MULT_R
+        mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * (value ^ value >> 16)) & _MASK32
+        pool[dst] = mixed ^ mixed >> 16
+    for word in entropy[4:]:
+        for dst in range(4):
+            value = (word ^ const) * (const := const * mult_a & _MASK32) & _MASK32
+            mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * (value ^ value >> 16)) & _MASK32
+            pool[dst] = mixed ^ mixed >> 16
+    const, h = 0x8B51F9DD, []  # INIT_B
+    for value in pool * 2:
+        value = (value ^ const) * (const := const * 0x58F38DED & _MASK32) & _MASK32  # MULT_B
+        h.append(value ^ value >> 16)
     start = (h[0] | h[1] << 32) << 64 | h[2] | h[3] << 32
     inc = ((h[4] | h[5] << 32) << 65 | (h[6] | h[7] << 32) << 1 | 1) & _MASK128
     return ((inc + start) * _PCG64_MULTIPLIER + inc) & _MASK128, inc

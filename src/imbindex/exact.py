@@ -24,7 +24,7 @@ the index values.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -151,13 +151,13 @@ def _aurpc_ova(m: ConfusionMatrix) -> Fraction | None:
 def _m_aurpc_ova(m: ConfusionMatrix) -> Fraction | None:
     """``(1/2C) sum_i [r_ii/s_i + r_ii]`` over rates ``r_ij = a_ij/R_i``, ``s_j = sum_i r_ij``.
 
-    With ``P`` the product of the row sums and ``w_i = P / R_i`` (exact, as ``R_i``
-    divides ``P``), ``s_j = S_j / P`` for ``S_j = sum_i a_ij w_i``, so
+    With ``P`` the least common multiple of the row sums and ``w_i = P / R_i``
+    (exact, as ``R_i`` divides ``P``), ``s_j = S_j / P`` for ``S_j = sum_i a_ij w_i``, so
     ``r_ii / s_i + r_ii = a_ii w_i (P + S_i) / (S_i P)``.
     Undefined when some ``S_j`` is zero.
     """
     rows = m.row_sums
-    p = prod(rows)
+    p = lcm(*rows)
     w = [p // r for r in rows]
     col_rate_sums = [sum(map(mul, column, w)) for column in zip(*m.counts)]
     if 0 in col_rate_sums:

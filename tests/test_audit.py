@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from imbindex import MatrixError, UnknownIndexError, apply_scaling, evaluate, exact
 from imbindex import audit
@@ -186,6 +187,18 @@ class TestTrialStream:
         halves = list(itertools.islice(audit._pcg64_halves(*audit._pcg64_seeded(seed)), 80))
         words = [low | high << 32 for low, high in zip(halves[::2], halves[1::2])]
         assert words == np.random.PCG64(seed).random_raw(40).tolist()
+
+    # exactly 4 and 8 words: the pool fills with no zeros, and two words pass it
+    @given(st.one_of(
+        st.integers(0, 2**96 - 1),
+        st.lists(st.integers(0, 2**96 - 1), min_size=1, max_size=10),
+    ))
+    @example([2**32 - 1] * 4)
+    @example([1, 2, 3, 4, 5, 6, 7, 8])
+    def test_first_words_match_numpy_pcg64_for_any_entropy_length(self, seed):
+        halves = list(itertools.islice(audit._pcg64_halves(*audit._pcg64_seeded(seed)), 8))
+        raw = np.random.PCG64(seed).random_raw(4).tolist()
+        assert halves == [w >> shift & 0xFFFFFFFF for w in raw for shift in (0, 32)]
 
     @pytest.mark.parametrize("skip", [0, 1, 7, 200])
     def test_copy_reads_the_same_halves_independently(self, skip):
@@ -583,6 +596,10 @@ class TestCondition3:
             floor = 3 * (c - 1) / (4 * c)
             assert result.strict_floor == pytest.approx(floor, abs=1e-12)
             assert all(v > floor for v in result.values)
+
+    def test_m_aurpc_ova_informative_at_a_thousand_classes(self):
+        result = audit_condition3(["m_aurpc_ova"], 1000)["m_aurpc_ova"]
+        assert result.verdict == VERDICT_INFORMATIVE
 
     def test_index_without_limit_or_floor_not_applicable(self):
         for index_id, c in (("auroc_ova", 3), ("precision", 2)):

@@ -200,6 +200,44 @@ def test_oracle_matches_fraction_reference():
         assert undefined[index_id] > 0, index_id
 
 
+def _row_with_sum(rng: random.Random, total: int, c: int, empty_column) -> list[int]:
+    """``total`` split at random into ``c`` cells, none of it in ``empty_column``."""
+    parts = c - (empty_column is not None)
+    cuts = sorted(rng.randrange(total + 1) for _ in range(parts - 1))
+    row = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    if empty_column is not None:
+        row.insert(empty_column, 0)
+    return row
+
+
+def _shared_row_sum_cases():
+    """Matrices whose row sums are one sum, or multiples of one another, with an
+    lcm far below their product; cells up to 2^73 and sometimes an empty column."""
+    rng = random.Random(20282)
+    for c in range(2, 9):
+        for _ in range(40):
+            base = rng.getrandbits(rng.choice((4, 30, 70))) + 2
+            multiples = (1,) if rng.random() < 0.5 else (1, 2, 3, 6)
+            empty_column = rng.randrange(c) if rng.random() < 0.3 else None
+            yield ConfusionMatrix([
+                _row_with_sum(rng, base * rng.choice(multiples), c, empty_column)
+                for _ in range(c)
+            ])
+    yield ConfusionMatrix([[2**60, 0, 2**60], [2**61, 0, 0], [0, 0, 2**61]])
+    yield ConfusionMatrix([[2**60 + 1, 2**60 - 1, 0], [2**59, 2**59, 2**60], [0, 2**61 - 5, 5]])
+
+
+def test_m_aurpc_ova_matches_reference_when_row_sums_share_factors():
+    huge = undefined = 0
+    for m in _shared_row_sum_cases():
+        assert math.lcm(*m.row_sums) < math.prod(m.row_sums)
+        want = ref_m_aurpc_ova(m)
+        assert get_index("m_aurpc_ova").exact(m) == want, m.counts
+        huge += max(max(row) for row in m.counts) > 2**53
+        undefined += want is None
+    assert huge > 50 and undefined > 20
+
+
 def test_oracle_is_independent_of_the_float_formulas():
     tree = ast.parse(EXACT_SOURCE.read_text())
     imported = set()
