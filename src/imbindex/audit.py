@@ -48,7 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
 from .confusion import (
@@ -562,13 +562,7 @@ def certify_extremal(index_ids: Sequence[str], row_sums: Sequence[int]) -> dict[
     """
     c = len(row_sums)
     identity = tuple(range(c))
-    vertices: dict[tuple[int, ...], ConfusionMatrix] = {}
-
-    def vertex(columns: tuple[int, ...]) -> ConfusionMatrix:
-        if columns not in vertices:
-            vertices[columns] = _vertex(row_sums, columns)
-        return vertices[columns]
-
+    vertex = cache(partial(_vertex, row_sums))
     out = {}
     for index_id in dict.fromkeys(index_ids):
         spec = get_index(index_id)

@@ -51,11 +51,7 @@ _INDEX_GROUPS = {
 }
 
 
-def _parse_indices(raw: str | None, class_count: int | None = None) -> tuple[str, ...]:
-    if raw is None:
-        if class_count is None:
-            return ALL_INDEX_IDS
-        return applicable_index_ids(class_count)
+def _parse_indices(raw: str) -> tuple[str, ...]:
     out: list[str] = []
     for token in raw.split(","):
         token = token.strip()
@@ -184,7 +180,8 @@ def _cmd_eval(args) -> int:
     if args.save_matrix:
         io_mod.write_matrix_csv(args.save_matrix, matrix, labels)
 
-    index_ids = _parse_indices(args.indices, matrix.class_count)
+    index_ids = (applicable_index_ids(matrix.class_count) if args.indices is None
+                 else _parse_indices(args.indices))
     results = [evaluate(i, matrix) for i in index_ids]
     digits = None if args.full_precision else args.digits
 

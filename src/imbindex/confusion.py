@@ -163,11 +163,10 @@ def even_error_matrix(
             raise IntegralityError(
                 f"rate {rate} with row sum {n_i} gives non-integer diagonal {diag}"
             )
-        others = [j for j in range(class_count) if j != i]
         base, rem = divmod(n_i - int(diag), class_count - 1)
         row = [base] * class_count
         row[i] = int(diag)
-        row[others[0]] += rem
+        row[1 if i == 0 else 0] += rem
         rows.append(tuple(row))
     return ConfusionMatrix(tuple(rows))
 

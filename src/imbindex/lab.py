@@ -13,12 +13,13 @@ vertical-line classifiers read.
 
 Experiments are declarative (frozen dataclasses, loadable from JSON) and
 deterministic.  Every spec loads into one :class:`Experiment`, a name and a
-tuple of sweeps that one loop runs in order.  A ``type1_sweep`` spec and a
-point dataset of an ``rrt_stability`` spec both parse into one
-:class:`PointSweep`, which carries its random stream: ``(s,)`` for the spec
-with seed ``s`` and ``(s, d)`` for the dataset at position ``d``.  Trial
-``t`` draws all its randomness from that stream extended by ``t``.  Growth
-sweeps and matrix datasets draw nothing at random.
+tuple of sweeps that one loop runs in order: each sweep's cells, built in one
+place, become rows, and its summary is read from those rows.  A
+``type1_sweep`` spec and a point dataset of an ``rrt_stability`` spec both
+parse into one :class:`PointSweep`, which carries its random stream: ``(s,)``
+for the spec with seed ``s`` and ``(s, d)`` for the dataset at position
+``d``.  Trial ``t`` draws all its randomness from that stream extended by
+``t``.  Growth sweeps and matrix datasets draw nothing at random.
 """
 
 from __future__ import annotations
@@ -585,17 +586,12 @@ class ExperimentResult:
     def digest(self) -> dict[str, float | None]:
         """Per index: mean of the schedule standard deviations across settings."""
         per_index: dict[str, list[float]] = {}
-        seen: set[str] = set()
         for r in self.summary:
-            if r.statistic != "std":
-                continue
-            seen.add(r.index)
-            if r.value is not None:
-                per_index.setdefault(r.index, []).append(r.value)
-        return {
-            i: (statistics.fmean(vals) if (vals := per_index.get(i)) else None)
-            for i in sorted(seen)
-        }
+            if r.statistic == "std":
+                defined = per_index.setdefault(r.index, [])
+                if r.value is not None:
+                    defined.append(r.value)
+        return {i: statistics.fmean(v) if v else None for i, v in sorted(per_index.items())}
 
     def write_csv(self, output_dir) -> tuple[Path, Path]:
         """Write ``<experiment>_long.csv`` and ``<experiment>_summary.csv``: one
@@ -692,28 +688,37 @@ def _point_cells(sweep: PointSweep):
                 yield trial, setting, str(ratio), matrix
 
 
-def _schedule_result(
-    experiment: str, sweep: PointSweep | MatrixStabilityDataset
-) -> tuple[list[ResultRow], list[SummaryRow]]:
-    """Rows of a sweep over a test-mix schedule (resampled points or an exactly
-    rescaled matrix), and its summary: per (setting, index, schedule entry)
-    the mean over trials, then per (setting, index) the standard deviation of
-    those means over the schedule."""
+def _cells(sweep: PointSweep | MatrixStabilityDataset | GrowthSweep):
+    """The ``(trial, setting, rrt_or_c, matrix)`` cells of a sweep, in row
+    order.  A point sweep's are :func:`_point_cells`; a growth cell is
+    :func:`even_error_matrix` with the cell's accuracy on every row; a matrix
+    dataset's cell for each schedule entry is its matrix rescaled exactly to
+    that entry."""
     if isinstance(sweep, PointSweep):
-        cells = _point_cells(sweep)
-        settings = [setting for setting, _threshold in sweep.classifiers]
-    else:
-        cells = (
-            (0, sweep.dataset_id, _schedule_key(entry), _attempt(
-                rescale_matrix_to_counts if isinstance(entry, tuple) else rescale_matrix_to_rrt,
-                sweep.matrix, entry,
-            ))
-            for entry in sweep.schedule
+        return _point_cells(sweep)
+    if isinstance(sweep, GrowthSweep):
+        return (
+            (0, f"a={accuracy}", str(len(profile)),
+             _attempt(even_error_matrix, (accuracy,) * len(profile), profile))
+            for profile in sweep.steps
+            for accuracy in sweep.accuracy_sweep
         )
-        settings = [sweep.dataset_id]
-    rows = _result_rows(experiment, cells, sweep.indices)
+    return (
+        (0, sweep.dataset_id, _schedule_key(entry), _attempt(
+            rescale_matrix_to_counts if isinstance(entry, tuple) else rescale_matrix_to_rrt,
+            sweep.matrix, entry,
+        ))
+        for entry in sweep.schedule
+    )
 
-    summary: list[SummaryRow] = []
+
+def _schedule_summary(
+    experiment: str, sweep: PointSweep | MatrixStabilityDataset, rows: Sequence[ResultRow]
+) -> list[SummaryRow]:
+    """Summary of a sweep over a test-mix schedule: per (setting, index,
+    schedule entry) the mean over trials, then per (setting, index) the
+    standard deviation of those means over the schedule.  Settings come in
+    the order the rows first name them."""
     values: dict[tuple[str, str, str], list[float]] = {}
     missing: dict[tuple[str, str, str], str] = {}
     for r in rows:
@@ -722,53 +727,37 @@ def _schedule_result(
             missing.setdefault(key, r.status)
         else:
             values.setdefault(key, []).append(r.value)
-    for setting in settings:
+    summary: list[SummaryRow] = []
+    for setting in dict.fromkeys(r.setting for r in rows):
         for index_id in sweep.indices:
             means: list[float] = []
             broken: str | None = None
             for sched in map(_schedule_key, sweep.schedule):
                 key = (setting, index_id, sched)
                 if key in missing:
-                    status = missing[key]
-                    summary.append(
-                        SummaryRow(experiment, setting, index_id, sched, "mean", None, status)
-                    )
+                    mean = None
                     broken = broken or f"undefined at {sched}"
-                    continue
-                mean = statistics.fmean(values[key])
-                means.append(mean)
-                summary.append(
-                    SummaryRow(experiment, setting, index_id, sched, "mean", mean, STATUS_OK)
-                )
-            summary.append(
-                SummaryRow(
-                    experiment, setting, index_id, "", "std",
-                    None if broken else statistics.pstdev(means),
-                    broken or STATUS_OK,
-                )
-            )
-    return rows, summary
+                else:
+                    mean = statistics.fmean(values[key])
+                    means.append(mean)
+                summary.append(SummaryRow(experiment, setting, index_id, sched, "mean", mean,
+                                          missing.get(key, STATUS_OK)))
+            summary.append(SummaryRow(experiment, setting, index_id, "", "std",
+                                      None if broken else statistics.pstdev(means),
+                                      broken or STATUS_OK))
+    return summary
 
 
 def run_experiment(spec: Experiment) -> ExperimentResult:
-    """Run every sweep of an experiment in order; per-cell failures become
-    undefined rows.  A growth cell is :func:`even_error_matrix` with the
-    cell's accuracy on every row."""
+    """Run every sweep of an experiment in order: its :func:`_cells` become
+    rows, and its summary is read from those rows.  Per-cell failures become
+    undefined rows."""
     rows, summary = [], []
     for sweep in spec.sweeps:
-        if isinstance(sweep, GrowthSweep):
-            cells = (
-                (0, f"a={accuracy}", str(len(profile)),
-                 _attempt(even_error_matrix, (accuracy,) * len(profile), profile))
-                for profile in sweep.steps
-                for accuracy in sweep.accuracy_sweep
-            )
-            sweep_rows = _result_rows(spec.experiment, cells, sweep.indices)
-            sweep_summary = _min_summary(spec.experiment, sweep, sweep_rows)
-        else:
-            sweep_rows, sweep_summary = _schedule_result(spec.experiment, sweep)
+        sweep_rows = _result_rows(spec.experiment, _cells(sweep), sweep.indices)
+        summarize = _min_summary if isinstance(sweep, GrowthSweep) else _schedule_summary
         rows.extend(sweep_rows)
-        summary.extend(sweep_summary)
+        summary.extend(summarize(spec.experiment, sweep, sweep_rows))
     return ExperimentResult(spec.experiment, tuple(rows), tuple(summary))
 
 

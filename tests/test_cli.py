@@ -77,6 +77,10 @@ class TestEval:
         pytest.param("1,-3\n3,4\n", "row 1, column 2: entry -3 is negative", id="negative"),
         pytest.param("1,2\n0,0\n", "row 2 sums to zero (class has no test points)",
                      id="empty-row"),
+        pytest.param("", "file contains no rows", id="empty-file"),
+        pytest.param("a,b\n", "header row but no count rows", id="header-only"),
+        pytest.param("a,b,c\n1,2\n3,4\n", "header has 3 labels for 2 classes",
+                     id="header-too-long"),
     ])
     def test_invalid_grid_names_the_file(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.csv"
@@ -129,6 +133,10 @@ class TestEval:
         code = main(["eval", "--matrix", str(base_matrix_csv), "--indices", "f1"])
         assert code == EXIT_INPUT
         assert "unknown index" in capsys.readouterr().err
+
+    def test_empty_index_list_is_input_error(self, base_matrix_csv, capsys):
+        assert main(["eval", "--matrix", str(base_matrix_csv), "--indices", ","]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: no index ids given\n")
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["eval", "--matrix", "does_not_exist.csv"]) == EXIT_INPUT
@@ -238,6 +246,14 @@ class TestAudit:
     ])
     def test_malformed_integer_list_names_its_flag(self, argv, message, capsys):
         assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--trials", "0"], "error: trials must be at least 1\n"),
+        (["--cond", "4"], "error: conditions must be among 1, 2, 3; got [4]\n"),
+    ])
+    def test_out_of_range_option_is_input_error(self, argv, message, capsys):
+        assert main(["audit", "--all", *argv]) == EXIT_INPUT
         assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize("raw", ["3", "3,3", "4..4"])

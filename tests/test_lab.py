@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -653,6 +654,26 @@ class TestSpecFieldTypes:
         with pytest.raises(SpecError, match=rf"^{re.escape(field)}: expected a JSON array, got "):
             load_spec(raw)
 
+    @pytest.mark.parametrize("raw, message", [
+        pytest.param([], "spec: expected a JSON object", id="not-an-object"),
+        pytest.param({**point_raw(), "datasets": []},
+                     "spec.datasets: at least one dataset required", id="no-datasets"),
+        pytest.param(matrix_raw(["1"], mode="grid"),
+                     "spec.datasets[0].mode: expected 'matrix' or 'point', got 'grid'",
+                     id="unknown-mode"),
+        pytest.param(matrix_raw([]), "spec.datasets[0].schedule: must be non-empty",
+                     id="empty-matrix-schedule"),
+        pytest.param(matrix_raw(["1"], indices=[]),
+                     "spec.datasets[0].indices: at least one index required", id="no-indices"),
+        pytest.param({**type2_raw(), "steps": []}, "spec.steps: at least one step required",
+                     id="no-steps"),
+        pytest.param({**type2_raw(), "accuracy_sweep": []},
+                     "spec.accuracy_sweep: at least one accuracy required", id="no-accuracies"),
+    ])
+    def test_rejection_names_its_field(self, raw, message):
+        with pytest.raises(SpecError, match=rf"^{re.escape(message)}$"):
+            load_spec(raw)
+
     @pytest.mark.parametrize("raw, entry, kind", [
         pytest.param(type1_raw(generators=[GENERATORS_RAW[0], 3]), "spec.generators[1]",
                      "object", id="type1-generator"),
@@ -901,6 +922,17 @@ class TestResultFiles:
         digest = result.digest()
         assert digest["gmean2"] == 0.0
         assert digest["precision"] is None
+
+    def test_digest_skips_undefined_stds_and_sorts_by_id(self):
+        schedule, indices = (Fraction(1), Fraction(2)), ("precision", "gmean2")
+        datasets = (
+            MatrixStabilityDataset("undef", ConfusionMatrix([[0, 5], [0, 5]]), schedule, indices),
+            MatrixStabilityDataset("def", ConfusionMatrix([[8, 2], [10, 90]]), schedule, indices),
+        )
+        digest = run_experiment(Experiment("two", datasets)).digest()
+        # precision is 8/9 at ratio 1 ([[8, 2], [1, 9]]) and 8/10 at ratio 2
+        assert digest == {"gmean2": 0.0, "precision": statistics.pstdev([8 / 9, 8 / 10])}
+        assert list(digest) == ["gmean2", "precision"]
 
 
 # sha256 of every bundled spec's CSVs with its seed set to 7, recorded at c21cf03
