@@ -48,7 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from typing import Iterable, Iterator, Sequence
 
 from .confusion import (
@@ -334,9 +334,9 @@ def _draw_defined(
     drawn: list[tuple[ConfusionMatrix, TrialStream]],
     spec: IndexSpec,
     class_count: int,
-) -> tuple[int, Fraction]:
+) -> tuple[int, tuple[int, int]]:
     """First position ``j`` of the trial's draws ``m_0, m_1, ...`` where the index
-    is defined, and the index's exact key there.
+    is defined, and the index's exact key there, as the oracle's ``(num, den)`` pair.
 
     ``drawn`` holds the matrices already drawn from ``rng`` in this trial, each
     with a cursor copied right after it, from which its scaling is drawn; it
@@ -369,7 +369,9 @@ def audit_condition1(
     scaling a trial run for it alone would draw.  The exact oracle is the
     only arbiter: Violated on the first exact disagreement (lowest trial
     index), after which the index draws no more trials; Invariant when every
-    trial agrees exactly.  The largest float drift is reported, never judged.
+    trial agrees exactly.  The oracle's ``(num, den)`` pairs are compared by
+    cross-multiplying; only a witness's keys are reduced, by :func:`exact`.
+    The largest float drift is reported, never judged.
     """
     if class_count < 2:
         raise MatrixError("class_count must be at least 2")
@@ -394,23 +396,23 @@ def audit_condition1(
             for j in {j for j, _key in picks.values()}:
                 factors = sample_scaling(drawn[j][1], drawn[j][0])
                 scalings[j] = factors, apply_scaling(drawn[j][0], factors)
-            for index_id, (j, exact_before) in picks.items():
+            for index_id, (j, (num, den)) in picks.items():
                 spec = specs[index_id]
                 m, (factors, scaled) = drawn[j][0], scalings[j]
                 resampled[index_id] += j
-                exact_after = spec.exact(scaled)
+                num_after, den_after = spec.exact(scaled)  # a scaling keeps every zero cell
                 value_before = float(spec.formula(m))
                 value_after = float(spec.formula(scaled))
                 drift[index_id] = max(drift[index_id], abs(value_after - value_before))
-                if exact_before != exact_after:
+                if num * den_after != num_after * den:
                     witnesses[index_id] = Condition1Witness(
                         trial=trial,
                         matrix=m,
                         factors=factors,
                         value_before=value_before,
                         value_after=value_after,
-                        exact_before=exact_before,
-                        exact_after=exact_after,
+                        exact_before=exact(index_id, m).key,
+                        exact_after=exact(index_id, scaled).key,
                     )
     return {
         index_id: Condition1Result(
@@ -430,7 +432,7 @@ def audit_condition1(
 # extrema over fixed row sums
 
 
-@lru_cache(maxsize=None)
+@cache
 def _compositions(total: int, bins: int) -> tuple[tuple[int, ...], ...]:
     if bins == 1:
         return ((total,),)

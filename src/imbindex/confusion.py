@@ -234,4 +234,9 @@ def ingest_labels(
         if p not in index:
             raise UnknownLabelError(f"predicted label {p!r} is not in the class list")
         grid[index[t]][index[p]] += n
+    for label, row in zip(index, grid):
+        if not any(row):
+            raise EmptyRowError(
+                f"class {label!r} has no test points (no row has true label {label!r})"
+            )
     return ConfusionMatrix(tuple(tuple(row) for row in grid))

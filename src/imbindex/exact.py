@@ -3,17 +3,17 @@
 This is the independent oracle behind the invariance audits: two float values
 that differ by rounding noise must not be mistaken for a genuine violation,
 and a genuine violation must never be dismissed as noise.  Every index is
-re-derived here in integer numerator/denominator arithmetic, one normalised
-:class:`fractions.Fraction` per call, separately from the float
-implementations in :mod:`imbindex.binary` and :mod:`imbindex.multiclass`.
-Each registry row names its oracle function here; it returns the index's
-key, or ``None`` when the index is undefined on the matrix.
+re-derived here in integer numerator/denominator arithmetic, separately from
+the float implementations in :mod:`imbindex.binary` and
+:mod:`imbindex.multiclass`.  Each registry row names its oracle function here;
+it returns the index's key as an unreduced integer pair ``(num, den)`` with
+``den > 0``, or ``None`` when the index is undefined on the matrix.  Two pairs
+compare by cross-multiplying; :func:`imbindex.registry.exact` reduces them.
 
 Each oracle cross-multiplies over the cells and the margins with ``+``, ``-``
 and ``*``, and tests a denominator for an exact zero before it divides; a sum
 of ratios (:func:`_sum_ratios`) keeps its denominator at the least common
-multiple of its terms', and the final ``Fraction(num, den)`` divides out
-whatever common factor is left.
+multiple of its terms'.
 
 The geometric-mean indices are irrational in general, so their key is the
 *product* of class accuracies; the map ``x -> x**(1/C)`` is strictly
@@ -23,7 +23,6 @@ the index values.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Sequence
@@ -47,40 +46,40 @@ def _diagonal(m: ConfusionMatrix) -> list[int]:
     return [row[i] for i, row in enumerate(m.counts)]
 
 
-def _gmean(m: ConfusionMatrix) -> Fraction:
-    return Fraction(prod(_diagonal(m)), prod(m.row_sums))
+def _gmean(m: ConfusionMatrix) -> tuple[int, int]:
+    return prod(_diagonal(m)), prod(m.row_sums)
 
 
-def _acsa(m: ConfusionMatrix) -> Fraction:
+def _acsa(m: ConfusionMatrix) -> tuple[int, int]:
     num, den = _sum_ratios(_diagonal(m), m.row_sums)
-    return Fraction(num, len(m.counts) * den)
+    return num, len(m.counts) * den
 
 
-def _precision(m: ConfusionMatrix) -> Fraction | None:
+def _precision(m: ConfusionMatrix) -> tuple[int, int] | None:
     tp, fp = m.counts[0][0], m.counts[1][0]
     if tp + fp == 0:
         return None
-    return Fraction(tp, tp + fp)
+    return tp, tp + fp
 
 
-def _recall(m: ConfusionMatrix) -> Fraction:
-    return Fraction(m.counts[0][0], m.row_sums[0])
+def _recall(m: ConfusionMatrix) -> tuple[int, int]:
+    return m.counts[0][0], m.row_sums[0]
 
 
-def _specificity(m: ConfusionMatrix) -> Fraction:
-    return Fraction(m.counts[1][1], m.row_sums[1])
+def _specificity(m: ConfusionMatrix) -> tuple[int, int]:
+    return m.counts[1][1], m.row_sums[1]
 
 
-def _aurpc(m: ConfusionMatrix) -> Fraction | None:
+def _aurpc(m: ConfusionMatrix) -> tuple[int, int] | None:
     """Mean of recall ``tp / R0`` and precision ``tp / (tp + fp)``."""
     tp, fp, r0 = m.counts[0][0], m.counts[1][0], m.row_sums[0]
     if tp + fp == 0:
         return None
-    return Fraction(tp * (tp + fp) + tp * r0, 2 * r0 * (tp + fp))
+    return tp * (tp + fp) + tp * r0, 2 * r0 * (tp + fp)
 
 
-def _m_precision_terms(m: ConfusionMatrix) -> tuple[int, int] | None:
-    """``tpr / (tpr + fpr)`` as ``(num, den)``, multiplied through by ``R0 * R1``."""
+def _m_precision(m: ConfusionMatrix) -> tuple[int, int] | None:
+    """``tpr / (tpr + fpr)``, multiplied through by ``R0 * R1``."""
     tp, fp = m.counts[0][0], m.counts[1][0]
     r0, r1 = m.row_sums
     den = tp * r1 + fp * r0
@@ -89,22 +88,17 @@ def _m_precision_terms(m: ConfusionMatrix) -> tuple[int, int] | None:
     return tp * r1, den
 
 
-def _m_precision(m: ConfusionMatrix) -> Fraction | None:
-    terms = _m_precision_terms(m)
-    return None if terms is None else Fraction(*terms)
-
-
-def _m_aurpc(m: ConfusionMatrix) -> Fraction | None:
+def _m_aurpc(m: ConfusionMatrix) -> tuple[int, int] | None:
     """Mean of recall ``tp / R0`` and the rate-corrected precision."""
-    terms = _m_precision_terms(m)
+    terms = _m_precision(m)
     if terms is None:
         return None
     mp_num, mp_den = terms
     tp, r0 = m.counts[0][0], m.row_sums[0]
-    return Fraction(tp * mp_den + mp_num * r0, 2 * r0 * mp_den)
+    return tp * mp_den + mp_num * r0, 2 * r0 * mp_den
 
 
-def _auroc_ovo(m: ConfusionMatrix) -> Fraction:
+def _auroc_ovo(m: ConfusionMatrix) -> tuple[int, int]:
     """``(1/2C) sum_i [1 + a_ii/R_i - sum_{j != i} a_ji / ((C-1) R_j)]``.
 
     The terms are grouped by denominator: row ``j`` contributes its diagonal
@@ -114,11 +108,11 @@ def _auroc_ovo(m: ConfusionMatrix) -> Fraction:
     c = len(m.counts)
     nums = [c * d - r for d, r in zip(_diagonal(m), m.row_sums)]
     num, den = _sum_ratios(nums, m.row_sums)
-    return Fraction(c * (c - 1) * den + num, 2 * c * (c - 1) * den)
+    return c * (c - 1) * den + num, 2 * c * (c - 1) * den
 
 
-def _auroc_ova_terms(m: ConfusionMatrix) -> tuple[int, int]:
-    """``(1/2C) sum_i [1 + a_ii/R_i - (K_i - a_ii)/(n - R_i)]`` as ``(num, den)``."""
+def _auroc_ova(m: ConfusionMatrix) -> tuple[int, int]:
+    """``(1/2C) sum_i [1 + a_ii/R_i - (K_i - a_ii)/(n - R_i)]``."""
     c, n = len(m.counts), m.total
     nums, dens = [], []
     for d, r, k in zip(_diagonal(m), m.row_sums, m.col_sums):
@@ -128,27 +122,23 @@ def _auroc_ova_terms(m: ConfusionMatrix) -> tuple[int, int]:
     return c * den + num, 2 * c * den
 
 
-def _auroc_ova(m: ConfusionMatrix) -> Fraction:
-    return Fraction(*_auroc_ova_terms(m))
-
-
-def _n_auroc_ova(m: ConfusionMatrix) -> Fraction:
+def _n_auroc_ova(m: ConfusionMatrix) -> tuple[int, int]:
     """``(ova - lam) / (1 - lam)`` with ``lam = (C-2)/(2C)``, multiplied through by ``2C``."""
     c = len(m.counts)
-    num, den = _auroc_ova_terms(m)
-    return Fraction(2 * c * num - (c - 2) * den, (c + 2) * den)
+    num, den = _auroc_ova(m)
+    return 2 * c * num - (c - 2) * den, (c + 2) * den
 
 
-def _aurpc_ova(m: ConfusionMatrix) -> Fraction | None:
+def _aurpc_ova(m: ConfusionMatrix) -> tuple[int, int] | None:
     """``(1/2C) sum_i [a_ii/K_i + a_ii/R_i]``; undefined when a column is empty."""
     if 0 in m.col_sums:
         return None
     nums = [d * (k + r) for d, k, r in zip(_diagonal(m), m.col_sums, m.row_sums)]
     num, den = _sum_ratios(nums, [k * r for k, r in zip(m.col_sums, m.row_sums)])
-    return Fraction(num, 2 * len(m.counts) * den)
+    return num, 2 * len(m.counts) * den
 
 
-def _m_aurpc_ova(m: ConfusionMatrix) -> Fraction | None:
+def _m_aurpc_ova(m: ConfusionMatrix) -> tuple[int, int] | None:
     """``(1/2C) sum_i [r_ii/s_i + r_ii]`` over rates ``r_ij = a_ij/R_i``, ``s_j = sum_i r_ij``.
 
     With ``P`` the least common multiple of the row sums and ``w_i = P / R_i``
@@ -164,4 +154,4 @@ def _m_aurpc_ova(m: ConfusionMatrix) -> Fraction | None:
         return None
     nums = [d * wi * (p + s) for d, wi, s in zip(_diagonal(m), w, col_rate_sums)]
     num, den = _sum_ratios(nums, col_rate_sums)
-    return Fraction(num, 2 * len(rows) * p * den)
+    return num, 2 * len(rows) * p * den

@@ -5,13 +5,13 @@ two-class only, its float formula and its exact oracle, its closed-form lower
 bound (the upper bound is 1 for every index), and its single-class-collapse
 behaviour.  :func:`evaluate` checks a two-class index's class count and
 wraps a formula's bare number, or the reason it is undefined, in an
-:class:`~imbindex.values.IndexValue`; :func:`exact` is the
-one place that wraps an oracle's key in an :class:`ExactEval`.  The
-condition-1 trial loop in :mod:`imbindex.audit` reads a spec's ``exact`` and
-``formula`` directly: it runs each index only at a class count it accepts,
-and it compares keys, so it needs neither wrapper.  The row builder of
-:mod:`imbindex.lab` calls ``formula`` directly too, checking the class count
-once per matrix.
+:class:`~imbindex.values.IndexValue`; :func:`exact` is the one place that
+reduces an oracle's ``(num, den)`` pair to a ``Fraction`` key and wraps it in
+an :class:`ExactEval`.  The condition-1 trial loop in :mod:`imbindex.audit`
+reads a spec's ``exact`` and ``formula`` directly: it runs each index only at
+a class count it accepts, and it compares pairs by cross-multiplying, so it
+needs neither wrapper.  The row builder of :mod:`imbindex.lab` calls
+``formula`` directly too, checking the class count once per matrix.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ class IndexSpec:
     ``formula(cells)`` is the index's float formula over a matrix's cells
     (see :mod:`imbindex.multiclass`); call it through :func:`evaluate`.
     ``exact(m)`` is its oracle in :mod:`imbindex.exact`, which returns the
-    exact key or ``None``; ``key_value(key, C)`` turns a key into the float
+    exact key as an unreduced ``(num, den)`` pair with ``den > 0``, or
+    ``None``; ``key_value(key, C)`` turns a reduced key into the float
     value.  Call both through :func:`exact`, except in the condition-1 trial
     loop, which calls both directly, and the lab's row builder, which calls
     ``formula`` directly (see above).
@@ -105,7 +106,7 @@ class IndexSpec:
     index_id: str
     binary_only: bool
     formula: Callable[..., float]
-    exact: Callable[[ConfusionMatrix], Fraction | None]
+    exact: Callable[[ConfusionMatrix], tuple[int, int] | None]
     lower_bound: Callable[[int, Sequence[int] | None], Fraction] = _zero_floor
     collapse_limit: Callable[[int], Fraction] | None = None
     collapse_floor: Callable[[int], Fraction] | None = None
@@ -178,9 +179,10 @@ def evaluate(index_id: str, m: ConfusionMatrix) -> IndexValue:
 def exact(index_id: str, m: ConfusionMatrix) -> ExactEval | None:
     """Evaluate one index on the exact rational path; ``None`` when undefined."""
     spec = _spec_for(index_id, m)
-    key = spec.exact(m)
-    if key is None:
+    pair = spec.exact(m)
+    if pair is None:
         return None
+    key = Fraction(*pair)
     return ExactEval(key, spec.key_value(key, len(m.counts)))
 
 

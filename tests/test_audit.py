@@ -244,6 +244,18 @@ class TestCondition1:
         assert exact("precision", w.matrix).key != exact("precision", scaled).key
         assert w.exact_before != w.exact_after
 
+    @pytest.mark.parametrize("index_id", ["precision", "auroc_ova"])
+    def test_witness_keys_are_registry_keys_in_lowest_terms(self, index_id):
+        w = audit_condition1([index_id], trials=FAST_TRIALS)[index_id].witness
+        scaled = apply_scaling(w.matrix, w.factors)
+        assert type(w.exact_before) is Fraction and type(w.exact_after) is Fraction
+        assert w.exact_before == exact(index_id, w.matrix).key
+        assert w.exact_after == exact(index_id, scaled).key
+        written = json.loads(to_json(w))
+        for name in ("exact_before", "exact_after"):
+            num, _, den = written[name].partition("/")
+            assert math.gcd(int(num), int(den or 1)) == 1, written[name]
+
     def test_witness_factors_are_fractions_written_as_strings(self):
         w = audit_condition1(["precision"], trials=FAST_TRIALS)["precision"].witness
         assert all(type(f) is Fraction for f in w.factors)

@@ -157,6 +157,19 @@ class TestEval:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: need at least 2 classes to tally a confusion matrix\n")
 
+    @pytest.mark.parametrize("text, classes, label", [
+        pytest.param("a,a\na,b\n", None, "b", id="only-predicted"),
+        pytest.param("a,a\nb,b\n", "a,b,c", "c", id="listed-class-without-rows"),
+    ])
+    def test_class_without_rows_is_named(self, tmp_path, capsys, text, classes, label):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(text)
+        argv = ["eval", "--labels", str(pairs)] + (["--classes", classes] if classes else [])
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        message = f"class {label!r} has no test points (no row has true label {label!r})"
+        assert (out, err) == ("", f"error: {message}\n")
+
     def test_classes_with_matrix_is_input_error(self, base_matrix_csv, capsys):
         code = main(["eval", "--matrix", str(base_matrix_csv), "--classes", "x,y"])
         assert code == EXIT_INPUT

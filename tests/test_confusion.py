@@ -176,7 +176,7 @@ class TestIngestLabels:
         assert m.counts == ((1, 1), (0, 1))
 
     def test_missing_true_class_rejected(self):
-        with pytest.raises(EmptyRowError):
+        with pytest.raises(EmptyRowError, match="class 'B' has no test points"):
             ingest_labels([("A", "A")], ["A", "B"])
 
     def test_unknown_label_rejected(self):
@@ -336,6 +336,11 @@ def _reference_ingest(pairs, class_list=None):
         if p not in index:
             raise UnknownLabelError(f"predicted label {p!r} is not in the class list")
         grid[index[t]][index[p]] += 1
+    for label in class_list:
+        if not any(grid[index[label]]):
+            raise EmptyRowError(
+                f"class {label!r} has no test points (no row has true label {label!r})"
+            )
     return ConfusionMatrix(tuple(tuple(row) for row in grid))
 
 

@@ -1,10 +1,11 @@
 """The exact oracle against a pure-Fraction reference of every index's defining formula.
 
 The oracles in :mod:`imbindex.exact` work in integer numerator/denominator
-arithmetic.  The reference below builds a ``Fraction`` for every rate and
-every partial sum instead, straight from the defining formulas, and serves
-the oracle as :func:`~imbindex.audit.enumerate_extremal` serves the
-condition-2 certificates.
+arithmetic and return an unreduced ``(num, den)`` pair.  The reference below
+builds a ``Fraction`` for every rate and every partial sum instead, straight
+from the defining formulas, and serves the oracle as
+:func:`~imbindex.audit.enumerate_extremal` serves the condition-2
+certificates.
 """
 
 import ast
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from imbindex import ALL_INDEX_IDS, applicable_index_ids, exact, get_index
-from imbindex.confusion import ConfusionMatrix
+from imbindex.confusion import ConfusionMatrix, apply_scaling
 from imbindex.exact import _sum_ratios
 
 EXACT_SOURCE = Path(__file__).resolve().parent.parent / "src" / "imbindex" / "exact.py"
@@ -143,6 +144,15 @@ REFERENCE = {
 GEOMETRIC_MEANS = {"gmean2", "gmean_c"}
 
 
+def _key(pair):
+    """An oracle's pair, checked to be two ``int``s with ``den > 0``, reduced to a ``Fraction``."""
+    if pair is None:
+        return None
+    num, den = pair
+    assert type(num) is int and type(den) is int and den > 0, pair
+    return Fraction(num, den)
+
+
 def ref_value(index_id, key, class_count):
     if index_id in GEOMETRIC_MEANS:
         return float(key) ** (1.0 / class_count)
@@ -185,14 +195,14 @@ def test_oracle_matches_fraction_reference():
         huge += max(max(row) for row in m.counts) > 2**53
         for index_id in applicable_index_ids(m.class_count):
             want = REFERENCE[index_id](m)
-            got = get_index(index_id).exact(m)
+            got = _key(get_index(index_id).exact(m))
             ev = exact(index_id, m)
             assert got == want, (index_id, m.counts)
             if want is None:
                 undefined[index_id] += 1
                 assert ev is None
             else:
-                assert type(got) is Fraction
+                assert type(ev.key) is Fraction
                 assert ev.key == want
                 assert ev.value == ref_value(index_id, want, m.class_count), (index_id, m.counts)
     assert huge > 100
@@ -232,7 +242,7 @@ def test_m_aurpc_ova_matches_reference_when_row_sums_share_factors():
     for m in _shared_row_sum_cases():
         assert math.lcm(*m.row_sums) < math.prod(m.row_sums)
         want = ref_m_aurpc_ova(m)
-        assert get_index("m_aurpc_ova").exact(m) == want, m.counts
+        assert _key(get_index("m_aurpc_ova").exact(m)) == want, m.counts
         huge += max(max(row) for row in m.counts) > 2**53
         undefined += want is None
     assert huge > 50 and undefined > 20
@@ -257,3 +267,29 @@ def test_sum_ratios_is_the_fraction_sum_over_the_lcm(terms):
     num, den = _sum_ratios(nums, dens)
     assert Fraction(num, den) == sum(map(Fraction, nums, dens))
     assert den == math.lcm(1, *dens)
+
+
+_cells = st.one_of(st.just(0), st.integers(0, 9), st.integers(0, 2**70))
+
+
+@st.composite
+def _scaled_matrices(draw):
+    """A matrix with 2 to 10 classes and cells up to 2^70, and integer row factors."""
+    c = draw(st.integers(2, 10))
+    row = st.lists(_cells, min_size=c, max_size=c).filter(any)
+    m = ConfusionMatrix([draw(row) for _ in range(c)])
+    return m, draw(st.lists(st.integers(1, 5), min_size=c, max_size=c))
+
+
+@given(_scaled_matrices())
+def test_oracle_pairs_compare_as_their_fractions(case):
+    m, factors = case
+    scaled = apply_scaling(m, factors)
+    for index_id in applicable_index_ids(m.class_count):
+        oracle = get_index(index_id).exact
+        before, after = oracle(m), oracle(scaled)
+        assert _key(before) == REFERENCE[index_id](m), (index_id, m.counts)
+        assert (before is None) == (after is None)  # a row scaling keeps every zero cell
+        if before is not None:
+            crossed = before[0] * after[1] == after[0] * before[1]
+            assert crossed == (_key(before) == _key(after)), (index_id, m.counts, factors)
