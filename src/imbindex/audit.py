@@ -273,7 +273,7 @@ def sample_matrix(rng: TrialStream, class_count: int) -> ConfusionMatrix:
 _SCALING_CANDIDATES = tuple(Fraction(1, d) for d in (5, 4, 3, 2)) + tuple(
     Fraction(k) for k in (1, 2, 3, 4, 5)
 )
-_INTEGER_CANDIDATES = tuple(Fraction(k) for k in (1, 2, 3, 4, 5))
+_INTEGER_CANDIDATES = _SCALING_CANDIDATES[4:]  # the same objects, so factors compare by identity
 # ``1/d`` keeps a row integral iff ``d`` divides the row's gcd, or, as ``d`` divides 60,
 # the gcd of 60 and the row: one candidate tuple per divisor of 60
 _CANDIDATES_BY_GCD = {
@@ -293,9 +293,9 @@ def sample_scaling(rng: TrialStream, m: ConfusionMatrix) -> tuple[Fraction, ...]
     for row in m.counts:
         valid = _scaling_candidates(row)
         factors.append(valid[rng.integers(len(valid))])
-    if factors.count(factors[0]) == len(factors):  # unlike a set, hashes no Fraction
+    if all(f is factors[0] for f in factors):  # each factor is one of the candidate objects
         row_idx = rng.integers(m.class_count)
-        alternatives = [b for b in _INTEGER_CANDIDATES if b != factors[row_idx]]
+        alternatives = [b for b in _INTEGER_CANDIDATES if b is not factors[row_idx]]
         factors[row_idx] = alternatives[rng.integers(len(alternatives))]
     return tuple(factors)
 

@@ -47,25 +47,16 @@ def specificity(cells) -> float:
 
 def aurpc(cells) -> float:
     """Mean of recall and precision; inherits precision's undefined case."""
-    (tp, fn), (fp, _tn) = cells.counts
-    return 0.5 * (tp / (tp + fn) + tp / nonzero(tp + fp, "no positive predictions"))
-
-
-def _tpr_and_predicted(cells) -> tuple[float, float]:
-    """TPR, and TPR + FPR: the positive predictions in rate terms."""
-    (tp, fn), (fp, tn) = cells.counts
-    tpr = tp / (tp + fn)
-    fpr = fp / (fp + tn)
-    return tpr, nonzero(tpr + fpr, "no positive predictions in rate terms")
+    return 0.5 * (recall(cells) + precision(cells))
 
 
 def m_precision(cells) -> float:
     """Rate-corrected precision: (TP/n1) / ((TP/n1) + (FP/n2))."""
-    tpr, predicted = _tpr_and_predicted(cells)
-    return tpr / predicted
+    (tp, fn), (fp, tn) = cells.counts
+    tpr = tp / (tp + fn)
+    return tpr / nonzero(tpr + fp / (fp + tn), "no positive predictions in rate terms")
 
 
 def m_aurpc(cells) -> float:
     """Mean of recall and rate-corrected precision."""
-    tpr, predicted = _tpr_and_predicted(cells)
-    return 0.5 * (tpr + tpr / predicted)
+    return 0.5 * (recall(cells) + m_precision(cells))

@@ -10,15 +10,22 @@ it returns the index's key as an unreduced integer pair ``(num, den)`` with
 ``den > 0``, or ``None`` when the index is undefined on the matrix.  Two pairs
 compare by cross-multiplying; :func:`imbindex.registry.exact` reduces them.
 
+Each index family has one rule; every other oracle is one call into it or an
+affine map of its base pair.  :func:`_gmean` gives ``gmean2`` and ``gmean_c``;
+:func:`_acsa` gives ``auroc``, ``acsa`` and ``auroc_ovo``, which is
+``((C-2) + C acsa) / (2(C-1))``; :func:`_auroc_ova` gives ``auroc_ova`` and
+``n_auroc_ova = (2C ova - (C-2)) / (C+2)``; :func:`_weighted_precision` gives
+``precision``, ``m_precision`` and, with :func:`_with_recall`, ``aurpc`` and
+``m_aurpc``; :func:`_weighted_aurpc_ova` gives ``aurpc_ova`` and ``m_aurpc_ova``.
+The paper's remedies for condition 1 are row weights: each ``m_`` index is its
+base index over row rates, row ``i`` weighted by ``1 / R_i``.
+
 Each oracle cross-multiplies over the cells and the margins with ``+``, ``-``
 and ``*``, and tests a denominator for an exact zero before it divides; a sum
 of ratios (:func:`_sum_ratios`) keeps its denominator at the least common
-multiple of its terms'.
-
-The geometric-mean indices are irrational in general, so their key is the
-*product* of class accuracies; the map ``x -> x**(1/C)`` is strictly
-increasing, so equality and ordering of keys match equality and ordering of
-the index values.
+multiple of its terms'.  The geometric-mean indices are irrational in
+general, so their key is the *product* of class accuracies; ``x -> x**(1/C)``
+is strictly increasing, so keys order as the index values do.
 """
 
 from __future__ import annotations
@@ -55,11 +62,11 @@ def _acsa(m: ConfusionMatrix) -> tuple[int, int]:
     return num, len(m.counts) * den
 
 
-def _precision(m: ConfusionMatrix) -> tuple[int, int] | None:
-    tp, fp = m.counts[0][0], m.counts[1][0]
-    if tp + fp == 0:
-        return None
-    return tp, tp + fp
+def _auroc_ovo(m: ConfusionMatrix) -> tuple[int, int]:
+    """One-vs-one AUROC (Hand & Till 2001): row ``j`` off the diagonal sums to ``R_j - a_jj``."""
+    c = len(m.counts)
+    num, den = _acsa(m)
+    return (c - 2) * den + c * num, 2 * (c - 1) * den
 
 
 def _recall(m: ConfusionMatrix) -> tuple[int, int]:
@@ -70,45 +77,38 @@ def _specificity(m: ConfusionMatrix) -> tuple[int, int]:
     return m.counts[1][1], m.row_sums[1]
 
 
-def _aurpc(m: ConfusionMatrix) -> tuple[int, int] | None:
-    """Mean of recall ``tp / R0`` and precision ``tp / (tp + fp)``."""
-    tp, fp, r0 = m.counts[0][0], m.counts[1][0], m.row_sums[0]
+def _weighted_precision(m: ConfusionMatrix, w0: int, w1: int) -> tuple[int, int] | None:
+    """``w0 tp / (w0 tp + w1 fp)``, rows weighted by ``w0`` and ``w1``; undefined at a zero
+    denominator.  ``(R1, R0)`` is the row-rate weighting multiplied through by ``R0 R1``."""
+    tp, fp = w0 * m.counts[0][0], w1 * m.counts[1][0]
     if tp + fp == 0:
         return None
-    return tp * (tp + fp) + tp * r0, 2 * r0 * (tp + fp)
+    return tp, tp + fp
+
+
+def _with_recall(m: ConfusionMatrix, precision: tuple[int, int] | None) -> tuple[int, int] | None:
+    """Mean of recall ``tp / R0`` and a ``precision`` pair; undefined with the precision."""
+    if precision is None:
+        return None
+    num, den = precision
+    tp, r0 = m.counts[0][0], m.row_sums[0]
+    return tp * den + num * r0, 2 * r0 * den
+
+
+def _precision(m: ConfusionMatrix) -> tuple[int, int] | None:
+    return _weighted_precision(m, 1, 1)
 
 
 def _m_precision(m: ConfusionMatrix) -> tuple[int, int] | None:
-    """``tpr / (tpr + fpr)``, multiplied through by ``R0 * R1``."""
-    tp, fp = m.counts[0][0], m.counts[1][0]
-    r0, r1 = m.row_sums
-    den = tp * r1 + fp * r0
-    if den == 0:
-        return None
-    return tp * r1, den
+    return _weighted_precision(m, m.row_sums[1], m.row_sums[0])
+
+
+def _aurpc(m: ConfusionMatrix) -> tuple[int, int] | None:
+    return _with_recall(m, _precision(m))
 
 
 def _m_aurpc(m: ConfusionMatrix) -> tuple[int, int] | None:
-    """Mean of recall ``tp / R0`` and the rate-corrected precision."""
-    terms = _m_precision(m)
-    if terms is None:
-        return None
-    mp_num, mp_den = terms
-    tp, r0 = m.counts[0][0], m.row_sums[0]
-    return tp * mp_den + mp_num * r0, 2 * r0 * mp_den
-
-
-def _auroc_ovo(m: ConfusionMatrix) -> tuple[int, int]:
-    """``(1/2C) sum_i [1 + a_ii/R_i - sum_{j != i} a_ji / ((C-1) R_j)]``.
-
-    The terms are grouped by denominator: row ``j`` contributes its diagonal
-    ``C - 1`` times and its off-diagonal cells, which sum to ``R_j - a_jj``,
-    once, negated.
-    """
-    c = len(m.counts)
-    nums = [c * d - r for d, r in zip(_diagonal(m), m.row_sums)]
-    num, den = _sum_ratios(nums, m.row_sums)
-    return c * (c - 1) * den + num, 2 * c * (c - 1) * den
+    return _with_recall(m, _m_precision(m))
 
 
 def _auroc_ova(m: ConfusionMatrix) -> tuple[int, int]:
@@ -129,29 +129,25 @@ def _n_auroc_ova(m: ConfusionMatrix) -> tuple[int, int]:
     return 2 * c * num - (c - 2) * den, (c + 2) * den
 
 
-def _aurpc_ova(m: ConfusionMatrix) -> tuple[int, int] | None:
-    """``(1/2C) sum_i [a_ii/K_i + a_ii/R_i]``; undefined when a column is empty."""
-    if 0 in m.col_sums:
+def _weighted_aurpc_ova(
+    m: ConfusionMatrix, w: Sequence[int], s: Sequence[int]
+) -> tuple[int, int] | None:
+    """``(1/2C) sum_i [a_ii w_i / s_i + a_ii / R_i]``: ``aurpc_ova`` with row ``i`` weighted by
+    ``w_i``, given the weighted column sums ``s_j = sum_i a_ij w_i``; undefined when one is 0."""
+    if 0 in s:
         return None
-    nums = [d * (k + r) for d, k, r in zip(_diagonal(m), m.col_sums, m.row_sums)]
-    num, den = _sum_ratios(nums, [k * r for k, r in zip(m.col_sums, m.row_sums)])
-    return num, 2 * len(m.counts) * den
+    rows = m.row_sums
+    nums = [d * (wi * r + si) for d, wi, r, si in zip(_diagonal(m), w, rows, s)]
+    num, den = _sum_ratios(nums, [si * r for si, r in zip(s, rows)])
+    return num, 2 * len(rows) * den
+
+
+def _aurpc_ova(m: ConfusionMatrix) -> tuple[int, int] | None:
+    return _weighted_aurpc_ova(m, [1] * len(m.counts), m.col_sums)
 
 
 def _m_aurpc_ova(m: ConfusionMatrix) -> tuple[int, int] | None:
-    """``(1/2C) sum_i [r_ii/s_i + r_ii]`` over rates ``r_ij = a_ij/R_i``, ``s_j = sum_i r_ij``.
-
-    With ``P`` the least common multiple of the row sums and ``w_i = P / R_i``
-    (exact, as ``R_i`` divides ``P``), ``s_j = S_j / P`` for ``S_j = sum_i a_ij w_i``, so
-    ``r_ii / s_i + r_ii = a_ii w_i (P + S_i) / (S_i P)``.
-    Undefined when some ``S_j`` is zero.
-    """
-    rows = m.row_sums
-    p = lcm(*rows)
-    w = [p // r for r in rows]
-    col_rate_sums = [sum(map(mul, column, w)) for column in zip(*m.counts)]
-    if 0 in col_rate_sums:
-        return None
-    nums = [d * wi * (p + s) for d, wi, s in zip(_diagonal(m), w, col_rate_sums)]
-    num, den = _sum_ratios(nums, col_rate_sums)
-    return num, 2 * len(rows) * p * den
+    """Row weights ``w_i = P / R_i`` for ``P`` the lcm of the row sums, which keeps them small."""
+    p = lcm(*m.row_sums)
+    w = [p // r for r in m.row_sums]
+    return _weighted_aurpc_ova(m, w, [sum(map(mul, column, w)) for column in zip(*m.counts)])

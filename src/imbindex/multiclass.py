@@ -21,6 +21,7 @@ runs.
 from __future__ import annotations
 
 import math
+import sys
 
 from .values import nonzero
 
@@ -38,8 +39,13 @@ def _accuracies(cells) -> list:
 
 
 def gmean_c(cells) -> float:
-    """Geometric mean of the class-specific accuracies; 0 if any class scores 0."""
-    return math.prod(_accuracies(cells)) ** (1.0 / cells.class_count)
+    """Geometric mean of the class-specific accuracies; 0 if any class scores 0.
+    Rooted through logarithms where a product of positive accuracies underflows."""
+    accuracies = _accuracies(cells)
+    product = math.prod(accuracies)
+    if product < sys.float_info.min and min(accuracies) > 0:
+        return math.exp(math.fsum(map(math.log, accuracies)) / cells.class_count)
+    return product ** (1.0 / cells.class_count)
 
 
 def acsa(cells) -> float:

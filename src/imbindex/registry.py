@@ -16,6 +16,8 @@ needs neither wrapper.  The row builder of :mod:`imbindex.lab` calls
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -56,8 +58,12 @@ def _key_value(key: Fraction, class_count: int) -> float:
 
 
 def _root_value(key: Fraction, class_count: int) -> float:
-    """A geometric mean's value from its key, the product of the class accuracies."""
-    return _key_value(key, class_count) ** (1.0 / class_count)
+    """A geometric mean's value from its key, the product of the class accuracies;
+    rooted through the key's integer logarithms where the product underflows."""
+    product = _key_value(key, class_count)
+    if product < sys.float_info.min and key.numerator > 0:
+        return math.exp((math.log(key.numerator) - math.log(key.denominator)) / class_count)
+    return product ** (1.0 / class_count)
 
 
 def _zero_floor(class_count: int, profile: Sequence[int] | None) -> Fraction:

@@ -18,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from imbindex import ALL_INDEX_IDS, applicable_index_ids, exact, get_index
+from imbindex.audit import EXPECTED_VERDICTS, VERDICT_INVARIANT
 from imbindex.confusion import ConfusionMatrix, apply_scaling
 from imbindex.exact import _sum_ratios
 
@@ -293,3 +294,42 @@ def test_oracle_pairs_compare_as_their_fractions(case):
         if before is not None:
             crossed = before[0] * after[1] == after[0] * before[1]
             assert crossed == (_key(before) == _key(after)), (index_id, m.counts, factors)
+
+
+# Each remedy is its base index on the row-equalised matrix E(m), whose row i is
+# scaled by lcm(R) / R_i; the oracles encode this as row weights, never building E.
+BASE_OF_REMEDY = {
+    "m_precision": "precision",
+    "m_aurpc": "aurpc",
+    "m_aurpc_ova": "aurpc_ova",
+    "auroc_ovo": "auroc_ova",
+}
+UNCHANGED_BY_EQUALISING = {
+    index_id for index_id, verdicts in EXPECTED_VERDICTS.items() if verdicts[0] == VERDICT_INVARIANT
+} | {"recall", "specificity"}
+
+
+@st.composite
+def _matrices_with_empty_columns(draw):
+    """A matrix with 2 to 8 classes, cells up to 2^70, and sometimes an empty column."""
+    c = draw(st.integers(2, 8))
+    empty = draw(st.none() | st.integers(0, c - 1))
+    row = st.lists(_cells, min_size=c, max_size=c).map(
+        lambda cells: [0 if j == empty else v for j, v in enumerate(cells)]
+    )
+    return ConfusionMatrix([draw(row.filter(any)) for _ in range(c)])
+
+
+@given(_matrices_with_empty_columns())
+def test_remedies_are_their_base_index_on_equalised_rows(m):
+    p = math.lcm(*m.row_sums)
+    equalised = apply_scaling(m, [p // r for r in m.row_sums])
+    assert set(equalised.row_sums) == {p}
+    assert UNCHANGED_BY_EQUALISING >= set(BASE_OF_REMEDY)
+    for index_id in applicable_index_ids(m.class_count):
+        want = _key(get_index(index_id).exact(m))
+        if index_id in BASE_OF_REMEDY:
+            base = get_index(BASE_OF_REMEDY[index_id]).exact(equalised)
+            assert _key(base) == want, (index_id, m.counts)
+        if index_id in UNCHANGED_BY_EQUALISING:
+            assert _key(get_index(index_id).exact(equalised)) == want, (index_id, m.counts)

@@ -69,6 +69,17 @@ class TestGmeanAndAcsa:
     def test_all_off_diagonal_acsa_zero(self):
         assert evaluate("acsa", ConfusionMatrix([[0, 5, 5], [5, 0, 5], [5, 5, 0]])).value == 0.0
 
+    @pytest.mark.parametrize("class_count, row_sum", [(120, 1000), (1100, 2)])
+    def test_gmean_c_does_not_underflow(self, class_count, row_sum):
+        # every accuracy is 1 / row_sum; their product is below the float range
+        m = ConfusionMatrix([
+            [1 if j == i else row_sum - 1 if j == (i + 1) % class_count else 0
+             for j in range(class_count)]
+            for i in range(class_count)
+        ])
+        for value in (evaluate("gmean_c", m).value, exact("gmean_c", m).value):
+            assert value == pytest.approx(1 / row_sum, rel=1e-12, abs=0)
+
     def test_acsa_reduces_to_auroc_for_two_classes(self):
         # the two-class auroc is the mean of recall 8/10 and specificity 90/100
         m = ConfusionMatrix([[8, 2], [10, 90]])
