@@ -39,13 +39,18 @@ class count ``C``.  Each trial is seeded once: every class count reads its
 words from the start through its own cursor, and each scaling reads them
 through a cursor copied right after its matrix (:meth:`TrialStream.copy`).
 When a violation exists the stored witness is the one with the lowest trial
-number.
+number.  The trials run as contiguous ranges, in up to one process per
+available CPU, and the ranges' tallies are merged in trial order, so a report
+does not depend on how many processes ran it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -327,6 +332,7 @@ class Condition1Result:
 
 
 _MAX_DRAWS = 200  # draws per trial before an index counts as never defined
+_MIN_RANGE = 64  # the fewest trials a process is given
 
 
 def _draw_defined(
@@ -351,40 +357,25 @@ def _draw_defined(
     raise RuntimeError(f"{spec.index_id} undefined on {_MAX_DRAWS} consecutive sampled matrices")
 
 
-def audit_condition1(
-    index_ids: Sequence[str],
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-    class_count: int = DEFAULT_CLASS_COUNT,
-) -> dict[str, Condition1Result]:
-    """Randomized row-scaling invariance audit with exact-rational confirmation.
+# per index: undefined draws resampled, largest float drift, first witness
+_TrialTally = dict[str, tuple[int, float, Condition1Witness | None]]
 
-    Each distinct index gets one result, in first-appearance order.  Two-class
-    indices run at C = 2, the others at ``class_count``.  Trial ``t`` is
-    seeded once, by ``(seed, t)``, and each class count C reads it through its
-    own cursor from the start, so every index audited at C shares those
-    draws: each still-active index takes the first draw ``m_j`` on which it is
-    defined, and each distinct ``j`` gets one scaling, read from the cursor
-    copied right after ``m_j``.  So every index sees exactly the matrix and
-    scaling a trial run for it alone would draw.  The exact oracle is the
-    only arbiter: Violated on the first exact disagreement (lowest trial
-    index), after which the index draws no more trials; Invariant when every
-    trial agrees exactly.  The oracle's ``(num, den)`` pairs are compared by
-    cross-multiplying; only a witness's keys are reduced, by :func:`exact`.
-    The largest float drift is reported, never judged.
+
+def _condition1_trials(
+    index_ids: Sequence[str], seed: int, class_count: int, start: int, stop: int
+) -> _TrialTally:
+    """Trials ``start`` to ``stop - 1`` of :func:`audit_condition1`, tallied per distinct id.
+
+    Each index stops at its first witness in the range; the range ends early
+    once every index has one.
     """
-    if class_count < 2:
-        raise MatrixError("class_count must be at least 2")
     specs = {i: get_index(i) for i in index_ids}
     class_of = {i: 2 if spec.binary_only else class_count for i, spec in specs.items()}
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-
     groups = {c: [i for i in class_of if class_of[i] == c] for c in class_of.values()}
     resampled = dict.fromkeys(class_of, 0)
     drift = dict.fromkeys(class_of, 0.0)
     witnesses: dict[str, Condition1Witness] = {}
-    for trial in range(trials):
+    for trial in range(start, stop):
         if len(witnesses) == len(class_of):
             break
         stream = TrialStream([seed, trial])
@@ -414,17 +405,147 @@ def audit_condition1(
                         exact_before=exact(index_id, m).key,
                         exact_after=exact(index_id, scaled).key,
                     )
+    return {i: (resampled[i], drift[i], witnesses.get(i)) for i in class_of}
+
+
+def _merge_trials(earlier: _TrialTally, later: _TrialTally) -> _TrialTally:
+    """The tally of two adjacent trial ranges, ``earlier`` first.
+
+    An index witnessed in ``earlier`` stopped there and takes nothing from
+    ``later``, which need not hold it; any other adds ``later``'s resampled
+    count and takes the larger drift and ``later``'s witness.
+    """
+    return {
+        i: (n + later[i][0], max(d, later[i][1]), later[i][2]) if w is None else (n, d, w)
+        for i, (n, d, w) in earlier.items()
+    }
+
+
+def _worker_count(trials: int) -> int:
+    """Processes to run ``trials`` condition-1 trials in: one per available CPU,
+    each given at least ``_MIN_RANGE`` trials.
+
+    One, the serial path, where ``os.fork`` is missing or a second Python
+    thread runs (forking a threaded process can copy a held lock).
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, trials // _MIN_RANGE))
+
+
+def _run_forked(run, ranges: Sequence[tuple[int, int]]) -> list:
+    """``run(start, stop)`` on each range, in range order: the first in this
+    process, each other in a forked child.
+
+    A child sends its result, or the exception it raised, back pickled through
+    a pipe, and leaves through ``os._exit``, so it never returns into the
+    caller nor flushes this process's stdio buffers.  Its exception takes its
+    result's place in the list; one raised here propagates, after every child
+    still running is killed.  Every child is reaped before this returns.
+    """
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    reaped = 0
+    outcomes = []
+    try:
+        for start, stop in ranges[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    try:
+                        outcome = run(start, stop)
+                    except BaseException as exc:
+                        outcome = exc
+                    data = pickle.dumps(outcome)  # whole, so a failure writes nothing
+                    with open(write, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, read))
+        outcomes.append(run(*ranges[0]))
+        for (pid, read), (start, stop) in zip(children, ranges[1:]):
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped += 1
+            outcomes.append(pickle.loads(data) if data else ChildProcessError(
+                f"trials {start} to {stop - 1} ended with wait status {status} and no result"
+            ))
+        return outcomes
+    finally:
+        for pid, _read in children[reaped:]:
+            from signal import SIGKILL  # loaded only when a child must be stopped
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        for _pid, read in children:
+            os.close(read)
+
+
+def audit_condition1(
+    index_ids: Sequence[str],
+    trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
+    class_count: int = DEFAULT_CLASS_COUNT,
+) -> dict[str, Condition1Result]:
+    """Randomized row-scaling invariance audit with exact-rational confirmation.
+
+    Each distinct index gets one result, in first-appearance order.  Two-class
+    indices run at C = 2, the others at ``class_count``.  Trial ``t`` is
+    seeded once, by ``(seed, t)``, and each class count C reads it through its
+    own cursor from the start, so every index audited at C shares those
+    draws: each still-active index takes the first draw ``m_j`` on which it is
+    defined, and each distinct ``j`` gets one scaling, read from the cursor
+    copied right after ``m_j``.  So every index sees exactly the matrix and
+    scaling a trial run for it alone would draw.  The exact oracle is the
+    only arbiter: Violated on the first exact disagreement (lowest trial
+    index), after which the index draws no more trials; Invariant when every
+    trial agrees exactly.  The oracle's ``(num, den)`` pairs are compared by
+    cross-multiplying; only a witness's keys are reduced, by :func:`exact`.
+    The largest float drift is reported, never judged.
+
+    The trials run as contiguous ranges, one per available CPU with at least
+    64 trials each: the first in this process, each other in a forked child
+    (:func:`_run_forked`).  The ranges' tallies are merged in trial order, so
+    the result does not depend on how many processes ran them.  One range,
+    run here, is the serial path: without ``os.fork``, on one CPU, while
+    another Python thread runs, or below 128 trials.
+    """
+    if class_count < 2:
+        raise MatrixError("class_count must be at least 2")
+    class_of = {i: 2 if get_index(i).binary_only else class_count for i in index_ids}
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+    n = _worker_count(trials)
+    bounds = [trials * k // n for k in range(n + 1)]
+    ranges = list(zip(bounds, bounds[1:]))
+    run = partial(_condition1_trials, list(class_of), seed, class_count)
+    tally: _TrialTally = {}
+    for (start, stop), part in zip(ranges, _run_forked(run, ranges)):
+        if isinstance(part, BaseException):
+            # a child also ran the indices an earlier range witnessed, which the
+            # serial loop had dropped; without them the range may not raise
+            active = [i for i in class_of if tally[i][2] is None]
+            if len(active) == len(class_of):
+                raise part
+            part = _condition1_trials(active, seed, class_count, start, stop)
+        tally = _merge_trials(tally, part) if tally else part
     return {
         index_id: Condition1Result(
-            verdict=VERDICT_VIOLATED if index_id in witnesses else VERDICT_INVARIANT,
+            verdict=VERDICT_INVARIANT if witness is None else VERDICT_VIOLATED,
             trials=trials,
             class_count=class_of[index_id],
             seed=seed,
-            resampled_undefined=resampled[index_id],
-            max_float_drift=drift[index_id],
-            witness=witnesses.get(index_id),
+            resampled_undefined=resampled,
+            max_float_drift=drift,
+            witness=witness,
         )
-        for index_id in class_of
+        for index_id, (resampled, drift, witness) in tally.items()
     }
 
 

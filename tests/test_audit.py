@@ -1,15 +1,18 @@
 """Condition audits: sampling, verdicts, enumeration oracle, the collapse family."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import math
+import os
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imbindex import MatrixError, UnknownIndexError, apply_scaling, evaluate, exact
@@ -326,6 +329,8 @@ class TestCondition1:
                 seen.append((index_id, m.counts))
                 return formula(m)
             monkeypatch.setitem(INDEX_SPECS, index_id, dataclasses.replace(spec, formula=recording))
+        # the recording sees this process's calls only, so no range is forked
+        monkeypatch.setattr(audit, "_worker_count", lambda trials: 1)
         # None audits at the default class count
         kwargs = {} if class_count is None else {"class_count": class_count}
         reports = audit_all(conditions=(1,), trials=150, seed=seed, **kwargs)
@@ -362,6 +367,142 @@ class TestCondition1:
     def test_json_matches_recorded_digest(self, kwargs, digest):
         text = reports_to_json(audit_all(conditions=(1,), **kwargs))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# the audited ids by (two-class only, condition-1 verdict): each list draws from all four
+_C1_KINDS = [
+    [i for i in EXPECTED_VERDICTS if (INDEX_SPECS[i].binary_only, EXPECTED_VERDICTS[i][0]) == kind]
+    for kind in itertools.product((True, False), (VERDICT_VIOLATED, VERDICT_INVARIANT))
+]
+_c1_index_lists = st.tuples(
+    *(st.lists(st.sampled_from(ids), min_size=1, unique=True) for ids in _C1_KINDS)
+).flatmap(lambda kinds: st.permutations([i for ids in kinds for i in ids]))
+
+
+def _forked(monkeypatch, processes):
+    monkeypatch.setattr(audit, "_worker_count", lambda trials: processes)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTrialRanges:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.sampled_from([1729, 7]),
+        class_count=st.sampled_from([3, 4]),
+        start=st.integers(0, 150),
+        lengths=st.lists(st.integers(1, 25), min_size=1, max_size=4),
+        index_ids=_c1_index_lists,
+    )
+    @example(seed=1729, class_count=3, start=4, lengths=[1, 2],
+             index_ids=["precision", "gmean2", "aurpc_ova", "acsa"])
+    @example(seed=7, class_count=3, start=100, lengths=[20, 30],
+             index_ids=["m_precision", "aurpc", "gmean_c", "auroc_ova"])
+    def test_merged_ranges_equal_one_range(self, seed, class_count, start, lengths, index_ids):
+        bounds = list(itertools.accumulate(lengths, initial=start))
+        parts = [
+            audit._condition1_trials(index_ids, seed, class_count, a, b)
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        whole = audit._condition1_trials(index_ids, seed, class_count, bounds[0], bounds[-1])
+        assert functools.reduce(audit._merge_trials, parts) == whole
+
+    def test_first_witness_in_a_later_range(self):
+        # at seed 1729, trial 4 has no precision witness and trial 5 has one
+        ids = ["precision", "gmean2"]
+        first, later = (audit._condition1_trials(ids, 1729, 3, a, b) for a, b in [(4, 5), (5, 7)])
+        assert first["precision"][2] is None and later["precision"][2].trial == 5
+        merged = audit._merge_trials(first, later)
+        assert merged == audit._condition1_trials(ids, 1729, 3, 4, 7)
+        assert merged["precision"][2] is later["precision"][2]
+
+    def test_merge_adds_counts_and_keeps_the_larger_drift(self):
+        w0, w1 = object(), object()  # stand-ins for two witnesses
+        earlier = {"a": (2, 0.5, None), "b": (1, 0.25, None), "c": (4, 0.125, w0)}
+        later = {"a": (3, 0.25, w1), "b": (5, 0.75, None), "c": (7, 1.0, None)}
+        assert audit._merge_trials(earlier, later) == {
+            "a": (5, 0.5, w1), "b": (6, 0.75, None), "c": (4, 0.125, w0)
+        }
+        # a range rerun without the witnessed ids merges the same way
+        assert audit._merge_trials(earlier, {"a": later["a"], "b": later["b"]})["c"] == earlier["c"]
+
+    def test_forked_ranges_equal_one_process(self, monkeypatch, capfd):
+        # at seed 7, m_precision resamples in trials 112 and 143, both past the parent's range
+        _forked(monkeypatch, 1)
+        serial = audit_condition1(list(EXPECTED_VERDICTS), trials=150, seed=7)
+        _forked(monkeypatch, 3)
+        assert audit_condition1(list(EXPECTED_VERDICTS), trials=150, seed=7) == serial
+        assert serial["m_precision"].resampled_undefined == 2
+        _assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    def test_child_exception_raised_in_parent(self, monkeypatch, capfd):
+        seeded = audit._pcg64_seeded
+
+        def refusing(seed):
+            if seed[1] >= 10:  # trials 10 to 19, the child's range
+                raise MatrixError(f"trial {seed[1]} refused")
+            return seeded(seed)
+
+        monkeypatch.setattr(audit, "_pcg64_seeded", refusing)
+        _forked(monkeypatch, 2)
+        with pytest.raises(MatrixError, match="^trial 10 refused$"):
+            audit_condition1(["gmean2", "acsa"], trials=20)
+        _assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    def test_children_killed_when_the_parent_range_raises(self, monkeypatch, capfd):
+        seeded = audit._pcg64_seeded
+
+        def stalling(seed):
+            if seed[1] in (10, 20):  # the children's first trials
+                time.sleep(60)  # so a child is still running when the parent's range raises
+            if seed[1] == 3:
+                raise MatrixError("parent refused")
+            return seeded(seed)
+
+        monkeypatch.setattr(audit, "_pcg64_seeded", stalling)
+        _forked(monkeypatch, 3)
+        start = time.monotonic()
+        with pytest.raises(MatrixError, match="parent refused"):
+            audit_condition1(["gmean2"], trials=30)
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    def test_child_exception_for_an_earlier_witnessed_index_not_raised(self, monkeypatch):
+        # the serial loop drops precision after its trial-0 witness; the child
+        # runs it anyway, and its failure there must not surface
+        parent, spec = os.getpid(), INDEX_SPECS["precision"]
+
+        def failing_in_child(m):
+            if os.getpid() != parent:
+                raise RuntimeError("precision evaluated past its witness")
+            return spec.exact(m)
+
+        monkeypatch.setitem(INDEX_SPECS, "precision", dataclasses.replace(spec, exact=failing_in_child))
+        _forked(monkeypatch, 1)
+        serial = audit_condition1(["precision", "gmean2"], trials=20)
+        _forked(monkeypatch, 2)
+        assert audit_condition1(["precision", "gmean2"], trials=20) == serial
+        assert serial["precision"].witness.trial == 0
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "trials, cpus, threads, fork, expected",
+        [(500, 2, 1, True, 2), (500, 8, 1, True, 7), (128, 4, 1, True, 2), (127, 4, 1, True, 1),
+         (500, 1, 1, True, 1), (500, 4, 2, True, 1), (500, 4, 1, False, 1)],
+    )
+    def test_worker_count(self, monkeypatch, trials, cpus, threads, fork, expected):
+        # one process per CPU with at least 64 trials each; one without fork or beside a thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(audit.threading, "active_count", lambda: threads)
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        assert audit._worker_count(trials) == expected
 
 
 class TestCondition2:
