@@ -41,7 +41,8 @@ through a cursor copied right after its matrix (:meth:`TrialStream.copy`).
 When a violation exists the stored witness is the one with the lowest trial
 number.  The trials run as contiguous ranges, in up to one process per
 available CPU, and the ranges' tallies are merged in trial order, so a report
-does not depend on how many processes ran it.
+does not depend on how many processes ran it.  A range whose fork is refused,
+or whose child fails, runs in the calling process.
 """
 
 from __future__ import annotations
@@ -438,51 +439,51 @@ def _run_forked(run, ranges: Sequence[tuple[int, int]]) -> list:
     """``run(start, stop)`` on each range, in range order: the first in this
     process, each other in a forked child.
 
-    A child sends its result, or the exception it raised, back pickled through
-    a pipe, and leaves through ``os._exit``, so it never returns into the
-    caller nor flushes this process's stdio buffers.  Its exception takes its
-    result's place in the list; one raised here propagates, after every child
-    still running is killed.  Every child is reaped before this returns.
+    A child sends only its result back, pickled through a pipe, and leaves
+    through ``os._exit``, so it never returns into the caller nor flushes this
+    process's stdio buffers.  A range has ``None`` in place of its result when
+    its fork was refused, its child raised, or its child did not exit with
+    status 0.  An exception raised by the first range propagates, after every
+    child still running is killed.  Every child is reaped before this returns.
     """
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    children: list[tuple[int, int, int]] = []  # (range position, pid, read end of its pipe)
     reaped = 0
-    outcomes = []
+    outcomes: list = [None] * len(ranges)
     try:
-        for start, stop in ranges[1:]:
+        for k, (start, stop) in enumerate(ranges[1:], 1):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # refused, as at a process limit: the range has no result
+                os.close(read)
+                os.close(write)
+                continue
             if pid == 0:
-                status = 1
                 try:
-                    try:
-                        outcome = run(start, stop)
-                    except BaseException as exc:
-                        outcome = exc
-                    data = pickle.dumps(outcome)  # whole, so a failure writes nothing
+                    data = pickle.dumps(run(start, stop))  # whole, so a failure writes nothing
                     with open(write, "wb") as pipe:
                         pipe.write(data)
-                    status = 0
+                    os._exit(0)
                 finally:
-                    os._exit(status)
+                    os._exit(1)  # run or the write raised
             os.close(write)
-            children.append((pid, read))
-        outcomes.append(run(*ranges[0]))
-        for (pid, read), (start, stop) in zip(children, ranges[1:]):
+            children.append((k, pid, read))
+        outcomes[0] = run(*ranges[0])
+        for k, pid, read in children:
             with open(read, "rb", closefd=False) as pipe:
                 data = pipe.read()
             status = os.waitpid(pid, 0)[1]
             reaped += 1
-            outcomes.append(pickle.loads(data) if data else ChildProcessError(
-                f"trials {start} to {stop - 1} ended with wait status {status} and no result"
-            ))
+            if status == 0:
+                outcomes[k] = pickle.loads(data)
         return outcomes
     finally:
-        for pid, _read in children[reaped:]:
+        for _k, pid, _read in children[reaped:]:
             from signal import SIGKILL  # loaded only when a child must be stopped
 
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-        for _pid, read in children:
+        for _k, _pid, read in children:
             os.close(read)
 
 
@@ -511,9 +512,11 @@ def audit_condition1(
     The trials run as contiguous ranges, one per available CPU with at least
     64 trials each: the first in this process, each other in a forked child
     (:func:`_run_forked`).  The ranges' tallies are merged in trial order, so
-    the result does not depend on how many processes ran them.  One range,
-    run here, is the serial path: without ``os.fork``, on one CPU, while
-    another Python thread runs, or below 128 trials.
+    the result does not depend on how many processes ran them.  A range whose
+    fork is refused, or whose child fails, runs here over the ids not yet
+    witnessed, as the serial loop would, so an error it raises is raised here.
+    One range, run here, is the serial path: without ``os.fork``, on one CPU,
+    while another Python thread runs, or below 128 trials.
     """
     if class_count < 2:
         raise MatrixError("class_count must be at least 2")
@@ -527,12 +530,8 @@ def audit_condition1(
     run = partial(_condition1_trials, list(class_of), seed, class_count)
     tally: _TrialTally = {}
     for (start, stop), part in zip(ranges, _run_forked(run, ranges)):
-        if isinstance(part, BaseException):
-            # a child also ran the indices an earlier range witnessed, which the
-            # serial loop had dropped; without them the range may not raise
+        if part is None:  # no child result: run the range here, as the serial loop would
             active = [i for i in class_of if tally[i][2] is None]
-            if len(active) == len(class_of):
-                raise part
             part = _condition1_trials(active, seed, class_count, start, stop)
         tally = _merge_trials(tally, part) if tally else part
     return {

@@ -1,12 +1,14 @@
 """Condition audits: sampling, verdicts, enumeration oracle, the collapse family."""
 
 import dataclasses
+import errno
 import functools
 import hashlib
 import itertools
 import json
 import math
 import os
+import signal
 import time
 from fractions import Fraction
 
@@ -388,6 +390,16 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _refused_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def _fd_count():
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("open fds are counted through /proc/self/fd")
+    return len(os.listdir("/proc/self/fd"))
+
+
 class TestTrialRanges:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -489,6 +501,82 @@ class TestTrialRanges:
         _forked(monkeypatch, 2)
         assert audit_condition1(["precision", "gmean2"], trials=20) == serial
         assert serial["precision"].witness.trial == 0
+        _assert_no_child_left()
+
+    def test_refused_fork_runs_the_range_here(self, monkeypatch, capfd):
+        _forked(monkeypatch, 1)
+        serial = audit_condition1(list(EXPECTED_VERDICTS), trials=150, seed=7)
+        monkeypatch.setattr(os, "fork", _refused_fork)
+        _forked(monkeypatch, 2)
+        fds = _fd_count()
+        assert audit_condition1(list(EXPECTED_VERDICTS), trials=150, seed=7) == serial
+        assert _fd_count() == fds
+        _assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("ids", [["gmean2", "acsa"], ["precision", "gmean2", "acsa"]])
+    def test_killed_child_range_runs_here(self, monkeypatch, capfd, ids):
+        # neither gmean2 nor acsa is witnessed in trials 0 to 19, precision is at
+        # trial 0, so the range runs here for gmean2 and acsa alone
+        parent, trials, ran_here = os.getpid(), audit._condition1_trials, []
+
+        def killed_in_child(index_ids, seed, class_count, start, stop):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)  # before it writes anything
+            ran_here.append((list(index_ids), start, stop))
+            return trials(index_ids, seed, class_count, start, stop)
+
+        _forked(monkeypatch, 1)
+        serial = audit_condition1(ids, trials=40)
+        monkeypatch.setattr(audit, "_condition1_trials", killed_in_child)
+        _forked(monkeypatch, 2)
+        fds = _fd_count()
+        assert audit_condition1(ids, trials=40) == serial
+        assert ran_here == [(ids, 0, 20), (["gmean2", "acsa"], 20, 40)]
+        assert _fd_count() == fds
+        _assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    def test_range_without_a_child_result_is_none(self, monkeypatch):
+        # a child that raises sends nothing; neither does a range whose fork is refused
+        parent, fork, forks = os.getpid(), os.fork, []
+
+        def second_fork_refused():
+            forks.append(None)
+            return _refused_fork() if len(forks) == 2 else fork()
+
+        def run(start, stop):
+            if os.getpid() != parent and start == 1:
+                raise MatrixError("child refused")
+            return start
+
+        monkeypatch.setattr(os, "fork", second_fork_refused)
+        fds = _fd_count()
+        assert audit._run_forked(run, [(0, 1), (1, 2), (2, 3), (3, 4)]) == [0, None, None, 3]
+        assert _fd_count() == fds
+        _assert_no_child_left()
+
+    def test_no_fd_left_when_the_parent_range_raises(self):
+        parent = os.getpid()
+
+        def run(start, stop):
+            if os.getpid() == parent:
+                raise MatrixError("parent refused")
+            return start
+
+        fds = _fd_count()
+        with pytest.raises(MatrixError, match="parent refused"):
+            audit._run_forked(run, [(0, 1), (1, 2), (2, 3)])
+        assert _fd_count() == fds
+        _assert_no_child_left()
+
+    def test_results_larger_than_a_pipe_buffer(self):
+        # each child blocks on its full pipe until the parent reads it
+        def run(start, stop):
+            return bytes([start]) * 2**20
+
+        outcomes = audit._run_forked(run, [(0, 1), (1, 2), (2, 3)])
+        assert outcomes == [bytes([k]) * 2**20 for k in range(3)]
         _assert_no_child_left()
 
     @pytest.mark.parametrize(
