@@ -40,23 +40,22 @@ words from the start through its own cursor, and each scaling reads them
 through a cursor copied right after its matrix (:meth:`TrialStream.copy`).
 When a violation exists the stored witness is the one with the lowest trial
 number.  The trials run as contiguous ranges, in up to one process per
-available CPU, and the ranges' tallies are merged in trial order, so a report
-does not depend on how many processes ran it.  A range whose fork is refused,
-or whose child fails, runs in the calling process.
+available CPU (:mod:`imbindex.forks`), and the ranges' tallies are merged in
+trial order, so a report does not depend on how many processes ran it.  A
+range whose pipe or fork is refused, or whose child fails, runs in the
+calling process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import pickle
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from typing import Iterable, Iterator, Sequence
 
+from . import forks
 from .confusion import (
     ConfusionMatrix,
     MatrixError,
@@ -422,71 +421,6 @@ def _merge_trials(earlier: _TrialTally, later: _TrialTally) -> _TrialTally:
     }
 
 
-def _worker_count(trials: int) -> int:
-    """Processes to run ``trials`` condition-1 trials in: one per available CPU,
-    each given at least ``_MIN_RANGE`` trials.
-
-    One, the serial path, where ``os.fork`` is missing or a second Python
-    thread runs (forking a threaded process can copy a held lock).
-    """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, trials // _MIN_RANGE))
-
-
-def _run_forked(run, ranges: Sequence[tuple[int, int]]) -> list:
-    """``run(start, stop)`` on each range, in range order: the first in this
-    process, each other in a forked child.
-
-    A child sends only its result back, pickled through a pipe, and leaves
-    through ``os._exit``, so it never returns into the caller nor flushes this
-    process's stdio buffers.  A range has ``None`` in place of its result when
-    its fork was refused, its child raised, or its child did not exit with
-    status 0.  An exception raised by the first range propagates, after every
-    child still running is killed.  Every child is reaped before this returns.
-    """
-    children: list[tuple[int, int, int]] = []  # (range position, pid, read end of its pipe)
-    reaped = 0
-    outcomes: list = [None] * len(ranges)
-    try:
-        for k, (start, stop) in enumerate(ranges[1:], 1):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # refused, as at a process limit: the range has no result
-                os.close(read)
-                os.close(write)
-                continue
-            if pid == 0:
-                try:
-                    data = pickle.dumps(run(start, stop))  # whole, so a failure writes nothing
-                    with open(write, "wb") as pipe:
-                        pipe.write(data)
-                    os._exit(0)
-                finally:
-                    os._exit(1)  # run or the write raised
-            os.close(write)
-            children.append((k, pid, read))
-        outcomes[0] = run(*ranges[0])
-        for k, pid, read in children:
-            with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            reaped += 1
-            if status == 0:
-                outcomes[k] = pickle.loads(data)
-        return outcomes
-    finally:
-        for _k, pid, _read in children[reaped:]:
-            from signal import SIGKILL  # loaded only when a child must be stopped
-
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-        for _k, _pid, read in children:
-            os.close(read)
-
-
 def audit_condition1(
     index_ids: Sequence[str],
     trials: int = DEFAULT_TRIALS,
@@ -511,12 +445,13 @@ def audit_condition1(
 
     The trials run as contiguous ranges, one per available CPU with at least
     64 trials each: the first in this process, each other in a forked child
-    (:func:`_run_forked`).  The ranges' tallies are merged in trial order, so
-    the result does not depend on how many processes ran them.  A range whose
-    fork is refused, or whose child fails, runs here over the ids not yet
-    witnessed, as the serial loop would, so an error it raises is raised here.
-    One range, run here, is the serial path: without ``os.fork``, on one CPU,
-    while another Python thread runs, or below 128 trials.
+    (:func:`forks.run_forked`).  The ranges' tallies are merged in trial order,
+    so the result does not depend on how many processes ran them.  A range
+    whose pipe or fork is refused, or whose child fails, runs here over the ids
+    not yet witnessed, as the serial loop would, so an error it raises is
+    raised here.  One range, run here, is the serial path: without
+    ``os.fork``, on one CPU, while another Python thread runs, or below 128
+    trials.
     """
     if class_count < 2:
         raise MatrixError("class_count must be at least 2")
@@ -524,12 +459,12 @@ def audit_condition1(
     if trials < 1:
         raise ValueError("trials must be at least 1")
 
-    n = _worker_count(trials)
+    n = forks.worker_count(trials, _MIN_RANGE)
     bounds = [trials * k // n for k in range(n + 1)]
     ranges = list(zip(bounds, bounds[1:]))
     run = partial(_condition1_trials, list(class_of), seed, class_count)
     tally: _TrialTally = {}
-    for (start, stop), part in zip(ranges, _run_forked(run, ranges)):
+    for (start, stop), part in zip(ranges, forks.run_forked(run, ranges)):
         if part is None:  # no child result: run the range here, as the serial loop would
             active = [i for i in class_of if tally[i][2] is None]
             part = _condition1_trials(active, seed, class_count, start, stop)

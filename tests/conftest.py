@@ -1,7 +1,9 @@
-"""Shared strategies and the acceptance-criteria summary printer."""
+"""Shared strategies, forked-process checks and the acceptance-criteria summary printer."""
 
 from __future__ import annotations
 
+import errno
+import os
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,28 @@ def matrices_with_scaling(draw, min_classes=2, max_classes=5):
         st.lists(st.integers(1, 4), min_size=m.class_count, max_size=m.class_count)
     )
     return m, tuple(factors)
+
+
+# --- forked processes -----------------------------------------------------
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _refused_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def _refused_pipe():
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
+def _fd_count():
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("open fds are counted through /proc/self/fd")
+    return len(os.listdir("/proc/self/fd"))
 
 
 # --- acceptance summary -----------------------------------------------------

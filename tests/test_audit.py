@@ -1,7 +1,6 @@
 """Condition audits: sampling, verdicts, enumeration oracle, the collapse family."""
 
 import dataclasses
-import errno
 import functools
 import hashlib
 import itertools
@@ -18,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imbindex import MatrixError, UnknownIndexError, apply_scaling, evaluate, exact
-from imbindex import audit
+from imbindex import audit, forks
 from imbindex.audit import (
     BoundCrossedError,
     BudgetExceededError,
@@ -56,7 +55,13 @@ from imbindex.registry import (
     applicable_index_ids,
     bounds_exact,
 )
-from conftest import matrices_with_scaling
+from conftest import (
+    _assert_no_child_left,
+    _fd_count,
+    _refused_fork,
+    _refused_pipe,
+    matrices_with_scaling,
+)
 
 FAST_TRIALS = 100
 
@@ -332,7 +337,7 @@ class TestCondition1:
                 return formula(m)
             monkeypatch.setitem(INDEX_SPECS, index_id, dataclasses.replace(spec, formula=recording))
         # the recording sees this process's calls only, so no range is forked
-        monkeypatch.setattr(audit, "_worker_count", lambda trials: 1)
+        monkeypatch.setattr(forks, "worker_count", lambda units, min_per_range: 1)
         # None audits at the default class count
         kwargs = {} if class_count is None else {"class_count": class_count}
         reports = audit_all(conditions=(1,), trials=150, seed=seed, **kwargs)
@@ -382,22 +387,7 @@ _c1_index_lists = st.tuples(
 
 
 def _forked(monkeypatch, processes):
-    monkeypatch.setattr(audit, "_worker_count", lambda trials: processes)
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _refused_fork():
-    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-
-def _fd_count():
-    if not os.path.isdir("/proc/self/fd"):
-        pytest.skip("open fds are counted through /proc/self/fd")
-    return len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(forks, "worker_count", lambda units, min_per_range: processes)
 
 
 class TestTrialRanges:
@@ -514,6 +504,17 @@ class TestTrialRanges:
         _assert_no_child_left()
         assert capfd.readouterr() == ("", "")
 
+    def test_refused_pipe_runs_the_range_here(self, monkeypatch, capfd):
+        _forked(monkeypatch, 1)
+        serial = audit_condition1(list(EXPECTED_VERDICTS), trials=150, seed=7)
+        monkeypatch.setattr(os, "pipe", _refused_pipe)
+        _forked(monkeypatch, 3)
+        fds = _fd_count()
+        assert audit_condition1(list(EXPECTED_VERDICTS), trials=150, seed=7) == serial
+        assert _fd_count() == fds
+        _assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
     @pytest.mark.parametrize("ids", [["gmean2", "acsa"], ["precision", "gmean2", "acsa"]])
     def test_killed_child_range_runs_here(self, monkeypatch, capfd, ids):
         # neither gmean2 nor acsa is witnessed in trials 0 to 19, precision is at
@@ -539,11 +540,11 @@ class TestTrialRanges:
 
     def test_range_without_a_child_result_is_none(self, monkeypatch):
         # a child that raises sends nothing; neither does a range whose fork is refused
-        parent, fork, forks = os.getpid(), os.fork, []
+        parent, fork, fork_calls = os.getpid(), os.fork, []
 
         def second_fork_refused():
-            forks.append(None)
-            return _refused_fork() if len(forks) == 2 else fork()
+            fork_calls.append(None)
+            return _refused_fork() if len(fork_calls) == 2 else fork()
 
         def run(start, stop):
             if os.getpid() != parent and start == 1:
@@ -552,7 +553,21 @@ class TestTrialRanges:
 
         monkeypatch.setattr(os, "fork", second_fork_refused)
         fds = _fd_count()
-        assert audit._run_forked(run, [(0, 1), (1, 2), (2, 3), (3, 4)]) == [0, None, None, 3]
+        assert forks.run_forked(run, [(0, 1), (1, 2), (2, 3), (3, 4)]) == [0, None, None, 3]
+        assert _fd_count() == fds
+        _assert_no_child_left()
+
+    def test_refused_pipe_gives_no_result(self, monkeypatch):
+        # as at an open-file limit: the second range's pipe is refused, the third's is not
+        pipe, pipes = os.pipe, []
+
+        def second_pipe_refused():
+            pipes.append(None)
+            return _refused_pipe() if len(pipes) == 1 else pipe()
+
+        monkeypatch.setattr(os, "pipe", second_pipe_refused)
+        fds = _fd_count()
+        assert forks.run_forked(lambda start, stop: start, [(0, 1), (1, 2), (2, 3)]) == [0, None, 2]
         assert _fd_count() == fds
         _assert_no_child_left()
 
@@ -566,7 +581,7 @@ class TestTrialRanges:
 
         fds = _fd_count()
         with pytest.raises(MatrixError, match="parent refused"):
-            audit._run_forked(run, [(0, 1), (1, 2), (2, 3)])
+            forks.run_forked(run, [(0, 1), (1, 2), (2, 3)])
         assert _fd_count() == fds
         _assert_no_child_left()
 
@@ -575,22 +590,34 @@ class TestTrialRanges:
         def run(start, stop):
             return bytes([start]) * 2**20
 
-        outcomes = audit._run_forked(run, [(0, 1), (1, 2), (2, 3)])
+        outcomes = forks.run_forked(run, [(0, 1), (1, 2), (2, 3)])
         assert outcomes == [bytes([k]) * 2**20 for k in range(3)]
         _assert_no_child_left()
 
     @pytest.mark.parametrize(
-        "trials, cpus, threads, fork, expected",
-        [(500, 2, 1, True, 2), (500, 8, 1, True, 7), (128, 4, 1, True, 2), (127, 4, 1, True, 1),
-         (500, 1, 1, True, 1), (500, 4, 2, True, 1), (500, 4, 1, False, 1)],
+        "units, min_per_range, cpus, threads, fork, expected",
+        [
+            pytest.param(*row, id="-".join(map(str, row[:1] + row[2:])))  # ids omit min_per_range
+            for row in [
+                # condition-1 trials, at least 64 a range
+                (500, 64, 2, 1, True, 2), (500, 64, 8, 1, True, 7), (128, 64, 4, 1, True, 2),
+                (127, 64, 4, 1, True, 1), (500, 64, 1, 1, True, 1), (500, 64, 4, 2, True, 1),
+                (500, 64, 4, 1, False, 1),
+                # label-file bytes, at least 1 MiB a range
+                (3 << 20, 1 << 20, 2, 1, True, 2), (15 << 19, 1 << 20, 8, 1, True, 7),
+                (2 << 20, 1 << 20, 4, 1, True, 2), ((2 << 20) - 1, 1 << 20, 4, 1, True, 1),
+                (3 << 20, 1 << 20, 1, 1, True, 1), (3 << 20, 1 << 20, 4, 2, True, 1),
+                (3 << 20, 1 << 20, 4, 1, False, 1),
+            ]
+        ],
     )
-    def test_worker_count(self, monkeypatch, trials, cpus, threads, fork, expected):
-        # one process per CPU with at least 64 trials each; one without fork or beside a thread
+    def test_worker_count(self, monkeypatch, units, min_per_range, cpus, threads, fork, expected):
+        # one process per CPU with at least min_per_range units each; one without fork or beside a thread
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(audit.threading, "active_count", lambda: threads)
+        monkeypatch.setattr(forks.threading, "active_count", lambda: threads)
         if not fork:
             monkeypatch.delattr(os, "fork")
-        assert audit._worker_count(trials) == expected
+        assert forks.worker_count(units, min_per_range) == expected
 
 
 class TestCondition2:
