@@ -3,8 +3,8 @@
 The calling process runs the first range and a forked child runs each other
 one.  A range has ``None`` in place of its result when no child produced one,
 and the caller does that range's work itself, so a result never depends on
-how many processes ran it.  Condition 1 splits its trials this way, and
-:func:`imbindex.io.read_label_pairs` the bytes of a label file.
+how many processes ran it.  Condition 1 splits its trials this way
+(:func:`imbindex.audit.audit_condition1`).
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """File formats: confusion-matrix and (true, predicted) label-pair CSVs, read
 as UTF-8 with or without a byte-order mark, and the JSON form of results.
 
-A label file's lines after its first row are counted as bytes over byte
-ranges, one per available CPU, in forked processes (:mod:`imbindex.forks`),
-and merged in file order, so the counts do not depend on how many processes
-ran them.
+A label file is read once, from one binary handle that never seeks, so a
+pipe reads as its file does.  Its raw lines are counted as bytes a block at
+a time, in numpy where a block allows, and only the distinct lines are
+decoded and parsed.
 """
 
 from __future__ import annotations
@@ -16,15 +16,15 @@ from collections import Counter
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Sequence
 
-from . import forks
 from .confusion import ConfusionMatrix, MatrixError
 
-_MIN_RANGE_BYTES = 1 << 20  # the fewest bytes a label-counting process is given
-_BLOCK = 8 << 10  # bytes read at a time while counting label lines
+_BLOCK = 14 << 10  # bytes read at a time from a label file, sized for peak memory
+_WORDS = 2  # the most 8-byte words a label line is keyed by in numpy
+_MIX = 0x5851F42D4C957F2D  # odd, below 2**63: a multiplier for label-line hashes
 
 
 def _is_int(token: str) -> bool:
@@ -99,122 +99,160 @@ def read_label_pairs(path) -> Counter[tuple[str, str]]:
     Returns a Counter from each stripped pair to its number of rows, keyed in
     order of first appearance.  Blank rows are skipped, columns past the
     second are ignored, and a ``true,predicted`` first row is a header.
-    After the first row, raw lines are counted as bytes, over byte ranges in
-    up to one process per available CPU (:func:`_count_rest`), and only the
-    distinct ones are decoded and parsed, so parsing and memory grow with the
-    number of distinct lines; a ``"`` in them sends the rest of the file
-    through ``csv.reader``, as a quoted field may span lines.  The file must
-    be seekable, so a pipe is refused.
+    The file is read once, through one binary handle that never seeks, so a
+    pipe such as ``/dev/stdin`` reads as its file does.  Its raw lines are
+    counted as bytes (:func:`_count_lines`) and each distinct line is parsed
+    alone, in order of first appearance, so parsing and memory grow with the
+    number of distinct lines.  The file is parsed again whole with
+    ``csv.reader``, which a pipe cannot be, when a lone parse runs past its
+    line, as a quoted field then spans lines, or when the header's line is
+    repeated as data, whose place in the order the counts do not keep.
+    Invalid UTF-8 is reported with the path and, unless it is a pipe, the
+    1-based line (:func:`_undecodable`).
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        if not fh.seekable():  # a pipe cannot be read by byte offsets
-            raise MatrixError(f"{path}: not a regular file")
-        first, header, offset = _split_first_row(path, fh)
-        lines = _count_rest(path, offset)
-        if any(b'"' in line for line in lines):  # a quoted field may span lines
-            lines = None  # free the line counts before counting rows
-            counted = Counter(map(tuple, csv.reader(fh))).items()  # fh resumes after the row
-        else:
-            rest = {line.decode("utf-8"): n for line, n in lines.items()}
-            counted = zip(csv.reader(rest), rest.values())  # one row per quote-free line
-    pairs: Counter[tuple[str, str]] = Counter()
-    for row, n in chain([] if header else [(first, 1)], counted):
-        if _is_blank(row):
-            continue
-        if len(row) < 2:
-            raise MatrixError(
-                f"{path}: row {_first_short_row(path, header)} has fewer than 2 columns"
-            )
-        pairs[row[0].strip(), row[1].strip()] += n
+    try:
+        with path.open("rb") as fh:
+            seekable = fh.seekable()
+            lines = _count_lines(fh)
+        # one row per line, and a blank row for the last "\n", unless a row runs past its line
+        counts = chain(lines.values(), [0])
+        tally = _tally(zip(csv.reader(chain(map(bytes.decode, lines), ["\n"])), counts))
+        if tally is None or next(counts, None) is not None:
+            if not seekable:
+                raise MatrixError(f"{path}: a quoted field spans lines, or the header is repeated "
+                                  "as data, which needs a regular file, not a pipe")
+            with path.open(newline="", encoding="utf-8-sig") as fh:
+                rows = (row for row in csv.reader(fh) if not _is_blank(row))
+                first = [(row, 1) for row in islice(rows, 1)]  # apart, as it may be the header
+                tally = _tally(chain(first, Counter(map(tuple, rows)).items()))
+    except UnicodeDecodeError as exc:
+        where = _undecodable(path) if seekable else ""
+        raise MatrixError(f"{path}: {where}invalid UTF-8 ({exc.reason})") from None
+    pairs, header, short = tally
+    if header is None:
+        raise MatrixError(f"{path}: file contains no rows")
+    if short:
+        row = f"row {_first_short_row(path, header)}" if seekable else "a row"
+        raise MatrixError(f"{path}: {row} has fewer than 2 columns")
     if not pairs:
         raise MatrixError(f"{path}: header row but no label rows")
     return pairs
 
 
-def _split_first_row(path: Path, fh) -> tuple[list[str], bool, int]:
-    """The first non-blank CSV row of ``fh``, ``path`` opened as UTF-8 text
-    with ``newline=""``, whether it is a ``true,predicted`` header, and the
-    byte offset in ``path`` where the rest of the file starts.
-
-    The row is read through ``fh.readline``, one line at a time, so ``fh``
-    resumes after the row and the offset is the byte-order mark's 3 bytes, if
-    any, plus the UTF-8 length of each line read: ``newline=""`` leaves each
-    line's characters as they are in the file.
-    """
-    offset = 3 if fh.buffer.peek(3).startswith(codecs.BOM_UTF8) else 0
-
-    def lines():
-        nonlocal offset
-        for line in iter(fh.readline, ""):
-            offset += len(line.encode("utf-8"))
-            yield line
-
-    first = next((row for row in csv.reader(lines()) if not _is_blank(row)), None)
-    if first is None:
-        raise MatrixError(f"{path}: file contains no rows")
-    header = [cell.strip().lower() for cell in first[:2]] == ["true", "predicted"]
-    return first, header, offset
-
-
-def _count_rest(path: Path, offset: int) -> Counter[bytes]:
-    """Each raw line of ``path`` from byte ``offset`` on, with its count, in
-    order of first appearance.
-
-    The bytes are cut just after a ``\\n``, which ends a line under every line
-    end, into one range per available CPU, each of at least
-    ``_MIN_RANGE_BYTES`` (:func:`forks.worker_count`).  The first range is
-    counted here and each other in a forked child (:func:`forks.run_forked`);
-    a range with no child result is counted here too.  The ranges' counts are
-    merged in file order, so the keys keep the file's order of first
-    appearance.  A line longer than a range moves a cut onto the next one,
-    or to the end, and that range is dropped.  Below twice
-    ``_MIN_RANGE_BYTES`` the bytes are one range, counted here without a
-    fork.
-    """
-    size = path.stat().st_size
-    n = forks.worker_count(size - offset, _MIN_RANGE_BYTES)
-    with path.open("rb") as fh:
-        cuts = {_line_start(fh, offset + (size - offset) * k // n) for k in range(1, n)}
-    bounds = [offset, *sorted(cuts - {offset, size}), size]  # no range left empty
-    ranges = list(zip(bounds, bounds[1:]))
-    counts: Counter[bytes] = Counter()
-    for (start, stop), part in zip(ranges, forks.run_forked(partial(_count_lines, path), ranges)):
-        counts.update(_count_lines(path, start, stop) if part is None else part)
-    return counts
+def _tally(rows) -> tuple[Counter[tuple[str, str]], bool | None, bool] | None:
+    """The stripped first two fields of ``(row, count)`` items in order of
+    first appearance, counted; whether the first non-blank row is a
+    ``true,predicted`` header (None if there is none); and whether a later
+    non-blank row has fewer than 2 columns.  Blank rows are skipped.  None
+    when the header's row is counted more than once."""
+    pairs: Counter[tuple[str, str]] = Counter()
+    header = None
+    short = False
+    for row, n in rows:
+        if _is_blank(row):
+            continue
+        if header is None:
+            header = [cell.strip().lower() for cell in row[:2]] == ["true", "predicted"]
+            if header:
+                if n > 1:
+                    return None
+                continue
+        if len(row) < 2:
+            short = True
+        else:
+            pairs[row[0].strip(), row[1].strip()] += n
+    return pairs, header, short
 
 
-def _line_start(fh, at: int) -> int:
-    """The first position of the binary file ``fh`` from ``at`` on that
-    follows a ``\\n``, or the end of the file."""
-    fh.seek(at - 1)
-    while block := fh.read(_BLOCK):
-        end = block.find(b"\n")
-        if end >= 0:
-            return fh.tell() - len(block) + end + 1
-    return fh.tell()
+def _count_lines(fh) -> Counter[bytes]:
+    """Each raw line of the binary handle ``fh``, read from the file's
+    start, with its count, in order of first appearance.
 
-
-def _count_lines(path: Path, start: int, stop: int) -> Counter[bytes]:
-    """Each raw line in bytes ``start`` to ``stop`` of ``path``, with its
-    count, in order of first appearance.
-
-    The bytes are read ``_BLOCK`` at a time and split on ``\\n``, ``\\r\\n``
-    and ``\\r``, as ``newline=""`` splits text.  A block's last line is carried
-    into the next block unless it ends in ``\\n``, since the rest of the line,
-    or the ``\\n`` of a ``\\r\\n``, may follow.
+    Lines are split as ``newline=""`` splits text, at ``\\n``, ``\\r\\n`` and a
+    lone ``\\r``, after a UTF-8 byte-order mark is dropped.  ``fh`` is read
+    ``_BLOCK`` bytes at a time, and each block, after what was carried, is
+    counted in numpy (:func:`_count_block`) where it can be.  Otherwise it is
+    counted with ``Counter.update`` over ``splitlines``, and only its last
+    line is carried, unless it ends in ``\\n``.
     """
     counts: Counter[bytes] = Counter()
     carry = b""
-    with path.open("rb") as fh:
-        fh.seek(start)
-        for at in range(start, stop, _BLOCK):
-            lines = (carry + fh.read(min(_BLOCK, stop - at))).splitlines(keepends=True)
+    first = fh.read(max(_BLOCK, 3)).removeprefix(codecs.BOM_UTF8)  # the whole mark
+    for block in chain([first], iter(partial(fh.read, _BLOCK), b"")):
+        data = carry + block
+        carry = _count_block(counts, data)
+        if carry is None:
+            lines = data.splitlines(keepends=True)
             carry = lines.pop() if lines and not lines[-1].endswith(b"\n") else b""
             counts.update(lines)
-    if carry:
-        counts[carry] += 1
+    counts.update(carry.splitlines(keepends=True))  # the last line
     return counts
+
+
+def _count_block(counts: Counter[bytes], data: bytes) -> bytes | None:
+    """Add the lines of ``data`` up to its last ``\\n`` to ``counts``, in
+    order of first appearance, and return the rest; or return None, with
+    ``counts`` untouched, when a lone ``\\r`` ends a line (a ``\\r`` that no
+    ``\\n`` follows, other than one ending ``data``), a line is longer than
+    ``_WORDS`` words, or two lines share a hash.
+
+    Each line is read as 8-byte words, unaligned, with the bytes past its
+    end zeroed, so its words are the line, as a line ends at its only
+    ``\\n``.  The top 48 bits of a hash of the words (:func:`_fold`) are
+    packed above the line's index, so one sort of the packed values is an
+    ``argsort`` by hash that keeps each hash's lines in file order.  The hash
+    is checked against every word.  Each group of lines gives one ``bytes``
+    and its size, and a second sort puts the groups in the order of their
+    first lines.
+    """
+    cut = data.rfind(b"\n") + 1
+    if b"\r" in data and data.count(b"\r") - data.count(b"\r\n") > data.endswith(b"\r"):
+        return None
+    if data.find(b"\n", 0, 8 * _WORDS) < 0:  # no line, or a first line too long for numpy
+        return None if cut else data
+    import numpy as np  # loaded only here, as the CLI loads it anyway
+
+    body = data[:cut]
+    ends = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("\n")) + 1
+    n = len(ends)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1]
+    width = (int((ends - starts).max()) + 7) // 8
+    if width > _WORDS or n > 1 << 16:  # the index is packed in 16 bits
+        return None
+    padded = body + bytes(8 * width)
+    offsets = np.arange(0, 8 * width, 8)[:, None]
+    # word k of line i at [k, i]; numpy shifts by 64 to 0, so ~(-1 << 64) keeps a whole word
+    words = np.ndarray(len(padded) - 7, "<i8", padded, strides=(1,)).take(starts + offsets)
+    words &= ~(-1 << (np.maximum(np.minimum(ends - starts - offsets, 8), 0) << 3))
+    packed = _fold(words) & -1 << 16 | np.arange(n)
+    packed.sort()
+    order = packed & 0xFFFF
+    new = np.ones(n + 1, bool)  # where a group starts, and the end
+    packed >>= 16
+    np.not_equal(packed[1:], packed[:-1], out=new[1:n])
+    words = words.take(order, axis=1)
+    if np.any((words[:, 1:] != words[:, :-1]) & ~new[1:n]):
+        return None
+    bounds = np.flatnonzero(new)
+    firsts = np.sort(order.take(bounds[:-1]) << 16 | np.arange(len(bounds) - 1))
+    sizes = (bounds[1:] - bounds[:-1]).take(firsts & 0xFFFF)
+    firsts >>= 16
+    lines = list(map(body.__getitem__, map(slice, starts.take(firsts).tolist(),
+                                               ends.take(firsts).tolist())))
+    totals = sizes + np.fromiter(map(counts.get, lines, repeat(0)), np.int64, len(lines))
+    dict.update(counts, zip(lines, totals.tolist()))  # Counter.update would count the pairs
+    return data[cut:]
+
+
+def _fold(words):
+    """A 64-bit hash of each line from its ``int64`` words, ``words[k]``
+    holding word k of every line."""
+    key = words[0] * _MIX
+    for word in words[1:]:
+        key = (key ^ word) * _MIX
+    return key ^ key >> 29
 
 
 def _first_short_row(path: Path, header: bool) -> int:
@@ -223,6 +261,18 @@ def _first_short_row(path: Path, header: bool) -> int:
     with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = (row for row in csv.reader(fh) if not _is_blank(row))
         return next(i for i, row in enumerate(rows, 0 if header else 1) if len(row) < 2)
+
+
+def _undecodable(path: Path) -> str:
+    """Where the first invalid UTF-8 in ``path`` is, as ``"line L, byte B: "``,
+    both counted from 1, found by reading ``path`` again line by line."""
+    with path.open(newline="", encoding="latin-1") as fh:  # one character per byte
+        for number, line in enumerate(fh, 1):
+            try:
+                line.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"line {number}, byte {exc.start + 1}: "
+    return ""
 
 
 def _json_default(obj):

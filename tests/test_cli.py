@@ -122,6 +122,13 @@ class TestEval:
         assert matrix == ConfusionMatrix([[1, 1], [0, 2]])
         assert labels == ("A", "B")
 
+    def test_invalid_utf8_names_the_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"true,predicted\nA,B\nB,\xff\n")
+        assert main(["eval", "--labels", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3, byte 3: invalid UTF-8 (invalid start byte)\n")
+
     def test_output_file(self, base_matrix_csv, tmp_path):
         out = tmp_path / "table.csv"
         code = main(["eval", "--matrix", str(base_matrix_csv), "--indices", "auroc",

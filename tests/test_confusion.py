@@ -1,9 +1,11 @@
 """Confusion-matrix validation, row scaling, label tallies, and CSV I/O."""
 
 import csv
+import io
 import os
 import re
-import signal
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from decimal import Decimal
@@ -29,19 +31,11 @@ from imbindex import (
     ingest_labels,
     to_fraction,
 )
-from imbindex import forks
 from imbindex import io as label_io
 from imbindex.cli import main
 from imbindex.io import read_label_pairs, read_matrix_csv, write_matrix_csv
 
-from conftest import (
-    _assert_no_child_left,
-    _fd_count,
-    _refused_fork,
-    _refused_pipe,
-    confusion_matrices,
-    matrices_with_scaling,
-)
+from conftest import confusion_matrices, matrices_with_scaling
 
 
 class TestValidate:
@@ -471,55 +465,55 @@ def _assert_parity(text):
         assert _outcome(ingest_labels, want, class_list) == expected
 
 
-def _split_files(monkeypatch, processes, min_range=1):
-    """Split label files into one byte range per CPU, on ``processes`` CPUs,
-    each range of at least ``min_range`` bytes.  Returns the list that each
-    read's ranges are appended to."""
-    monkeypatch.setattr(label_io, "_MIN_RANGE_BYTES", min_range)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)), raising=False)
-    monkeypatch.setattr(forks.threading, "active_count", lambda: 1)
-    seen, run_forked = [], forks.run_forked
-
-    def recording(run, ranges):
-        seen.append(list(ranges))
-        return run_forked(run, ranges)
-
-    monkeypatch.setattr(forks, "run_forked", recording)
-    return seen
-
-
 class TestLabelCountParity:
     @given(label_files())
     def test_counter_matches_list_reader(self, text):
         _assert_parity(text)
 
-    @pytest.mark.parametrize("processes", [2, 3])
+    @pytest.mark.parametrize("block", [2, 3])
     @given(text=label_files())
-    def test_counter_matches_list_reader_over_ranges(self, processes, text):
-        # ranges of at least 1 byte, so even these short files are cut between lines
+    def test_counter_matches_list_reader_over_ranges(self, block, text):
+        # blocks of 2 or 3 bytes, so even these short files cross many of them
         with pytest.MonkeyPatch.context() as monkeypatch:
-            _split_files(monkeypatch, processes)
+            monkeypatch.setattr(label_io, "_BLOCK", block)
             _assert_parity(text)
 
 
-# 21 pairs, then one that first appears in the last range
+# 21 pairs, then one that first appears in the last block
 _ROWS = b"".join(b"c%d,c%d\r\n" % (i % 7, i * i % 5) for i in range(400)) + b"c9,c9\r\n"
 
 
+def _counted(monkeypatch, data):
+    """The lines that label_io._count_lines counts in ``data``, and whether
+    numpy counted each block read: False where it went to Counter."""
+    outcomes, count_block = [], label_io._count_block
+
+    def recording(counts, block):
+        carry = count_block(counts, block)
+        outcomes.append(carry is not None)
+        return carry
+
+    monkeypatch.setattr(label_io, "_count_block", recording)
+    return label_io._count_lines(io.BytesIO(data)), outcomes
+
+
 class TestLabelRanges:
+    """Label lines counted over fixed-size blocks, in numpy or by Counter."""
+
     @settings(max_examples=200)
     @given(
         lines=st.lists(
-            st.tuples(st.sampled_from([b"", b"A,B", b"B,A", b" , "]),
+            # with a \n, lines of 1 and 2 whole words, and one past the bound
+            st.tuples(st.sampled_from([b"", b"A,B", b"B,A", b" , ", b"A,BBBBB", b"A," + b"B" * 13,
+                                       b"A," + b"B" * 15]),
                       st.sampled_from([b"\n", b"\r\n", b"\r"])).map(b"".join),
             max_size=12,
         ),
-        last=st.sampled_from([b"", b"A,B"]),
+        last=st.sampled_from([b"", b"A,B", b"A,B\r"]),
         block=st.integers(1, 9),
-        processes=st.integers(1, 4),
     )
-    def test_lines_split_as_text_with_universal_newlines(self, lines, last, block, processes):
-        # every block boundary and cut, against the lines newline="" reads
+    def test_lines_split_as_text_with_universal_newlines(self, lines, last, block):
+        # every block boundary, against the lines newline="" reads
         data = b"".join(lines) + last
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
             path = Path(tmp) / "labels.csv"
@@ -527,112 +521,97 @@ class TestLabelRanges:
             with path.open(newline="", encoding="utf-8") as fh:
                 want = [line.encode() for line in fh]
             monkeypatch.setattr(label_io, "_BLOCK", block)
-            one = label_io._count_lines(path, 0, len(data))
-            _split_files(monkeypatch, processes)
-            split = label_io._count_rest(path, 0)
-        assert list(one.items()) == list(split.items()) == list(Counter(want).items())
+            with path.open("rb") as fh:
+                counted = label_io._count_lines(fh)
+        assert list(counted.items()) == list(Counter(want).items())
 
     def test_block_boundary_between_cr_and_lf(self, tmp_path):
         head = b"true,predicted\r\n"
-        data = head + b"A,B" + b" " * (label_io._BLOCK - 4) + b"\r\n" + _ROWS
-        block_end = len(head) + label_io._BLOCK
-        assert data[block_end - 1:block_end + 1] == b"\r\n"
+        data = head + b"A,B" + b" " * (label_io._BLOCK - len(head) - 4) + b"\r\n" + _ROWS
+        assert data[label_io._BLOCK - 1:label_io._BLOCK + 1] == b"\r\n"
         path = tmp_path / "labels.csv"
         path.write_bytes(data)
-        counted = label_io._count_lines(path, len(head), len(data))
-        assert list(counted.items()) == list(Counter(data[len(head):].splitlines(True)).items())
+        with path.open("rb") as fh:
+            counted = label_io._count_lines(fh)
+        assert list(counted.items()) == list(Counter(data.splitlines(True)).items())
         assert list(read_label_pairs(path).items()) == list(Counter(_reference_pairs(path)).items())
 
     @pytest.mark.parametrize(
         "rest, cuts",
-        [(b"A,B\r\n" * 4, [10]),  # the middle byte ends a \r\n
-         (b"A,B\r\nB,A", [5])],  # the middle byte is the \n of a \r\n
+        [(b"A,B\r\n" * 4, [10]),  # the first block ends right after a \r\n
+         (b"A,B\r\nB,A", [5])],  # the first block ends at the \n of a \r\n
     )
     def test_cut_right_after_crlf(self, tmp_path, monkeypatch, rest, cuts):
         head = b"true,predicted\r\n"
         path = tmp_path / "labels.csv"
         path.write_bytes(head + rest)
-        seen = _split_files(monkeypatch, 2)
-        pairs = read_label_pairs(path)
-        bounds = [len(head), *(len(head) + cut for cut in cuts), len(head) + len(rest)]
-        assert seen == [list(zip(bounds, bounds[1:]))]
+        monkeypatch.setattr(label_io, "_BLOCK", len(head) + cuts[0])
         assert all(rest[cut - 2:cut] == b"\r\n" for cut in cuts)
-        assert list(pairs.items()) == list(Counter(_reference_pairs(path)).items())
+        assert list(read_label_pairs(path).items()) == list(Counter(_reference_pairs(path)).items())
 
-    def test_lone_carriage_returns_are_one_range(self, tmp_path, monkeypatch):
+    def test_lone_carriage_return_falls_back(self, monkeypatch):
         data = b"true,predicted\r" + _ROWS.replace(b"\r\n", b"\r")
+        monkeypatch.setattr(label_io, "_BLOCK", 64)
+        counted, outcomes = _counted(monkeypatch, data)
+        assert len(outcomes) > 1 and not any(outcomes)
+        assert list(counted.items()) == list(Counter(data.splitlines(True)).items())
+
+    def test_line_past_the_word_bound_falls_back(self, monkeypatch):
+        long_line = b"A," + b"B" * (8 * label_io._WORDS - 2) + b"\n"
+        data = b"A,B\n" * 3 + long_line + b"B,A\n" * 3
+        monkeypatch.setattr(label_io, "_BLOCK", len(data))
+        counted, outcomes = _counted(monkeypatch, data)
+        assert outcomes == [False]
+        assert list(counted.items()) == list(Counter(data.splitlines(True)).items())
+
+    def test_hash_collision_falls_back(self, monkeypatch):
+        # the lines share their first word, so they collide when the fold keeps only that word
+        data = b"class_00,x\nclass_00,y\nclass_00,x\n" * 3
+        monkeypatch.setattr(label_io, "_BLOCK", len(data))
+        assert _counted(monkeypatch, data)[1] == [True]
+        monkeypatch.setattr(label_io, "_fold", lambda words: words[0])
+        counted, outcomes = _counted(monkeypatch, data)
+        assert outcomes == [False]
+        assert list(counted.items()) == list(Counter(data.splitlines(True)).items())
+
+    def test_pair_first_seen_in_the_last_block_comes_last(self, tmp_path, monkeypatch):
         path = tmp_path / "labels.csv"
-        path.write_bytes(data)
-        seen = _split_files(monkeypatch, 3)
+        path.write_bytes(b"true,predicted\r\n" + _ROWS)
+        monkeypatch.setattr(label_io, "_BLOCK", 64)
         pairs = read_label_pairs(path)
-        assert seen == [[(len(b"true,predicted\r"), len(data))]]
+        assert list(pairs)[-1] == ("c9", "c9")
         assert list(pairs.items()) == list(Counter(_reference_pairs(path)).items())
 
-    def test_range_without_a_line_is_dropped(self, tmp_path, monkeypatch):
-        # both cuts of three ranges fall in the long first line, so they meet
-        head, long_line = b"true,predicted\n", b"A," + b"B" * 100 + b"\n"
-        data = head + long_line + b"B,A\n"
+    @pytest.mark.parametrize("data, message", [
+        (b"\xef\xbb\xbftrue,predicted\r\n" + _ROWS, None),
+        (b'true,predicted\nA,B\n"A\nB",B\n', "a quoted field spans lines"),
+        (b"true,predicted\nA,B\nB,\xff\n", r"invalid UTF-8 \(invalid start byte\)$"),
+    ], ids=["quote-free", "spanning field", "invalid UTF-8"])
+    def test_pipe_reads_as_the_file(self, tmp_path, monkeypatch, data, message):
         path = tmp_path / "labels.csv"
         path.write_bytes(data)
-        seen = _split_files(monkeypatch, 3)
-        pairs = read_label_pairs(path)
-        cut = len(head) + len(long_line)
-        assert seen == [[(len(head), cut), (cut, len(data))]]
-        assert list(pairs.items()) == [(("A", "B" * 100), 1), (("B", "A"), 1)]
-
-    @pytest.mark.parametrize("failure", ["fork refused", "pipe refused", "child killed"])
-    def test_range_without_a_child_result_counted_here(self, tmp_path, monkeypatch, capfd, failure):
-        path = tmp_path / "labels.csv"
-        path.write_bytes(b"\xef\xbb\xbftrue,predicted\r\n" + _ROWS)
-        one = read_label_pairs(path)  # under 2 MiB: one range
-        seen = _split_files(monkeypatch, 3)
-        parent, count_lines, counted_here = os.getpid(), label_io._count_lines, []
-
-        def killed_in_child(path, start, stop):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)  # before it writes anything
-            counted_here.append((start, stop))
-            return count_lines(path, start, stop)
-
-        if failure == "fork refused":
-            monkeypatch.setattr(os, "fork", _refused_fork)
-        elif failure == "pipe refused":
-            monkeypatch.setattr(os, "pipe", _refused_pipe)
-        else:
-            monkeypatch.setattr(label_io, "_count_lines", killed_in_child)
-        fds = _fd_count()
-        got = read_label_pairs(path)
-        assert list(got.items()) == list(one.items())
-        assert len(seen[0]) == 3
-        assert counted_here == (seen[0] if failure == "child killed" else [])
-        assert _fd_count() == fds
-        _assert_no_child_left()
-        assert capfd.readouterr() == ("", "")
-
-    def test_pipe_refused(self):
+        monkeypatch.setattr(label_io, "_BLOCK", 64)  # many blocks in one pipe buffer
         read, write = os.pipe()
         try:
             with open(write, "wb") as fh:
-                fh.write(b"true,predicted\nA,B\nB,A\n")
-            path = f"/dev/fd/{read}"
-            if not os.path.exists(path):
+                fh.write(data)
+            pipe = f"/dev/fd/{read}"
+            if not os.path.exists(pipe):
                 pytest.skip("a pipe is named through /dev/fd")
-            with pytest.raises(MatrixError, match=rf"^{path}: not a regular file$"):
-                read_label_pairs(path)
+            if message is None:
+                assert list(read_label_pairs(pipe).items()) == list(read_label_pairs(path).items())
+            else:  # the whole file cannot be parsed again, nor a bad line found
+                with pytest.raises(MatrixError, match=rf"^{pipe}: {message}"):
+                    read_label_pairs(pipe)
         finally:
             os.close(read)
 
-    def test_invalid_utf8_in_a_forked_range_exits_2(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "labels.csv"
-        path.write_bytes(b"true,predicted\n" + b"A,B\n" * 300_000 + b"B,A\n" * 200_000
-                         + b"A,\xff\n" + b"B,A\n" * 50_000)
-        assert path.stat().st_size > 2 << 20
-        seen = _split_files(monkeypatch, 2, min_range=1 << 20)
-        assert main(["eval", "--labels", str(path)]) == 2
-        assert len(seen[0]) == 2 and seen[0][1][0] < path.read_bytes().index(b"\xff")
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "utf-8" in err
-        _assert_no_child_left()
+    def test_numpy_not_loaded_by_importing_io(self):
+        code = "import sys, imbindex.io; print('numpy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(label_io.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "False\n"
 
 
 def test_every_public_name_resolves():
