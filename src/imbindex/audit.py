@@ -39,11 +39,7 @@ class count ``C``.  Each trial is seeded once: every class count reads its
 words from the start through its own cursor, and each scaling reads them
 through a cursor copied right after its matrix (:meth:`TrialStream.copy`).
 When a violation exists the stored witness is the one with the lowest trial
-number.  The trials run as contiguous ranges, in up to one process per
-available CPU (:mod:`imbindex.forks`), and the ranges' tallies are merged in
-trial order, so a report does not depend on how many processes ran it.  A
-range whose pipe or fork is refused, or whose child fails, runs in the
-calling process.
+number.
 """
 
 from __future__ import annotations
@@ -55,7 +51,6 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Iterable, Iterator, Sequence
 
-from . import forks
 from .confusion import (
     ConfusionMatrix,
     MatrixError,
@@ -332,7 +327,6 @@ class Condition1Result:
 
 
 _MAX_DRAWS = 200  # draws per trial before an index counts as never defined
-_MIN_RANGE = 64  # the fewest trials a process is given
 
 
 def _draw_defined(
@@ -357,25 +351,40 @@ def _draw_defined(
     raise RuntimeError(f"{spec.index_id} undefined on {_MAX_DRAWS} consecutive sampled matrices")
 
 
-# per index: undefined draws resampled, largest float drift, first witness
-_TrialTally = dict[str, tuple[int, float, Condition1Witness | None]]
+def audit_condition1(
+    index_ids: Sequence[str],
+    trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
+    class_count: int = DEFAULT_CLASS_COUNT,
+) -> dict[str, Condition1Result]:
+    """Randomized row-scaling invariance audit with exact-rational confirmation.
 
-
-def _condition1_trials(
-    index_ids: Sequence[str], seed: int, class_count: int, start: int, stop: int
-) -> _TrialTally:
-    """Trials ``start`` to ``stop - 1`` of :func:`audit_condition1`, tallied per distinct id.
-
-    Each index stops at its first witness in the range; the range ends early
-    once every index has one.
+    Each distinct index gets one result, in first-appearance order.  Two-class
+    indices run at C = 2, the others at ``class_count``.  Trial ``t`` is
+    seeded once, by ``(seed, t)``, and each class count C reads it through its
+    own cursor from the start, so every index audited at C shares those
+    draws: each still-active index takes the first draw ``m_j`` on which it is
+    defined, and each distinct ``j`` gets one scaling, read from the cursor
+    copied right after ``m_j``.  So every index sees exactly the matrix and
+    scaling a trial run for it alone would draw.  The exact oracle is the
+    only arbiter: Violated on the first exact disagreement (lowest trial
+    index), after which the index draws no more trials; Invariant when every
+    trial agrees exactly.  The oracle's ``(num, den)`` pairs are compared by
+    cross-multiplying; only a witness's keys are reduced, by :func:`exact`.
+    The largest float drift is reported, never judged.
     """
+    if class_count < 2:
+        raise MatrixError("class_count must be at least 2")
     specs = {i: get_index(i) for i in index_ids}
     class_of = {i: 2 if spec.binary_only else class_count for i, spec in specs.items()}
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
     groups = {c: [i for i in class_of if class_of[i] == c] for c in class_of.values()}
     resampled = dict.fromkeys(class_of, 0)
     drift = dict.fromkeys(class_of, 0.0)
     witnesses: dict[str, Condition1Witness] = {}
-    for trial in range(start, stop):
+    for trial in range(trials):
         if len(witnesses) == len(class_of):
             break
         stream = TrialStream([seed, trial])
@@ -405,81 +414,17 @@ def _condition1_trials(
                         exact_before=exact(index_id, m).key,
                         exact_after=exact(index_id, scaled).key,
                     )
-    return {i: (resampled[i], drift[i], witnesses.get(i)) for i in class_of}
-
-
-def _merge_trials(earlier: _TrialTally, later: _TrialTally) -> _TrialTally:
-    """The tally of two adjacent trial ranges, ``earlier`` first.
-
-    An index witnessed in ``earlier`` stopped there and takes nothing from
-    ``later``, which need not hold it; any other adds ``later``'s resampled
-    count and takes the larger drift and ``later``'s witness.
-    """
-    return {
-        i: (n + later[i][0], max(d, later[i][1]), later[i][2]) if w is None else (n, d, w)
-        for i, (n, d, w) in earlier.items()
-    }
-
-
-def audit_condition1(
-    index_ids: Sequence[str],
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-    class_count: int = DEFAULT_CLASS_COUNT,
-) -> dict[str, Condition1Result]:
-    """Randomized row-scaling invariance audit with exact-rational confirmation.
-
-    Each distinct index gets one result, in first-appearance order.  Two-class
-    indices run at C = 2, the others at ``class_count``.  Trial ``t`` is
-    seeded once, by ``(seed, t)``, and each class count C reads it through its
-    own cursor from the start, so every index audited at C shares those
-    draws: each still-active index takes the first draw ``m_j`` on which it is
-    defined, and each distinct ``j`` gets one scaling, read from the cursor
-    copied right after ``m_j``.  So every index sees exactly the matrix and
-    scaling a trial run for it alone would draw.  The exact oracle is the
-    only arbiter: Violated on the first exact disagreement (lowest trial
-    index), after which the index draws no more trials; Invariant when every
-    trial agrees exactly.  The oracle's ``(num, den)`` pairs are compared by
-    cross-multiplying; only a witness's keys are reduced, by :func:`exact`.
-    The largest float drift is reported, never judged.
-
-    The trials run as contiguous ranges, one per available CPU with at least
-    64 trials each: the first in this process, each other in a forked child
-    (:func:`forks.run_forked`).  The ranges' tallies are merged in trial order,
-    so the result does not depend on how many processes ran them.  A range
-    whose pipe or fork is refused, or whose child fails, runs here over the ids
-    not yet witnessed, as the serial loop would, so an error it raises is
-    raised here.  One range, run here, is the serial path: without
-    ``os.fork``, on one CPU, while another Python thread runs, or below 128
-    trials.
-    """
-    if class_count < 2:
-        raise MatrixError("class_count must be at least 2")
-    class_of = {i: 2 if get_index(i).binary_only else class_count for i in index_ids}
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-
-    n = forks.worker_count(trials, _MIN_RANGE)
-    bounds = [trials * k // n for k in range(n + 1)]
-    ranges = list(zip(bounds, bounds[1:]))
-    run = partial(_condition1_trials, list(class_of), seed, class_count)
-    tally: _TrialTally = {}
-    for (start, stop), part in zip(ranges, forks.run_forked(run, ranges)):
-        if part is None:  # no child result: run the range here, as the serial loop would
-            active = [i for i in class_of if tally[i][2] is None]
-            part = _condition1_trials(active, seed, class_count, start, stop)
-        tally = _merge_trials(tally, part) if tally else part
     return {
         index_id: Condition1Result(
-            verdict=VERDICT_INVARIANT if witness is None else VERDICT_VIOLATED,
+            verdict=VERDICT_VIOLATED if index_id in witnesses else VERDICT_INVARIANT,
             trials=trials,
             class_count=class_of[index_id],
             seed=seed,
-            resampled_undefined=resampled,
-            max_float_drift=drift,
-            witness=witness,
+            resampled_undefined=resampled[index_id],
+            max_float_drift=drift[index_id],
+            witness=witnesses.get(index_id),
         )
-        for index_id, (resampled, drift, witness) in tally.items()
+        for index_id in class_of
     }
 
 

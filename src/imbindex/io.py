@@ -41,10 +41,18 @@ def read_matrix_csv(path) -> tuple[ConfusionMatrix, tuple[str, ...] | None]:
 
     An optional first row of distinct class labels is detected by the presence
     of any non-integer token.  Returns the validated matrix and the labels (or None).
+    Invalid UTF-8 is reported as :func:`read_label_pairs` reports it, and a
+    field past ``csv``'s size limit with the path.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        raw = [row for row in csv.reader(fh) if not _is_blank(row)]
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            seekable = fh.seekable()
+            raw = [row for row in csv.reader(fh) if not _is_blank(row)]
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc, seekable) from None
+    except csv.Error as exc:  # as a field past csv's size limit
+        raise MatrixError(f"{path}: {exc}") from None
     if not raw:
         raise MatrixError(f"{path}: file contains no rows")
     labels: tuple[str, ...] | None = None
@@ -108,7 +116,8 @@ def read_label_pairs(path) -> Counter[tuple[str, str]]:
     line, as a quoted field then spans lines, or when the header's line is
     repeated as data, whose place in the order the counts do not keep.
     Invalid UTF-8 is reported with the path and, unless it is a pipe, the
-    1-based line (:func:`_undecodable`).
+    1-based line (:func:`_undecodable`), and a field past ``csv``'s size limit
+    with the path.
     """
     path = Path(path)
     try:
@@ -127,8 +136,9 @@ def read_label_pairs(path) -> Counter[tuple[str, str]]:
                 first = [(row, 1) for row in islice(rows, 1)]  # apart, as it may be the header
                 tally = _tally(chain(first, Counter(map(tuple, rows)).items()))
     except UnicodeDecodeError as exc:
-        where = _undecodable(path) if seekable else ""
-        raise MatrixError(f"{path}: {where}invalid UTF-8 ({exc.reason})") from None
+        raise _undecodable(path, exc, seekable) from None
+    except csv.Error as exc:  # as a field past csv's size limit
+        raise MatrixError(f"{path}: {exc}") from None
     pairs, header, short = tally
     if header is None:
         raise MatrixError(f"{path}: file contains no rows")
@@ -263,16 +273,21 @@ def _first_short_row(path: Path, header: bool) -> int:
         return next(i for i, row in enumerate(rows, 0 if header else 1) if len(row) < 2)
 
 
-def _undecodable(path: Path) -> str:
-    """Where the first invalid UTF-8 in ``path`` is, as ``"line L, byte B: "``,
-    both counted from 1, found by reading ``path`` again line by line."""
-    with path.open(newline="", encoding="latin-1") as fh:  # one character per byte
-        for number, line in enumerate(fh, 1):
-            try:
-                line.encode("latin-1").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return f"line {number}, byte {exc.start + 1}: "
-    return ""
+def _undecodable(path: Path, exc: UnicodeDecodeError, seekable: bool) -> MatrixError:
+    """The error for invalid UTF-8 in ``path``.  Unless ``path`` is a pipe,
+    which cannot be read twice, it says where the first is, as ``"line L,
+    byte B: "``, both counted from 1, found by reading ``path`` again line by
+    line."""
+    where = ""
+    if seekable:
+        with path.open(newline="", encoding="latin-1") as fh:  # one character per byte
+            for number, line in enumerate(fh, 1):
+                try:
+                    line.encode("latin-1").decode("utf-8")
+                except UnicodeDecodeError as found:
+                    where = f"line {number}, byte {found.start + 1}: "
+                    break
+    return MatrixError(f"{path}: {where}invalid UTF-8 ({exc.reason})")
 
 
 def _json_default(obj):

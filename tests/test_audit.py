@@ -1,23 +1,20 @@
 """Condition audits: sampling, verdicts, enumeration oracle, the collapse family."""
 
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
 import math
 import os
-import signal
-import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from imbindex import MatrixError, UnknownIndexError, apply_scaling, evaluate, exact
-from imbindex import audit, forks
+from imbindex import audit
 from imbindex.audit import (
     BoundCrossedError,
     BudgetExceededError,
@@ -55,13 +52,7 @@ from imbindex.registry import (
     applicable_index_ids,
     bounds_exact,
 )
-from conftest import (
-    _assert_no_child_left,
-    _fd_count,
-    _refused_fork,
-    _refused_pipe,
-    matrices_with_scaling,
-)
+from conftest import matrices_with_scaling
 
 FAST_TRIALS = 100
 
@@ -323,6 +314,18 @@ class TestCondition1:
         audit_condition1(list(EXPECTED_VERDICTS), trials=20)
         assert seeds == [[DEFAULT_SEED, t] for t in range(20)]
 
+    def test_runs_in_this_process_on_many_cpus(self, monkeypatch):
+        # with CPUs to spare, every trial still runs here: nothing is forked
+        def no_fork():
+            pytest.fail("condition 1 forked a process")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        results = audit_condition1(list(EXPECTED_VERDICTS), trials=500)
+        assert {i: r.verdict for i, r in results.items()} == {
+            i: verdicts[0] for i, verdicts in EXPECTED_VERDICTS.items()
+        }
+
     @pytest.mark.parametrize("seed", [1729, 7, 99])
     @pytest.mark.parametrize("class_count", [None, 4])
     def test_shared_trials_match_separate_audits(self, seed, class_count, monkeypatch):
@@ -336,8 +339,6 @@ class TestCondition1:
                 seen.append((index_id, m.counts))
                 return formula(m)
             monkeypatch.setitem(INDEX_SPECS, index_id, dataclasses.replace(spec, formula=recording))
-        # the recording sees this process's calls only, so no range is forked
-        monkeypatch.setattr(forks, "worker_count", lambda units, min_per_range: 1)
         # None audits at the default class count
         kwargs = {} if class_count is None else {"class_count": class_count}
         reports = audit_all(conditions=(1,), trials=150, seed=seed, **kwargs)
@@ -374,250 +375,6 @@ class TestCondition1:
     def test_json_matches_recorded_digest(self, kwargs, digest):
         text = reports_to_json(audit_all(conditions=(1,), **kwargs))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-# the audited ids by (two-class only, condition-1 verdict): each list draws from all four
-_C1_KINDS = [
-    [i for i in EXPECTED_VERDICTS if (INDEX_SPECS[i].binary_only, EXPECTED_VERDICTS[i][0]) == kind]
-    for kind in itertools.product((True, False), (VERDICT_VIOLATED, VERDICT_INVARIANT))
-]
-_c1_index_lists = st.tuples(
-    *(st.lists(st.sampled_from(ids), min_size=1, unique=True) for ids in _C1_KINDS)
-).flatmap(lambda kinds: st.permutations([i for ids in kinds for i in ids]))
-
-
-def _forked(monkeypatch, processes):
-    monkeypatch.setattr(forks, "worker_count", lambda units, min_per_range: processes)
-
-
-class TestTrialRanges:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.sampled_from([1729, 7]),
-        class_count=st.sampled_from([3, 4]),
-        start=st.integers(0, 150),
-        lengths=st.lists(st.integers(1, 25), min_size=1, max_size=4),
-        index_ids=_c1_index_lists,
-    )
-    @example(seed=1729, class_count=3, start=4, lengths=[1, 2],
-             index_ids=["precision", "gmean2", "aurpc_ova", "acsa"])
-    @example(seed=7, class_count=3, start=100, lengths=[20, 30],
-             index_ids=["m_precision", "aurpc", "gmean_c", "auroc_ova"])
-    def test_merged_ranges_equal_one_range(self, seed, class_count, start, lengths, index_ids):
-        bounds = list(itertools.accumulate(lengths, initial=start))
-        parts = [
-            audit._condition1_trials(index_ids, seed, class_count, a, b)
-            for a, b in zip(bounds, bounds[1:])
-        ]
-        whole = audit._condition1_trials(index_ids, seed, class_count, bounds[0], bounds[-1])
-        assert functools.reduce(audit._merge_trials, parts) == whole
-
-    def test_first_witness_in_a_later_range(self):
-        # at seed 1729, trial 4 has no precision witness and trial 5 has one
-        ids = ["precision", "gmean2"]
-        first, later = (audit._condition1_trials(ids, 1729, 3, a, b) for a, b in [(4, 5), (5, 7)])
-        assert first["precision"][2] is None and later["precision"][2].trial == 5
-        merged = audit._merge_trials(first, later)
-        assert merged == audit._condition1_trials(ids, 1729, 3, 4, 7)
-        assert merged["precision"][2] is later["precision"][2]
-
-    def test_merge_adds_counts_and_keeps_the_larger_drift(self):
-        w0, w1 = object(), object()  # stand-ins for two witnesses
-        earlier = {"a": (2, 0.5, None), "b": (1, 0.25, None), "c": (4, 0.125, w0)}
-        later = {"a": (3, 0.25, w1), "b": (5, 0.75, None), "c": (7, 1.0, None)}
-        assert audit._merge_trials(earlier, later) == {
-            "a": (5, 0.5, w1), "b": (6, 0.75, None), "c": (4, 0.125, w0)
-        }
-        # a range rerun without the witnessed ids merges the same way
-        assert audit._merge_trials(earlier, {"a": later["a"], "b": later["b"]})["c"] == earlier["c"]
-
-    def test_forked_ranges_equal_one_process(self, monkeypatch, capfd):
-        # at seed 7, m_precision resamples in trials 112 and 143, both past the parent's range
-        _forked(monkeypatch, 1)
-        serial = audit_condition1(list(EXPECTED_VERDICTS), trials=150, seed=7)
-        _forked(monkeypatch, 3)
-        assert audit_condition1(list(EXPECTED_VERDICTS), trials=150, seed=7) == serial
-        assert serial["m_precision"].resampled_undefined == 2
-        _assert_no_child_left()
-        assert capfd.readouterr() == ("", "")
-
-    def test_child_exception_raised_in_parent(self, monkeypatch, capfd):
-        seeded = audit._pcg64_seeded
-
-        def refusing(seed):
-            if seed[1] >= 10:  # trials 10 to 19, the child's range
-                raise MatrixError(f"trial {seed[1]} refused")
-            return seeded(seed)
-
-        monkeypatch.setattr(audit, "_pcg64_seeded", refusing)
-        _forked(monkeypatch, 2)
-        with pytest.raises(MatrixError, match="^trial 10 refused$"):
-            audit_condition1(["gmean2", "acsa"], trials=20)
-        _assert_no_child_left()
-        assert capfd.readouterr() == ("", "")
-
-    def test_children_killed_when_the_parent_range_raises(self, monkeypatch, capfd):
-        seeded = audit._pcg64_seeded
-
-        def stalling(seed):
-            if seed[1] in (10, 20):  # the children's first trials
-                time.sleep(60)  # so a child is still running when the parent's range raises
-            if seed[1] == 3:
-                raise MatrixError("parent refused")
-            return seeded(seed)
-
-        monkeypatch.setattr(audit, "_pcg64_seeded", stalling)
-        _forked(monkeypatch, 3)
-        start = time.monotonic()
-        with pytest.raises(MatrixError, match="parent refused"):
-            audit_condition1(["gmean2"], trials=30)
-        assert time.monotonic() - start < 30
-        _assert_no_child_left()
-        assert capfd.readouterr() == ("", "")
-
-    def test_child_exception_for_an_earlier_witnessed_index_not_raised(self, monkeypatch):
-        # the serial loop drops precision after its trial-0 witness; the child
-        # runs it anyway, and its failure there must not surface
-        parent, spec = os.getpid(), INDEX_SPECS["precision"]
-
-        def failing_in_child(m):
-            if os.getpid() != parent:
-                raise RuntimeError("precision evaluated past its witness")
-            return spec.exact(m)
-
-        monkeypatch.setitem(INDEX_SPECS, "precision", dataclasses.replace(spec, exact=failing_in_child))
-        _forked(monkeypatch, 1)
-        serial = audit_condition1(["precision", "gmean2"], trials=20)
-        _forked(monkeypatch, 2)
-        assert audit_condition1(["precision", "gmean2"], trials=20) == serial
-        assert serial["precision"].witness.trial == 0
-        _assert_no_child_left()
-
-    def test_refused_fork_runs_the_range_here(self, monkeypatch, capfd):
-        _forked(monkeypatch, 1)
-        serial = audit_condition1(list(EXPECTED_VERDICTS), trials=150, seed=7)
-        monkeypatch.setattr(os, "fork", _refused_fork)
-        _forked(monkeypatch, 2)
-        fds = _fd_count()
-        assert audit_condition1(list(EXPECTED_VERDICTS), trials=150, seed=7) == serial
-        assert _fd_count() == fds
-        _assert_no_child_left()
-        assert capfd.readouterr() == ("", "")
-
-    def test_refused_pipe_runs_the_range_here(self, monkeypatch, capfd):
-        _forked(monkeypatch, 1)
-        serial = audit_condition1(list(EXPECTED_VERDICTS), trials=150, seed=7)
-        monkeypatch.setattr(os, "pipe", _refused_pipe)
-        _forked(monkeypatch, 3)
-        fds = _fd_count()
-        assert audit_condition1(list(EXPECTED_VERDICTS), trials=150, seed=7) == serial
-        assert _fd_count() == fds
-        _assert_no_child_left()
-        assert capfd.readouterr() == ("", "")
-
-    @pytest.mark.parametrize("ids", [["gmean2", "acsa"], ["precision", "gmean2", "acsa"]])
-    def test_killed_child_range_runs_here(self, monkeypatch, capfd, ids):
-        # neither gmean2 nor acsa is witnessed in trials 0 to 19, precision is at
-        # trial 0, so the range runs here for gmean2 and acsa alone
-        parent, trials, ran_here = os.getpid(), audit._condition1_trials, []
-
-        def killed_in_child(index_ids, seed, class_count, start, stop):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)  # before it writes anything
-            ran_here.append((list(index_ids), start, stop))
-            return trials(index_ids, seed, class_count, start, stop)
-
-        _forked(monkeypatch, 1)
-        serial = audit_condition1(ids, trials=40)
-        monkeypatch.setattr(audit, "_condition1_trials", killed_in_child)
-        _forked(monkeypatch, 2)
-        fds = _fd_count()
-        assert audit_condition1(ids, trials=40) == serial
-        assert ran_here == [(ids, 0, 20), (["gmean2", "acsa"], 20, 40)]
-        assert _fd_count() == fds
-        _assert_no_child_left()
-        assert capfd.readouterr() == ("", "")
-
-    def test_range_without_a_child_result_is_none(self, monkeypatch):
-        # a child that raises sends nothing; neither does a range whose fork is refused
-        parent, fork, fork_calls = os.getpid(), os.fork, []
-
-        def second_fork_refused():
-            fork_calls.append(None)
-            return _refused_fork() if len(fork_calls) == 2 else fork()
-
-        def run(start, stop):
-            if os.getpid() != parent and start == 1:
-                raise MatrixError("child refused")
-            return start
-
-        monkeypatch.setattr(os, "fork", second_fork_refused)
-        fds = _fd_count()
-        assert forks.run_forked(run, [(0, 1), (1, 2), (2, 3), (3, 4)]) == [0, None, None, 3]
-        assert _fd_count() == fds
-        _assert_no_child_left()
-
-    def test_refused_pipe_gives_no_result(self, monkeypatch):
-        # as at an open-file limit: the second range's pipe is refused, the third's is not
-        pipe, pipes = os.pipe, []
-
-        def second_pipe_refused():
-            pipes.append(None)
-            return _refused_pipe() if len(pipes) == 1 else pipe()
-
-        monkeypatch.setattr(os, "pipe", second_pipe_refused)
-        fds = _fd_count()
-        assert forks.run_forked(lambda start, stop: start, [(0, 1), (1, 2), (2, 3)]) == [0, None, 2]
-        assert _fd_count() == fds
-        _assert_no_child_left()
-
-    def test_no_fd_left_when_the_parent_range_raises(self):
-        parent = os.getpid()
-
-        def run(start, stop):
-            if os.getpid() == parent:
-                raise MatrixError("parent refused")
-            return start
-
-        fds = _fd_count()
-        with pytest.raises(MatrixError, match="parent refused"):
-            forks.run_forked(run, [(0, 1), (1, 2), (2, 3)])
-        assert _fd_count() == fds
-        _assert_no_child_left()
-
-    def test_results_larger_than_a_pipe_buffer(self):
-        # each child blocks on its full pipe until the parent reads it
-        def run(start, stop):
-            return bytes([start]) * 2**20
-
-        outcomes = forks.run_forked(run, [(0, 1), (1, 2), (2, 3)])
-        assert outcomes == [bytes([k]) * 2**20 for k in range(3)]
-        _assert_no_child_left()
-
-    @pytest.mark.parametrize(
-        "units, min_per_range, cpus, threads, fork, expected",
-        [
-            pytest.param(*row, id="-".join(map(str, row[:1] + row[2:])))  # ids omit min_per_range
-            for row in [
-                # condition-1 trials, at least 64 a range
-                (500, 64, 2, 1, True, 2), (500, 64, 8, 1, True, 7), (128, 64, 4, 1, True, 2),
-                (127, 64, 4, 1, True, 1), (500, 64, 1, 1, True, 1), (500, 64, 4, 2, True, 1),
-                (500, 64, 4, 1, False, 1),
-                # label-file bytes, at least 1 MiB a range
-                (3 << 20, 1 << 20, 2, 1, True, 2), (15 << 19, 1 << 20, 8, 1, True, 7),
-                (2 << 20, 1 << 20, 4, 1, True, 2), ((2 << 20) - 1, 1 << 20, 4, 1, True, 1),
-                (3 << 20, 1 << 20, 1, 1, True, 1), (3 << 20, 1 << 20, 4, 2, True, 1),
-                (3 << 20, 1 << 20, 4, 1, False, 1),
-            ]
-        ],
-    )
-    def test_worker_count(self, monkeypatch, units, min_per_range, cpus, threads, fork, expected):
-        # one process per CPU with at least min_per_range units each; one without fork or beside a thread
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(forks.threading, "active_count", lambda: threads)
-        if not fork:
-            monkeypatch.delattr(os, "fork")
-        assert forks.worker_count(units, min_per_range) == expected
 
 
 class TestCondition2:

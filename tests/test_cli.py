@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, formats, diagnostics, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -128,6 +129,24 @@ class TestEval:
         assert main(["eval", "--labels", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err == (
             f"error: {path}: line 3, byte 3: invalid UTF-8 (invalid start byte)\n")
+
+    def test_matrix_invalid_utf8_names_the_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "matrix.csv"
+        path.write_bytes(b"a,b\n1,\xff2\n3,4\n")
+        assert main(["eval", "--matrix", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "", f"error: {path}: line 2, byte 3: invalid UTF-8 (invalid start byte)\n")
+
+    @pytest.mark.parametrize("reader, text", [
+        ("--labels", "true,predicted\nA,B\nB," + "x" * 200_000 + "\n"),
+        ("--matrix", "a," + "x" * 200_000 + "\n1,2\n3,4\n"),  # in the header
+    ])
+    def test_field_past_the_csv_limit_names_the_path(self, tmp_path, capsys, reader, text):
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        assert main(["eval", reader, str(path)]) == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "", f"error: {path}: field larger than field limit ({csv.field_size_limit()})\n")
 
     def test_output_file(self, base_matrix_csv, tmp_path):
         out = tmp_path / "table.csv"
